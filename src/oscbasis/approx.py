@@ -5,6 +5,9 @@ rewritten at the nearest exact multiple 2 pi k using the trig addition
 formulas; the new envelopes absorb the remainder epsilon and stay
 non-oscillatory because |epsilon| <= pi.  Projection onto the orthonormal
 basis is then a plain inner product per row, done by oracle quadrature.
+Expansions are collapsed through the basis coefficient arrays first, so
+every quadrature step costs one Legendre table and two matrix-vector
+products, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OscBasis, member_values
-from .frequency import TWO_PI, Frequency
-from .legendre import legendre_norm_sq
+from .basis import OscBasis
+from .frequency import TWO_PI, Frequency, doc_frequency
+from .legendre import legendre_norm_sq, legendre_rows, legendre_table
 from .oracle import OracleConfig, composite_rule
+from .pairing import LegTrigCoeffs
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +88,7 @@ class Expansion:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         expected = 2 * (self.basis_ref.n_max + 1)
-        if self.coeffs.size != expected:
+        if self.coeffs.shape != (expected,):
             raise ValueError(
                 f"expected {expected} coefficients for n_max="
                 f"{self.basis_ref.n_max}, got {self.coeffs.size}"
@@ -139,6 +143,25 @@ def _check_match(exp: Expansion, basis: OscBasis):
         )
 
 
+def _expansion_values(coeffs: np.ndarray, basis: OscBasis, x):
+    """sum_i coeffs[i] * row_i(x), collapsed to one Legendre-trig function."""
+    return LegTrigCoeffs(a=coeffs @ basis.a,
+                         b=coeffs @ basis.b).evaluate(basis.freq.omega, x)
+
+
+def _sample_on_rule(target: OscTarget, basis: OscBasis,
+                    cfg: OracleConfig | None):
+    """The oracle rule at the basis frequency and the reduced target on it."""
+    omega = basis.freq.omega
+    if abs(target.freq_raw - omega) > 1e-12 * max(1.0, omega):
+        raise ValueError(
+            f"target frequency {target.freq_raw!r} does not match basis "
+            f"frequency {omega!r}; apply reduce_frequency first"
+        )
+    rule = composite_rule(omega, cfg)
+    return rule, _sample_target(target, rule.nodes)
+
+
 def _sample_target(target: OscTarget, x: np.ndarray) -> np.ndarray:
     values = target.evaluate(x)
     bad = ~np.isfinite(values)
@@ -158,40 +181,26 @@ def project(target: OscTarget, basis: OscBasis,
     The target must already be reduced: its frequency has to equal the
     basis frequency to 1e-12 relative.
     """
-    omega = basis.freq.omega
-    if abs(target.freq_raw - omega) > 1e-12 * max(1.0, omega):
-        raise ValueError(
-            f"target frequency {target.freq_raw!r} does not match basis "
-            f"frequency {omega!r}; apply reduce_frequency first"
-        )
-    rule = composite_rule(omega, cfg)
-    F = _sample_target(target, rule.nodes)
-    E = member_values(basis, rule.nodes)
-    coeffs = E @ (rule.weights * F)
+    rule, F = _sample_on_rule(target, basis, cfg)
+    x, wF, omega = rule.nodes, rule.weights * F, basis.freq.omega
+    P = legendre_table(basis.n_max, x)
+    coeffs = basis.a @ (P @ (wF * np.cos(omega * x))) \
+        + basis.b @ (P @ (wF * np.sin(omega * x)))
     return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs)
 
 
 def evaluate_expansion(exp: Expansion, basis: OscBasis, x):
     """Sum of coeffs[i] * row_i(x); x may be scalar or ndarray."""
     _check_match(exp, basis)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = exp.coeffs @ member_values(basis, xa)
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    return _expansion_values(exp.coeffs, basis, x)
 
 
 def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis,
                   cfg: OracleConfig | None = None) -> float:
     """L2 norm of F minus its expansion, by oracle quadrature."""
     _check_match(exp, basis)
-    omega = basis.freq.omega
-    if abs(target.freq_raw - omega) > 1e-12 * max(1.0, omega):
-        raise ValueError(
-            f"target frequency {target.freq_raw!r} does not match basis "
-            f"frequency {omega!r}; apply reduce_frequency first"
-        )
-    rule = composite_rule(omega, cfg)
-    F = _sample_target(target, rule.nodes)
-    r = F - exp.coeffs @ member_values(basis, rule.nodes)
+    rule, F = _sample_on_rule(target, basis, cfg)
+    r = F - _expansion_values(exp.coeffs, basis, rule.nodes)
     return float(np.sqrt(max(np.sum(rule.weights * r * r), 0.0)))
 
 
@@ -213,17 +222,8 @@ def plain_legendre_residuals(target: OscTarget, n_max: int,
     wF = w * F
     total = float(np.sum(wF * F))
     residuals = np.empty(n_max + 1)
-    pm1 = np.ones_like(x)
-    p = x.copy()
     captured = 0.0
-    for n in range(n_max + 1):
-        if n == 0:
-            pn = pm1
-        elif n == 1:
-            pn = p
-        else:
-            p, pm1 = ((2 * n - 1) * x * p - (n - 1) * pm1) / n, p
-            pn = p
+    for n, pn in zip(range(n_max + 1), legendre_rows(x)):
         proj = float(np.sum(wF * pn))
         captured += proj * proj / legendre_norm_sq(n)
         residuals[n] = math.sqrt(max(total - captured, 0.0))
@@ -243,7 +243,9 @@ def expansion_to_doc(exp: Expansion) -> dict:
 
 
 def expansion_from_doc(doc: dict) -> Expansion:
-    freq = Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
+    freq = doc_frequency(doc, SCHEMA_VERSION, ("basis_hash", "coeffs"))
+    if not isinstance(doc["basis_hash"], str):
+        raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
     ref = BasisRef(freq=freq, n_max=doc["n_max"], basis_hash=doc["basis_hash"])
     return Expansion(basis_ref=ref, coeffs=np.array(doc["coeffs"], dtype=float))
 

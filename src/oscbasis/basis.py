@@ -7,9 +7,10 @@ opposite member of the current pair and onto the same-side member one pair
 back, then normalize.  All inner products go through the pairing bilinear
 form, so the only approximation anywhere is in the tables themselves.
 
-Rows are stored interleaved [p_0, q_0, p_1, q_1, ...]; row 2k and 2k+1 have
-Legendre degree at most k, which makes the representation matrix B block
-upper triangular.
+Rows are stored interleaved [p_0, q_0, p_1, q_1, ...] in two coefficient
+arrays, the cosine part and the sine part; row 2k and 2k+1 have Legendre
+degree at most k, which makes the representation matrix B block upper
+triangular.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .frequency import TWO_PI, Frequency, StabilityWarning
-from .pairing import LegTrigCoeffs, inner_product
+from .frequency import TWO_PI, Frequency, StabilityWarning, doc_frequency
+from .legendre import legendre_table
+from .pairing import LegTrigCoeffs, bilinear
 from .tables import InnerProductTables
 
 SCHEMA_VERSION = 1
@@ -54,67 +56,60 @@ class RecurrenceStep:
     delta: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OscBasis:
     """Orthonormal family in Legendre-trig coordinates.
 
-    rep[2k] is p_k, rep[2k+1] is q_k; norms[i] is the pre-normalization norm
-    of row i; rec[i] holds the quotients that produced pair i+1.
+    Member i is sum_j a[i, j] P_j(x) cos(omega x) + b[i, j] P_j(x) sin(omega
+    x); rows 2k and 2k+1 are p_k and q_k and are zero beyond Legendre degree
+    k.  a and b have shape (2(N+1), N+1).  norms[i] is the pre-normalization
+    norm of member i; rec[i] holds the quotients that produced pair i+1.
+    All of it is read-only, so the content hash is computed once.
     """
 
     freq: Frequency
     n_max: int
-    rep: list
+    a: np.ndarray
+    b: np.ndarray
     norms: np.ndarray
-    rec: list
+    rec: tuple
+
+    def __post_init__(self):
+        for name in ("a", "b", "norms"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rec", tuple(self.rec))
+
+    @property
+    def rep(self) -> list[LegTrigCoeffs]:
+        """The members as LegTrigCoeffs, row i trimmed to length i//2 + 1."""
+        return [LegTrigCoeffs(a=self.a[i, : i // 2 + 1],
+                              b=self.b[i, : i // 2 + 1])
+                for i in range(self.a.shape[0])]
 
     def content_hash(self) -> str:
-        """sha256 over the canonical serialized form; identifies the basis
-        so expansions can detect mismatched inputs."""
+        """sha256 over the canonical serialized form, computed on first
+        use; identifies the basis so expansions can detect mismatched
+        inputs."""
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
         payload = json.dumps(basis_to_doc(self), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _shift_degree(vec: np.ndarray) -> np.ndarray:
-    """Coefficients of x*f for f given in Legendre coordinates, via
+def _times_x(f: np.ndarray, length: int) -> np.ndarray:
+    """x * f for f = (cos part, sin part) of Legendre length `length`, via
     x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1)."""
-    L = vec.size
-    out = np.zeros(L + 1)
-    j = np.arange(L)
-    out[1:] += vec * (j + 1) / (2 * j + 1)
-    if L > 1:
-        out[: L - 1] += vec[1:] * (j[1:] / (2 * j[1:] + 1))
+    out = np.zeros_like(f)
+    j = np.arange(length)
+    out[:, 1:length + 1] += f[:, :length] * (j + 1) / (2 * j + 1)
+    if length > 1:
+        out[:, :length - 1] += f[:, 1:length] * (j[1:] / (2 * j[1:] + 1))
     return out
-
-
-def _mul_x(f: LegTrigCoeffs) -> LegTrigCoeffs:
-    return LegTrigCoeffs(a=_shift_degree(f.a), b=_shift_degree(f.b))
-
-
-def _axpy(f: LegTrigCoeffs, coef: float, g: LegTrigCoeffs) -> LegTrigCoeffs:
-    """f + coef * g with zero-padding to the longer length."""
-    n = max(f.a.size, g.a.size)
-    a = np.zeros(n)
-    b = np.zeros(n)
-    a[: f.a.size] = f.a
-    b[: f.b.size] = f.b
-    a[: g.a.size] += coef * g.a
-    b[: g.b.size] += coef * g.b
-    return LegTrigCoeffs(a=a, b=b)
-
-
-def _checked_norm(f: LegTrigCoeffs, tables: InnerProductTables,
-                  member_index: int, freq: Frequency, n_max: int) -> float:
-    nsq = inner_product(f, f, tables)
-    if nsq < DEGENERATION_THRESHOLD ** 2:
-        raise BasisDegenerationError(
-            f"basis degenerated at member {member_index}: pre-normalization "
-            f"norm^2 = {nsq:.3e} is below {DEGENERATION_THRESHOLD}^2 "
-            f"(omega={freq.omega:.6g}, n_max={n_max}; the recurrence is "
-            f"reliable only for omega > n_max)"
-        )
-    return float(np.sqrt(nsq))
 
 
 def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
@@ -139,60 +134,69 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
             stacklevel=3,
         )
 
-    rows: list[LegTrigCoeffs] = []
-    norms: list[float] = []
+    # rows[i] holds member i as (cos part, sin part), zero-padded to the
+    # table size so every inner product is the same padded bilinear form
+    n_rows = 2 * (n_max + 1)
+    rows = np.zeros((n_rows, 2, tables.n_max + 1))
+    norms = np.empty(n_rows)
+    self_ip = [0.0] * n_rows
     rec: list[RecurrenceStep] = []
 
-    for seed in (LegTrigCoeffs(a=np.ones(1), b=np.zeros(1)),
-                 LegTrigCoeffs(a=np.zeros(1), b=np.ones(1))):
-        h = _checked_norm(seed, tables, len(rows) // 2, freq, n_max)
-        norms.append(h)
-        rows.append(_scaled(seed, 1.0 / h) if normalize else seed)
+    def ip(f, g):
+        return float(bilinear(f[0], f[1], g[0], g[1], tables))
+
+    def store(i, f):
+        nsq = ip(f, f)
+        if nsq < DEGENERATION_THRESHOLD ** 2:
+            raise BasisDegenerationError(
+                f"basis degenerated at member {i // 2}: pre-normalization "
+                f"norm^2 = {nsq:.3e} is below {DEGENERATION_THRESHOLD}^2 "
+                f"(omega={freq.omega:.6g}, n_max={n_max}; the recurrence is "
+                f"reliable only for omega > n_max)"
+            )
+        norms[i] = np.sqrt(nsq)
+        rows[i] = f * (1.0 / norms[i]) if normalize else f
+        self_ip[i] = ip(rows[i], rows[i])
+
+    for i in (0, 1):
+        seed = np.zeros_like(rows[i])
+        seed[i, 0] = 1.0
+        store(i, seed)
 
     for k in range(n_max):
         p_k, q_k = rows[2 * k], rows[2 * k + 1]
-        xp = _mul_x(p_k)
-        xq = _mul_x(q_k)
-        qq = inner_product(q_k, q_k, tables)
-        pp = inner_product(p_k, p_k, tables)
-        alpha = inner_product(xp, q_k, tables) / qq
-        gamma = inner_product(xq, p_k, tables) / pp
+        xp = _times_x(p_k, k + 1)
+        xq = _times_x(q_k, k + 1)
+        alpha = ip(xp, q_k) / self_ip[2 * k + 1]
+        gamma = ip(xq, p_k) / self_ip[2 * k]
         if k > 0:
             p_prev, q_prev = rows[2 * k - 2], rows[2 * k - 1]
-            beta = inner_product(xp, p_prev, tables) / inner_product(
-                p_prev, p_prev, tables)
-            delta = inner_product(xq, q_prev, tables) / inner_product(
-                q_prev, q_prev, tables)
+            beta = ip(xp, p_prev) / self_ip[2 * k - 2]
+            delta = ip(xq, q_prev) / self_ip[2 * k - 1]
         else:
             beta = delta = 0.0
         rec.append(RecurrenceStep(alpha=alpha, beta=beta,
                                   gamma=gamma, delta=delta))
 
-        p_new = _axpy(xp, -alpha, q_k)
-        q_new = _axpy(xq, -gamma, p_k)
+        # each update f + (-coef) g runs over g's Legendre length only, so
+        # the zeros above it keep their signs
+        xp[:, : k + 1] += -alpha * q_k[:, : k + 1]
+        xq[:, : k + 1] += -gamma * p_k[:, : k + 1]
         if k > 0:
-            p_new = _axpy(p_new, -beta, p_prev)
-            q_new = _axpy(q_new, -delta, q_prev)
+            xp[:, :k] += -beta * p_prev[:, :k]
+            xq[:, :k] += -delta * q_prev[:, :k]
         if reorthogonalize:
-            for prev in rows:
-                coef = inner_product(p_new, prev, tables) / inner_product(
-                    prev, prev, tables)
-                p_new = _axpy(p_new, -coef, prev)
-            for prev in rows:
-                coef = inner_product(q_new, prev, tables) / inner_product(
-                    prev, prev, tables)
-                q_new = _axpy(q_new, -coef, prev)
+            # sequential (modified Gram-Schmidt) passes, one row at a time
+            for new in (xp, xq):
+                for j in range(2 * k + 2):
+                    coef = ip(new, rows[j]) / self_ip[j]
+                    new[:, : j // 2 + 1] += -coef * rows[j, :, : j // 2 + 1]
+        store(2 * k + 2, xp)
+        store(2 * k + 3, xq)
 
-        for new in (p_new, q_new):
-            h = _checked_norm(new, tables, k + 1, freq, n_max)
-            norms.append(h)
-            rows.append(_scaled(new, 1.0 / h) if normalize else new)
-
-    return rows, np.array(norms), rec
-
-
-def _scaled(f: LegTrigCoeffs, factor: float) -> LegTrigCoeffs:
-    return LegTrigCoeffs(a=f.a * factor, b=f.b * factor)
+    a = rows[:, 0, : n_max + 1]
+    b = rows[:, 1, : n_max + 1]
+    return a, b, norms, rec
 
 
 def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
@@ -220,10 +224,9 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
             f"frequency mismatch: basis requested at omega={freq.omega!r} "
             f"but tables were built at omega={tables.freq.omega!r}"
         )
-    rows, norms, rec = _run_recurrence(freq, n_max, tables,
-                                       normalize=True,
+    a, b, norms, rec = _run_recurrence(freq, n_max, tables, normalize=True,
                                        reorthogonalize=reorthogonalize)
-    return OscBasis(freq=freq, n_max=n_max, rep=rows, norms=norms, rec=rec)
+    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms, rec=rec)
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,
@@ -235,8 +238,8 @@ def monic_norm_profile(freq: Frequency, n_max: int,
     rapidly, which is why build_basis normalizes at every step.  The q-side
     norms track the p-side ones closely and are not reported separately.
     """
-    _, norms, _ = _run_recurrence(freq, n_max, tables, normalize=False,
-                                  reorthogonalize=False)
+    norms = _run_recurrence(freq, n_max, tables, normalize=False,
+                            reorthogonalize=False)[2]
     return norms[0::2].copy()
 
 
@@ -253,7 +256,9 @@ def evaluate_member(basis: OscBasis, row_index: int, x):
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:
     """All rows evaluated at once: shape (2(N+1), len(x))."""
     x = np.asarray(x, dtype=float)
-    return np.array([row.evaluate(basis.freq.omega, x) for row in basis.rep])
+    P = legendre_table(basis.n_max, x)
+    omega = basis.freq.omega
+    return (basis.a @ P) * np.cos(omega * x) + (basis.b @ P) * np.sin(omega * x)
 
 
 def basis_to_doc(basis: OscBasis) -> dict:
@@ -263,24 +268,50 @@ def basis_to_doc(basis: OscBasis) -> dict:
         "k": basis.freq.k,
         "epsilon": basis.freq.epsilon,
         "n_max": basis.n_max,
-        "rows": [{"a": row.a.tolist(), "b": row.b.tolist()}
-                 for row in basis.rep],
-        "norms": np.asarray(basis.norms).tolist(),
+        "rows": [{"a": a[: i // 2 + 1].tolist(), "b": b[: i // 2 + 1].tolist()}
+                 for i, (a, b) in enumerate(zip(basis.a, basis.b))],
+        "norms": basis.norms.tolist(),
         "rec": [{"alpha": r.alpha, "beta": r.beta,
                  "gamma": r.gamma, "delta": r.delta} for r in basis.rec],
     }
 
 
 def basis_from_doc(doc: dict) -> OscBasis:
-    freq = Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
-    rows = [LegTrigCoeffs(a=np.array(r["a"], dtype=float),
-                          b=np.array(r["b"], dtype=float))
-            for r in doc["rows"]]
-    rec = [RecurrenceStep(alpha=r["alpha"], beta=r["beta"],
-                          gamma=r["gamma"], delta=r["delta"])
-           for r in doc["rec"]]
-    return OscBasis(freq=freq, n_max=doc["n_max"], rep=rows,
-                    norms=np.array(doc["norms"], dtype=float), rec=rec)
+    """Rebuild a basis from its document, refusing with ValueError any
+    document that is not a well-formed basis."""
+    freq = doc_frequency(doc, SCHEMA_VERSION, ("rows", "norms", "rec"))
+    n_max = doc["n_max"]
+    n_rows = 2 * (n_max + 1)
+    if not isinstance(doc["rows"], list) or len(doc["rows"]) != n_rows:
+        raise ValueError(f"a basis with n_max={n_max} has {n_rows} rows")
+    a = np.zeros((n_rows, n_max + 1))
+    b = np.zeros((n_rows, n_max + 1))
+    for i, row in enumerate(doc["rows"]):
+        try:
+            coeffs = LegTrigCoeffs(a=row["a"], b=row["b"])
+        except KeyError as exc:
+            raise ValueError(f"basis row {i} lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"basis row {i}: {exc}") from None
+        if coeffs.a.size > i // 2 + 1:
+            raise ValueError(
+                f"basis row {i} has {coeffs.a.size} coefficients, but member "
+                f"{i} reaches only Legendre degree {i // 2}"
+            )
+        a[i, : coeffs.a.size] = coeffs.a
+        b[i, : coeffs.b.size] = coeffs.b
+    norms = np.array(doc["norms"], dtype=float)
+    if norms.shape != (n_rows,):
+        raise ValueError(f"basis norms must be {n_rows} numbers")
+    if not isinstance(doc["rec"], list) or len(doc["rec"]) != n_max:
+        raise ValueError(f"a basis with n_max={n_max} has {n_max} rec steps")
+    try:
+        rec = [RecurrenceStep(alpha=r["alpha"], beta=r["beta"],
+                              gamma=r["gamma"], delta=r["delta"])
+               for r in doc["rec"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed rec step: {exc!r}") from None
+    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms, rec=rec)
 
 
 def save_basis(basis: OscBasis, path) -> Path:
@@ -298,10 +329,9 @@ def representation_matrix(basis: OscBasis) -> np.ndarray:
     """B as a square array: row i is member i in interleaved
     (a_0, b_0, a_1, b_1, ...) coordinate order, zero-padded."""
     size = 2 * (basis.n_max + 1)
-    B = np.zeros((size, size))
-    for i, row in enumerate(basis.rep):
-        B[i, 0:2 * row.a.size:2] = row.a
-        B[i, 1:2 * row.b.size:2] = row.b
+    B = np.empty((size, size))
+    B[:, 0::2] = basis.a
+    B[:, 1::2] = basis.b
     return B
 
 

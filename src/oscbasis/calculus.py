@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import OscBasis, representation_matrix
-from .frequency import Frequency
+from .frequency import Frequency, doc_frequency
 from .legendre import derivative_expansion
 
 SCHEMA_VERSION = 1
@@ -109,7 +109,7 @@ def operator_to_doc(op: DerivativeOperator) -> dict:
 
 
 def operator_from_doc(doc: dict) -> DerivativeOperator:
-    freq = Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
+    freq = doc_frequency(doc, SCHEMA_VERSION, ("d_legtrig", "d_orth"))
     d_orth = doc["d_orth"]
     return DerivativeOperator(
         freq=freq,

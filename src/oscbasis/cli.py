@@ -29,7 +29,7 @@ from .basis import (BasisDegenerationError, basis_from_doc, build_basis,
 from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
 from .frequency import TWO_PI, parse_omega_spec
 from .oracle import cond_estimate, hilbert_limit, member_gram, monomial_gram
-from .pairing import LegTrigCoeffs, gram_matrix
+from .pairing import bilinear, gram_matrix
 from .tables import (build_tables, save_tables, save_tables_csv,
                      tables_from_doc, verify_tables)
 
@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
         diff = np.abs(G - np.eye(G.shape[0]))
         flagged = [
             {"i": int(i), "j": int(j), "deviation": float(diff[i, j])}
-            for i, j in zip(*np.nonzero(diff > tol))
+            for i, j in zip(*np.nonzero(~(diff <= tol)))
         ]
         passed = not flagged
         max_dev = float(np.max(diff))
@@ -246,15 +246,12 @@ def cmd_hilbert_demo(args) -> int:
         dev = float(np.max(np.abs(H - L)))
         cond_m = cond_estimate(H)
         tables = build_tables(freq, n)
-        rows = []
-        for j in range(n + 1):
-            e = np.zeros(j + 1)
-            e[j] = 1.0
-            rows.append(LegTrigCoeffs(a=e / np.sqrt(tables.m3[j, j]),
-                                      b=np.zeros(j + 1)))
-            rows.append(LegTrigCoeffs(a=np.zeros(j + 1),
-                                      b=e / np.sqrt(tables.m4[j, j])))
-        cond_l = cond_estimate(gram_matrix(rows, tables))
+        # unit-norm single modes P_j cos(omega x), P_j sin(omega x), interleaved
+        A = np.zeros((2 * n + 2, n + 1))
+        B = np.zeros((2 * n + 2, n + 1))
+        A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
+        B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
+        cond_l = cond_estimate(bilinear(A, B, A.T, B.T, tables))
         lines.append(",".join(
             format(v, ".17g") for v in (freq.omega, dev, cond_m, cond_l)))
         print(f"omega={freq.omega:.6g}: max|H - L|={dev:.3e} "

@@ -10,8 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
+
+
+def legendre_rows(x):
+    """Yield P_0(x), P_1(x), P_2(x), ... without end.
+
+    The one place the forward recurrence (k+1) P_{k+1} = (2k+1) x P_k -
+    k P_{k-1} is written; it is stable on [-1, 1] for every degree needed
+    here.  Every consumer draws its values from this generator, so a given
+    degree at a given point has the same bits wherever it is computed.
+    """
+    x = np.asarray(x, dtype=float)
+    pm1 = np.ones_like(x)
+    yield pm1
+    p = x.copy()
+    k = 1
+    while True:
+        yield p
+        p, pm1 = ((2 * k + 1) * x * p - k * pm1) / (k + 1), p
+        k += 1
 
 
 def eval_legendre(degree: int, x):
@@ -28,19 +48,10 @@ def eval_legendre(degree: int, x):
     -------
     float or ndarray
         P_degree(x), same shape as x.
-
-    Uses the forward recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1},
-    stable on [-1, 1] for every degree needed here.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    xa = np.asarray(x, dtype=float)
-    pm1 = np.ones_like(xa)
-    if degree == 0:
-        return pm1 if isinstance(x, np.ndarray) else float(pm1)
-    p = xa.copy()
-    for k in range(1, degree):
-        p, pm1 = ((2 * k + 1) * xa * p - k * pm1) / (k + 1), p
+    p = next(islice(legendre_rows(x), degree, None))
     return p if isinstance(x, np.ndarray) else float(p)
 
 
@@ -52,11 +63,8 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     table = np.empty((n_max + 1, x.size))
-    table[0] = 1.0
-    if n_max >= 1:
-        table[1] = x
-    for k in range(1, n_max):
-        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
+    for row, p in zip(table, legendre_rows(x)):
+        row[:] = p
     return table
 
 
@@ -125,22 +133,18 @@ def gauss_legendre_rule(n_points: int) -> QuadratureRule:
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):
-        p, dp = _legendre_and_derivative(n, x)
+        p, dp = _value_and_derivative(n, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p, dp = _legendre_and_derivative(n, x)
+    p, dp = _value_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return QuadratureRule(nodes=x[order], weights=w[order])
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P'_n(x) for interior points |x| < 1."""
-    pm1 = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p, pm1 = ((2 * k + 1) * x * p - k * pm1) / (k + 1), p
-    dp = n * (x * p - pm1) / (x * x - 1.0)
-    return p, dp
+def _value_and_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P'_n(x) for n >= 1 at interior points |x| < 1."""
+    pm1, p = islice(legendre_rows(x), n - 1, n + 1)
+    return p, n * (x * p - pm1) / (x * x - 1.0)

@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .legendre import legendre_table
+
 if TYPE_CHECKING:
     from .tables import InnerProductTables
 
@@ -48,8 +50,6 @@ class LegTrigCoeffs:
 
     def evaluate(self, omega: float, x):
         """Value of the represented function at x (scalar or array)."""
-        from .legendre import legendre_table
-
         xa = np.asarray(x, dtype=float)
         P = legendre_table(self.n_max, np.atleast_1d(xa).ravel())
         vals = (self.a @ P) * np.cos(omega * xa.ravel()) + \
@@ -77,12 +77,16 @@ def inner_product(f: LegTrigCoeffs, g: LegTrigCoeffs,
     tables raise with the required table size in the message.
     """
     size = tables.n_max + 1
-    a = _padded(f.a, size, tables)
-    b = _padded(f.b, size, tables)
-    c = _padded(g.a, size, tables)
-    d = _padded(g.b, size, tables)
-    return float(a @ tables.m2 @ d + a @ tables.m3 @ c
-                 + b @ tables.m2 @ c + b @ tables.m4 @ d)
+    return float(bilinear(_padded(f.a, size, tables), _padded(f.b, size, tables),
+                          _padded(g.a, size, tables), _padded(g.b, size, tables),
+                          tables))
+
+
+def bilinear(a, b, c, d, tables: "InnerProductTables"):
+    """a.M2.d + a.M3.c + b.M2.c + b.M4.d for coefficients already padded to
+    the table size: vectors, or rows (a, b) and columns (c, d) of several."""
+    return a @ tables.m2 @ d + a @ tables.m3 @ c \
+        + b @ tables.m2 @ c + b @ tables.m4 @ d
 
 
 def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
@@ -93,8 +97,7 @@ def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
     size = tables.n_max + 1
     A = np.array([_padded(r.a, size, tables) for r in rows])
     B = np.array([_padded(r.b, size, tables) for r in rows])
-    return A @ tables.m2 @ B.T + A @ tables.m3 @ A.T \
-        + B @ tables.m2 @ A.T + B @ tables.m4 @ B.T
+    return bilinear(A, B, A.T, B.T, tables)
 
 
 def norm(f: LegTrigCoeffs, tables: "InnerProductTables") -> float:

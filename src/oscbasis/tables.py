@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning, parse_omega_spec  # noqa: F401
+from .frequency import doc_frequency
 from .legendre import derivative_expansion, legendre_norm_sq
 from .oracle import OracleConfig, oracle_tables
 
@@ -146,7 +147,7 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
     """Compare every entry of m2 ... m6 against direct quadrature.
 
     Deviations are data, not errors: the report lists the max deviation per
-    matrix and flags individual entries above oracle_tolerance.
+    matrix and flags every entry not within oracle_tolerance, NaN included.
     """
     reference = oracle_tables(tables.freq, tables.n_max, cfg)
     deviations: dict[str, float] = {}
@@ -154,7 +155,7 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
     for name in ("m2", "m3", "m4", "m5", "m6"):
         diff = np.abs(getattr(tables, name) - reference[name])
         deviations[name] = float(np.max(diff)) if diff.size else 0.0
-        for j, k in zip(*np.nonzero(diff > oracle_tolerance)):
+        for j, k in zip(*np.nonzero(~(diff <= oracle_tolerance))):
             flagged.append((name, int(j), int(k), float(diff[j, k])))
     return VerifyReport(
         tolerance=oracle_tolerance,
@@ -179,8 +180,16 @@ def tables_to_doc(tables: InnerProductTables) -> dict:
 
 
 def tables_from_doc(doc: dict) -> InnerProductTables:
-    freq = Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
+    """Rebuild tables from their document, refusing with ValueError a
+    matrix that is missing, of the wrong shape or not finite."""
+    freq = doc_frequency(doc, SCHEMA_VERSION, _MATRIX_NAMES)
+    n = doc["n_max"] + 1
     mats = {name: np.array(doc[name], dtype=float) for name in _MATRIX_NAMES}
+    for name, mat in mats.items():
+        if mat.shape != (n, n):
+            raise ValueError(f"{name} has shape {mat.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"{name} has non-finite entries")
     return InnerProductTables(freq=freq, n_max=doc["n_max"], **mats)
 
 

@@ -180,6 +180,57 @@ def test_verify_rejects_unrelated_json(tmp_path):
     assert _run("verify", bad) == 2
 
 
+def test_verify_refuses_nan_tables(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    _run("tables", "--omega", "2pi*8", "--n", "6", "--out", t)
+    doc = json.loads(t.read_text())
+    doc["m5"][2][3] = float("nan")
+    t.write_text(json.dumps(doc))
+    assert _run("verify", t) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _drop_m4(doc):
+    del doc["m4"]
+
+
+def _drop_row_b(doc):
+    del doc["rows"][3]["b"]
+
+
+def _future_schema(doc):
+    doc["schema_version"] = 99
+
+
+def _drop_row(doc):
+    doc["rows"].pop()
+
+
+def _lengthen_row(doc):
+    doc["rows"][2]["a"].append(0.5)
+    doc["rows"][2]["b"].append(0.0)
+
+
+@pytest.mark.parametrize("kind, corrupt, message", [
+    ("tables", _drop_m4, "m4"),
+    ("basis", _drop_row_b, "row 3"),
+    ("tables", _future_schema, "schema_version 99"),
+    ("basis", _future_schema, "schema_version 99"),
+    ("basis", _drop_row, "18 rows"),
+    ("basis", _lengthen_row, "row 2 has 3 coefficients"),
+])
+def test_verify_refuses_malformed_document(tmp_path, capsys, kind, corrupt,
+                                           message):
+    path = tmp_path / f"{kind}.json"
+    _run(kind, "--omega", "2pi*20", "--n", "8", "--out", path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("verify", path) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_missing_file_is_io_error(tmp_path):
     assert _run("verify", tmp_path / "nope.json") == 3
 

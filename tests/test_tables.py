@@ -151,6 +151,24 @@ def test_verify_flags_corrupted_entry(tables20):
     assert ("m5", 2, 3) in flagged
 
 
+def test_verify_flags_nan_entry(tables20):
+    import dataclasses
+
+    m5 = tables20.m5.copy()
+    m5[2, 3] = np.nan
+    report = verify_tables(dataclasses.replace(tables20, m5=m5), 1e-10)
+    assert not report.passed
+    flagged = {(name, j, k) for name, j, k, _ in report.flagged}
+    assert ("m5", 2, 3) in flagged
+
+
+def test_loader_refuses_non_finite_matrix(tables20):
+    doc = tables_to_doc(tables20)
+    doc["m5"][2][3] = float("nan")
+    with pytest.raises(ValueError, match="m5 has non-finite"):
+        tables_from_doc(doc)
+
+
 def test_verify_runs_at_stability_boundary():
     t = _quiet_tables(Frequency.exact(5), 24)
     report = verify_tables(t, 1e-10)
