@@ -8,23 +8,23 @@ quadrature oracle.
 """
 
 from .approx import (ENVELOPES, BasisRef, Expansion, OscTarget,
-                     evaluate_expansion, load_expansion,
-                     plain_legendre_residuals, project, reduce_frequency,
-                     residual_norm, save_expansion)
+                     evaluate_expansion, plain_legendre_residuals, project,
+                     reduce_frequency, residual_norm)
 from .basis import (BasisDegenerationError, OscBasis, RecurrenceStep,
-                    build_basis, evaluate_member, load_basis,
-                    monic_norm_profile, save_basis, save_basis_csv)
+                    build_basis, evaluate_member, monic_norm_profile)
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
-                       load_operator, save_operator, save_operator_csv,
                        to_orthogonal_basis)
+from .documents import (load_basis, load_expansion, load_operator, load_tables,
+                        save_basis, save_basis_csv, save_expansion,
+                        save_operator, save_operator_csv, save_tables,
+                        save_tables_csv)
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
 from .legendre import (DerivExpansion, QuadratureRule, derivative_expansion,
                        eval_legendre, gauss_legendre_rule, legendre_norm_sq)
 from .oracle import (OracleConfig, cond_estimate, hilbert_limit, integrate,
                      monomial_gram, oracle_entry)
 from .pairing import LegTrigCoeffs, gram_matrix, inner_product, norm
-from .tables import (InnerProductTables, VerifyReport, build_tables,
-                     load_tables, save_tables, save_tables_csv, verify_tables)
+from .tables import InnerProductTables, VerifyReport, build_tables, verify_tables
 
 __version__ = "0.1.0"
 

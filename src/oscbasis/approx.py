@@ -12,23 +12,19 @@ products, whatever the number of rows.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .basis import OscBasis
-from .frequency import TWO_PI, Frequency, doc_frequency
+from .frequency import Frequency
 from .legendre import legendre_norm_sq, legendre_rows, legendre_table
 from .oracle import OracleConfig, composite_rule
 from .pairing import LegTrigCoeffs
 
 logger = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 1
 
 # built-in envelope catalog for the CLI and tests
 ENVELOPES = {
@@ -228,34 +224,3 @@ def plain_legendre_residuals(target: OscTarget, n_max: int,
         captured += proj * proj / legendre_norm_sq(n)
         residuals[n] = math.sqrt(max(total - captured, 0.0))
     return residuals
-
-
-def expansion_to_doc(exp: Expansion) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "omega": exp.basis_ref.freq.omega,
-        "k": exp.basis_ref.freq.k,
-        "epsilon": exp.basis_ref.freq.epsilon,
-        "n_max": exp.basis_ref.n_max,
-        "basis_hash": exp.basis_ref.basis_hash,
-        "coeffs": exp.coeffs.tolist(),
-    }
-
-
-def expansion_from_doc(doc: dict) -> Expansion:
-    freq = doc_frequency(doc, SCHEMA_VERSION, ("basis_hash", "coeffs"))
-    if not isinstance(doc["basis_hash"], str):
-        raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
-    ref = BasisRef(freq=freq, n_max=doc["n_max"], basis_hash=doc["basis_hash"])
-    return Expansion(basis_ref=ref, coeffs=np.array(doc["coeffs"], dtype=float))
-
-
-def save_expansion(exp: Expansion, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(expansion_to_doc(exp), indent=2) + "\n")
-    return path
-
-
-def load_expansion(path) -> Expansion:
-    with open(path) as fh:
-        return expansion_from_doc(json.load(fh))

@@ -20,16 +20,12 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .frequency import TWO_PI, Frequency, StabilityWarning, doc_frequency
-from .legendre import legendre_table
-from .pairing import LegTrigCoeffs, bilinear
+from .frequency import TWO_PI, Frequency, StabilityWarning
+from .pairing import LegTrigCoeffs, bilinear, legtrig_values
 from .tables import InnerProductTables
-
-SCHEMA_VERSION = 1
 
 # below this pre-normalization norm a direction carries no information in
 # 64-bit arithmetic
@@ -96,7 +92,8 @@ class OscBasis:
 
     @cached_property
     def _hash(self) -> str:
-        payload = json.dumps(basis_to_doc(self), sort_keys=True,
+        from .documents import to_doc  # documents imports this module
+        payload = json.dumps(to_doc(self), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -255,74 +252,8 @@ def evaluate_member(basis: OscBasis, row_index: int, x):
 
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:
     """All rows evaluated at once: shape (2(N+1), len(x))."""
-    x = np.asarray(x, dtype=float)
-    P = legendre_table(basis.n_max, x)
-    omega = basis.freq.omega
-    return (basis.a @ P) * np.cos(omega * x) + (basis.b @ P) * np.sin(omega * x)
-
-
-def basis_to_doc(basis: OscBasis) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "omega": basis.freq.omega,
-        "k": basis.freq.k,
-        "epsilon": basis.freq.epsilon,
-        "n_max": basis.n_max,
-        "rows": [{"a": a[: i // 2 + 1].tolist(), "b": b[: i // 2 + 1].tolist()}
-                 for i, (a, b) in enumerate(zip(basis.a, basis.b))],
-        "norms": basis.norms.tolist(),
-        "rec": [{"alpha": r.alpha, "beta": r.beta,
-                 "gamma": r.gamma, "delta": r.delta} for r in basis.rec],
-    }
-
-
-def basis_from_doc(doc: dict) -> OscBasis:
-    """Rebuild a basis from its document, refusing with ValueError any
-    document that is not a well-formed basis."""
-    freq = doc_frequency(doc, SCHEMA_VERSION, ("rows", "norms", "rec"))
-    n_max = doc["n_max"]
-    n_rows = 2 * (n_max + 1)
-    if not isinstance(doc["rows"], list) or len(doc["rows"]) != n_rows:
-        raise ValueError(f"a basis with n_max={n_max} has {n_rows} rows")
-    a = np.zeros((n_rows, n_max + 1))
-    b = np.zeros((n_rows, n_max + 1))
-    for i, row in enumerate(doc["rows"]):
-        try:
-            coeffs = LegTrigCoeffs(a=row["a"], b=row["b"])
-        except KeyError as exc:
-            raise ValueError(f"basis row {i} lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"basis row {i}: {exc}") from None
-        if coeffs.a.size > i // 2 + 1:
-            raise ValueError(
-                f"basis row {i} has {coeffs.a.size} coefficients, but member "
-                f"{i} reaches only Legendre degree {i // 2}"
-            )
-        a[i, : coeffs.a.size] = coeffs.a
-        b[i, : coeffs.b.size] = coeffs.b
-    norms = np.array(doc["norms"], dtype=float)
-    if norms.shape != (n_rows,):
-        raise ValueError(f"basis norms must be {n_rows} numbers")
-    if not isinstance(doc["rec"], list) or len(doc["rec"]) != n_max:
-        raise ValueError(f"a basis with n_max={n_max} has {n_max} rec steps")
-    try:
-        rec = [RecurrenceStep(alpha=r["alpha"], beta=r["beta"],
-                              gamma=r["gamma"], delta=r["delta"])
-               for r in doc["rec"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed rec step: {exc!r}") from None
-    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms, rec=rec)
-
-
-def save_basis(basis: OscBasis, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(basis_to_doc(basis), indent=2) + "\n")
-    return path
-
-
-def load_basis(path) -> OscBasis:
-    with open(path) as fh:
-        return basis_from_doc(json.load(fh))
+    return legtrig_values(basis.a, basis.b, basis.freq.omega,
+                          np.asarray(x, dtype=float))
 
 
 def representation_matrix(basis: OscBasis) -> np.ndarray:
@@ -333,13 +264,3 @@ def representation_matrix(basis: OscBasis) -> np.ndarray:
     B[:, 0::2] = basis.a
     B[:, 1::2] = basis.b
     return B
-
-
-def save_basis_csv(basis: OscBasis, path) -> Path:
-    """B exported as CSV, members as rows, interleaved columns."""
-    path = Path(path)
-    size = 2 * (basis.n_max + 1)
-    header = ",".join(f"c{i}" for i in range(size))
-    np.savetxt(path, representation_matrix(basis), fmt="%.17g",
-               delimiter=",", header=header, comments="")
-    return path

@@ -15,17 +15,13 @@ explicit inverse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .basis import OscBasis, representation_matrix
-from .frequency import Frequency, doc_frequency
+from .frequency import Frequency
 from .legendre import derivative_expansion
-
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -94,54 +90,3 @@ def to_orthogonal_basis(op: DerivativeOperator,
         ) from exc
     residual = float(np.max(np.abs(B @ d_orth - Y)))
     return replace(op, d_orth=d_orth, similarity_residual=residual)
-
-
-def operator_to_doc(op: DerivativeOperator) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "omega": op.freq.omega,
-        "k": op.freq.k,
-        "epsilon": op.freq.epsilon,
-        "n_max": op.n_max,
-        "d_legtrig": op.d_legtrig.tolist(),
-        "d_orth": None if op.d_orth is None else op.d_orth.tolist(),
-    }
-
-
-def operator_from_doc(doc: dict) -> DerivativeOperator:
-    freq = doc_frequency(doc, SCHEMA_VERSION, ("d_legtrig", "d_orth"))
-    d_orth = doc["d_orth"]
-    return DerivativeOperator(
-        freq=freq,
-        n_max=doc["n_max"],
-        d_legtrig=np.array(doc["d_legtrig"], dtype=float),
-        d_orth=None if d_orth is None else np.array(d_orth, dtype=float),
-    )
-
-
-def save_operator(op: DerivativeOperator, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(operator_to_doc(op), indent=2) + "\n")
-    return path
-
-
-def load_operator(path) -> DerivativeOperator:
-    with open(path) as fh:
-        return operator_from_doc(json.load(fh))
-
-
-def save_operator_csv(op: DerivativeOperator, stem) -> list[Path]:
-    """d_legtrig (and d_orth when present) as CSVs, 17-digit decimals."""
-    stem = Path(stem)
-    size = op.d_legtrig.shape[0]
-    header = ",".join(f"c{i}" for i in range(size))
-    paths = []
-    matrices = [("d_legtrig", op.d_legtrig)]
-    if op.d_orth is not None:
-        matrices.append(("d_orth", op.d_orth))
-    for name, mat in matrices:
-        path = stem.with_name(f"{stem.name}_{name}.csv")
-        np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header,
-                   comments="")
-        paths.append(path)
-    return paths

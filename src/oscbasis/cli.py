@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import sys
 import time
@@ -22,16 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .approx import (ENVELOPES, Expansion, OscTarget, evaluate_expansion,
-                     load_expansion, project, reduce_frequency, residual_norm,
-                     save_expansion)
-from .basis import (BasisDegenerationError, basis_from_doc, build_basis,
-                    load_basis, save_basis, save_basis_csv)
+                     project, reduce_frequency, residual_norm)
+from .basis import BasisDegenerationError, OscBasis, build_basis
 from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
+from .documents import (load, load_basis, load_expansion, save, save_csv,
+                        write_json)
 from .frequency import TWO_PI, parse_omega_spec
 from .oracle import cond_estimate, hilbert_limit, member_gram, monomial_gram
 from .pairing import bilinear, gram_matrix
-from .tables import (build_tables, save_tables, save_tables_csv,
-                     tables_from_doc, verify_tables)
+from .tables import InnerProductTables, build_tables, verify_tables
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -57,14 +55,7 @@ def _write_manifest(command: str, args: argparse.Namespace,
                      "bytes": p.stat().st_size} for p in outputs],
         "duration_seconds": time.perf_counter() - t0,
     }
-    path = _manifest_path(Path(args.out))
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def _write_json(doc: dict, path: Path) -> Path:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+    return write_json(doc, _manifest_path(Path(args.out)))
 
 
 def _announce(paths):
@@ -78,9 +69,9 @@ def cmd_tables(args) -> int:
     tables = build_tables(freq, args.n)
     out = Path(args.out)
     if args.format == "json":
-        outputs = [save_tables(tables, out)]
+        outputs = [save(tables, out)]
     else:
-        outputs = save_tables_csv(tables, out.with_suffix(""))
+        outputs = save_csv(tables, out.with_suffix(""))
     manifest = _write_manifest("tables", args, [], outputs, t0)
     _announce(outputs + [manifest])
     return 0
@@ -97,9 +88,9 @@ def cmd_basis(args) -> int:
     print(f"self-check max|G - I| = {dev:.3e} against the table-based Gram")
     out = Path(args.out)
     if args.format == "json":
-        outputs = [save_basis(basis, out)]
+        outputs = [save(basis, out)]
     else:
-        outputs = [save_basis_csv(basis, out)]
+        outputs = save_csv(basis, out)
     manifest = _write_manifest("basis", args, [], outputs, t0)
     _announce(outputs + [manifest])
     return 0
@@ -108,12 +99,10 @@ def cmd_basis(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     in_path = Path(args.input)
-    with open(in_path) as fh:
-        doc = json.load(fh)
+    loaded = load(in_path, (OscBasis, InnerProductTables))
     tol = args.tol
-    if "rows" in doc:
-        basis = basis_from_doc(doc)
-        G = member_gram(basis.rep, basis.freq.omega)
+    if isinstance(loaded, OscBasis):
+        G = member_gram(loaded.rep, loaded.freq.omega)
         diff = np.abs(G - np.eye(G.shape[0]))
         flagged = [
             {"i": int(i), "j": int(j), "deviation": float(diff[i, j])}
@@ -131,9 +120,8 @@ def cmd_verify(args) -> int:
             "passed": passed,
         }
         summary = f"max |G - I| = {max_dev:.3e}"
-    elif "m1" in doc:
-        tables = tables_from_doc(doc)
-        result = verify_tables(tables, tol)
+    else:
+        result = verify_tables(loaded, tol)
         passed = result.passed
         report = {
             "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -143,14 +131,9 @@ def cmd_verify(args) -> int:
         }
         worst = max(result.deviations.values())
         summary = f"max table deviation = {worst:.3e}"
-    else:
-        raise ValueError(
-            f"{in_path}: not a tables or basis JSON document "
-            "(missing both 'm1' and 'rows')"
-        )
     out = Path(args.out) if args.out else in_path.with_suffix(".verify.json")
     args.out = str(out)
-    outputs = [_write_json(report, out)]
+    outputs = [write_json(report, out)]
     manifest = _write_manifest("verify", args, [in_path], outputs, t0)
     verdict = "PASS" if passed else "FAIL"
     print(f"verify {report['kind']}: {summary} (tolerance {tol:g}) -> {verdict}")
@@ -169,7 +152,7 @@ def cmd_project(args) -> int:
     exp = project(reduced, basis)
     resid = residual_norm(reduced, exp, basis)
     out = Path(args.out)
-    outputs = [save_expansion(exp, out)]
+    outputs = [save(exp, out)]
     report = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "omega_raw": omega_raw,
@@ -181,8 +164,7 @@ def cmd_project(args) -> int:
             for i, c in enumerate(exp.coeffs)
         ],
     }
-    report_path = out.with_suffix(".report.json")
-    outputs.append(_write_json(report, report_path))
+    outputs.append(write_json(report, out.with_suffix(".report.json")))
     manifest = _write_manifest("project", args, [basis_path], outputs, t0)
     print(f"residual_norm = {resid:.6e}")
     _announce(outputs + [manifest])
@@ -205,7 +187,7 @@ def cmd_diff(args) -> int:
         derivative_matrix_legtrig(basis.freq, basis.n_max), basis)
     d_exp = Expansion(basis_ref=exp.basis_ref, coeffs=op.d_orth @ exp.coeffs)
     out = Path(args.out)
-    outputs = [save_expansion(d_exp, out)]
+    outputs = [save(d_exp, out)]
 
     xs = np.linspace(-0.9, 0.9, 21)
     deriv = evaluate_expansion(d_exp, basis, xs)
@@ -221,8 +203,7 @@ def cmd_diff(args) -> int:
         "max_fd_deviation": max_dev,
         "max_fd_relative_deviation": rel_dev,
     }
-    report_path = out.with_suffix(".report.json")
-    outputs.append(_write_json(report, report_path))
+    outputs.append(write_json(report, out.with_suffix(".report.json")))
     manifest = _write_manifest("diff", args, [basis_path, exp_path], outputs, t0)
     print(f"max finite-difference deviation = {max_dev:.3e} "
           f"(relative {rel_dev:.3e}) at {len(xs)} points")

@@ -117,27 +117,3 @@ def parse_omega_spec(text: str) -> Frequency:
             f"omega spec {text!r} is neither a real number nor of the form '2pi*k'"
         ) from None
     return Frequency.from_omega(omega)
-
-
-def doc_frequency(doc, schema_version: int, keys=()) -> Frequency:
-    """The Frequency of a saved document after checking its header: a JSON
-    object of the given schema version with omega, k, epsilon, an integer
-    n_max >= 0 and every key in `keys`.  Raises ValueError naming the fault.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("schema_version")
-    if version != schema_version:
-        raise ValueError(
-            f"unsupported schema_version {version!r}, expected {schema_version}"
-        )
-    missing = [key for key in ("omega", "k", "epsilon", "n_max", *keys)
-               if key not in doc]
-    if missing:
-        raise ValueError(f"document lacks required key(s): {', '.join(missing)}")
-    if not isinstance(doc["n_max"], int) or doc["n_max"] < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {doc['n_max']!r}")
-    try:
-        return Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
-    except TypeError as exc:
-        raise ValueError(f"malformed frequency fields: {exc}") from None

@@ -17,6 +17,12 @@ import numpy as np
 
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
+from .pairing import legtrig_values, stacked
+
+# most nodes a composite rule may have; a refined rule (6 panels per period,
+# 32 points per panel) at omega/2pi = 2000 has 768,000
+NODE_BUDGET = 2 ** 24
+_GRAM_CHUNK = 4096  # nodes per member_gram chunk
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,14 @@ class OracleConfig:
             raise ValueError("min_panels must be >= 1")
 
     def panel_count(self, omega: float) -> int:
-        return max(self.min_panels, math.ceil(self.panels_per_period * omega / math.pi))
+        """Panels for omega; ValueError past NODE_BUDGET nodes, compared as
+        a float before ceil so that omega = 1e308, inf or NaN is refused."""
+        panels = max(self.panels_per_period * omega / math.pi, self.min_panels)
+        nodes = panels * self.points_per_panel
+        if not nodes <= NODE_BUDGET:
+            raise ValueError(f"the oracle rule at omega={omega:.6g} needs {nodes:.4g} "
+                             f"nodes, over the budget of {NODE_BUDGET}")
+        return math.ceil(panels)
 
 
 @lru_cache(maxsize=64)
@@ -60,7 +73,8 @@ def _cached_rule(omega: float, panels_per_period: int, points_per_panel: int,
 
 def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-1, 1] resolving oscillations up to
-    frequency 2*omega."""
+    frequency 2*omega.  Refuses with ValueError, before allocating anything,
+    a rule of more than NODE_BUDGET nodes."""
     cfg = cfg or OracleConfig()
     return _cached_rule(float(omega), cfg.panels_per_period,
                         cfg.points_per_panel, cfg.min_panels)
@@ -151,14 +165,16 @@ def oracle_tables(freq: Frequency, n_max: int,
 
 
 def member_gram(members, omega: float, cfg: OracleConfig | None = None) -> np.ndarray:
-    """Gram matrix of evaluable members by quadrature, independent of any
-    recursion tables.  Members need an evaluate(omega, x) method."""
+    """Gram matrix of Legendre-trig members (objects with coefficient vectors
+    a and b) by quadrature, independent of any recursion tables; evaluated a
+    chunk of nodes at a time, so memory is bounded by the chunk size."""
     rule = composite_rule(omega, cfg)
-    x, w = rule.nodes, rule.weights
-    if len(members) == 0:
-        return np.zeros((0, 0))
-    E = np.array([m.evaluate(omega, x) for m in members])
-    G = (E * w) @ E.T
+    A, B = stacked(members, max((m.a.size for m in members), default=0))
+    G = np.zeros((len(members), len(members)))
+    for start in range(0, rule.nodes.size, _GRAM_CHUNK):
+        chunk = slice(start, start + _GRAM_CHUNK)
+        E = legtrig_values(A, B, omega, rule.nodes[chunk])
+        G += (E * rule.weights[chunk]) @ E.T
     return 0.5 * (G + G.T)
 
 

@@ -51,22 +51,32 @@ class LegTrigCoeffs:
     def evaluate(self, omega: float, x):
         """Value of the represented function at x (scalar or array)."""
         xa = np.asarray(x, dtype=float)
-        P = legendre_table(self.n_max, np.atleast_1d(xa).ravel())
-        vals = (self.a @ P) * np.cos(omega * xa.ravel()) + \
-               (self.b @ P) * np.sin(omega * xa.ravel())
-        vals = vals.reshape(xa.shape)
+        vals = legtrig_values(self.a, self.b, omega, xa.ravel()).reshape(xa.shape)
         return vals if isinstance(x, np.ndarray) else float(vals)
 
 
-def _padded(vec: np.ndarray, size: int, tables: "InnerProductTables") -> np.ndarray:
-    if vec.size > size:
-        raise ValueError(
-            f"coefficient vector of length {vec.size} exceeds tables built for "
-            f"n_max={tables.n_max}; rebuild tables with n_max >= {vec.size - 1}"
-        )
-    out = np.zeros(size)
-    out[: vec.size] = vec
-    return out
+def legtrig_values(a, b, omega: float, x: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
+    at the 1-D points x, for one coefficient pair or stacked rows of them:
+    one Legendre table and two matrix products."""
+    P = legendre_table(a.shape[-1] - 1, x)
+    return (a @ P) * np.cos(omega * x) + (b @ P) * np.sin(omega * x)
+
+
+def stacked(rows, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine parts of rows as two arrays zero-padded to `size`
+    columns; a row longer than that raises with the table size it needs."""
+    A = np.zeros((len(rows), size))
+    B = np.zeros((len(rows), size))
+    for i, row in enumerate(rows):
+        if row.a.size > size:
+            raise ValueError(
+                f"coefficient vector of length {row.a.size} exceeds tables built "
+                f"for n_max={size - 1}; rebuild tables with n_max >= {row.a.size - 1}"
+            )
+        A[i, : row.a.size] = row.a
+        B[i, : row.b.size] = row.b
+    return A, B
 
 
 def inner_product(f: LegTrigCoeffs, g: LegTrigCoeffs,
@@ -76,10 +86,8 @@ def inner_product(f: LegTrigCoeffs, g: LegTrigCoeffs,
     Shorter coefficient vectors are zero-padded; vectors longer than the
     tables raise with the required table size in the message.
     """
-    size = tables.n_max + 1
-    return float(bilinear(_padded(f.a, size, tables), _padded(f.b, size, tables),
-                          _padded(g.a, size, tables), _padded(g.b, size, tables),
-                          tables))
+    A, B = stacked([f, g], tables.n_max + 1)
+    return float(bilinear(A[0], B[0], A[1], B[1], tables))
 
 
 def bilinear(a, b, c, d, tables: "InnerProductTables"):
@@ -91,12 +99,7 @@ def bilinear(a, b, c, d, tables: "InnerProductTables"):
 
 def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
     """G[i][j] = inner_product(rows[i], rows[j], tables), computed batched."""
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, 0))
-    size = tables.n_max + 1
-    A = np.array([_padded(r.a, size, tables) for r in rows])
-    B = np.array([_padded(r.b, size, tables) for r in rows])
+    A, B = stacked(list(rows), tables.n_max + 1)
     return bilinear(A, B, A.T, B.T, tables)
 
 

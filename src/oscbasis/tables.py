@@ -17,21 +17,14 @@ and for M6 when j+k is even, so those entries stay exactly zero.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning, parse_omega_spec  # noqa: F401
-from .frequency import doc_frequency
 from .legendre import derivative_expansion, legendre_norm_sq
 from .oracle import OracleConfig, oracle_tables
-
-SCHEMA_VERSION = 1
-
-_MATRIX_NAMES = ("m1", "m2", "m3", "m4", "m5", "m6")
 
 
 @dataclass
@@ -163,59 +156,3 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
         flagged=flagged,
         passed=not flagged,
     )
-
-
-def tables_to_doc(tables: InnerProductTables) -> dict:
-    """JSON-ready document; floats survive a round trip bit-exactly."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "omega": tables.freq.omega,
-        "k": tables.freq.k,
-        "epsilon": tables.freq.epsilon,
-        "n_max": tables.n_max,
-    }
-    for name in _MATRIX_NAMES:
-        doc[name] = getattr(tables, name).tolist()
-    return doc
-
-
-def tables_from_doc(doc: dict) -> InnerProductTables:
-    """Rebuild tables from their document, refusing with ValueError a
-    matrix that is missing, of the wrong shape or not finite."""
-    freq = doc_frequency(doc, SCHEMA_VERSION, _MATRIX_NAMES)
-    n = doc["n_max"] + 1
-    mats = {name: np.array(doc[name], dtype=float) for name in _MATRIX_NAMES}
-    for name, mat in mats.items():
-        if mat.shape != (n, n):
-            raise ValueError(f"{name} has shape {mat.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} has non-finite entries")
-    return InnerProductTables(freq=freq, n_max=doc["n_max"], **mats)
-
-
-def save_tables(tables: InnerProductTables, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(tables_to_doc(tables), indent=2) + "\n")
-    return path
-
-
-def load_tables(path) -> InnerProductTables:
-    with open(path) as fh:
-        return tables_from_doc(json.load(fh))
-
-
-def save_tables_csv(tables: InnerProductTables, stem) -> list[Path]:
-    """Write one CSV per matrix as <stem>_m1.csv ... <stem>_m6.csv.
-
-    Values are printed with 17 significant digits so they parse back to the
-    identical doubles.
-    """
-    stem = Path(stem)
-    paths = []
-    header = ",".join(f"k{idx}" for idx in range(tables.n_max + 1))
-    for name in _MATRIX_NAMES:
-        path = stem.with_name(f"{stem.name}_{name}.csv")
-        np.savetxt(path, getattr(tables, name), fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-        paths.append(path)
-    return paths

@@ -13,14 +13,10 @@ from oscbasis import (
     load_basis,
     monic_norm_profile,
     save_basis,
+    save_tables,
 )
-from oscbasis.basis import (
-    basis_from_doc,
-    basis_to_doc,
-    member_values,
-    representation_matrix,
-    save_basis_csv,
-)
+from oscbasis.basis import member_values, representation_matrix
+from oscbasis.documents import from_doc, save_basis_csv, to_doc
 from oscbasis.oracle import member_gram
 from oscbasis.pairing import gram_matrix, inner_product
 
@@ -209,10 +205,16 @@ def test_serialization_round_trip(basis20, tmp_path):
     assert loaded.content_hash() == basis20.content_hash()
 
 
+def test_load_basis_refuses_tables_file(tables20, tmp_path):
+    path = save_tables(tables20, tmp_path / "tables.json")
+    with pytest.raises(ValueError, match="holds InnerProductTables, not OscBasis"):
+        load_basis(path)
+
+
 def test_content_hash_tracks_content(basis20):
-    doc = basis_to_doc(basis20)
+    doc = to_doc(basis20)
     doc["rows"][3]["a"][0] += 1e-9
-    altered = basis_from_doc(doc)
+    altered = from_doc(doc)
     assert altered.content_hash() != basis20.content_hash()
 
 

@@ -8,12 +8,12 @@ from oscbasis import (
     to_orthogonal_basis,
 )
 from oscbasis.basis import evaluate_member
-from oscbasis.calculus import (
+from oscbasis.documents import (
+    from_doc,
     load_operator,
-    operator_from_doc,
-    operator_to_doc,
     save_operator,
     save_operator_csv,
+    to_doc,
 )
 from oscbasis.legendre import derivative_expansion
 from oscbasis.pairing import LegTrigCoeffs
@@ -124,7 +124,7 @@ def test_transform_rejects_mismatched_inputs(freq20, tables20, basis20):
 
 def test_doc_and_file_round_trip(freq20, basis20, tmp_path):
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20)
-    back = operator_from_doc(operator_to_doc(op))
+    back = from_doc(to_doc(op))
     assert np.array_equal(back.d_legtrig, op.d_legtrig)
     assert np.array_equal(back.d_orth, op.d_orth)
     path = tmp_path / "op.json"
@@ -140,6 +140,30 @@ def test_round_trip_without_transform(freq20, tmp_path):
     loaded = load_operator(path)
     assert loaded.d_orth is None
     assert np.array_equal(loaded.d_legtrig, op.d_legtrig)
+
+
+def _nan_entry(doc):
+    doc["d_orth"][3][4] = float("nan")
+
+
+def _wrong_shape(doc):
+    doc["d_legtrig"] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+
+
+def _n_max_off_by_one(doc):
+    doc["n_max"] += 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_nan_entry, "d_orth has non-finite entries"),
+    (_wrong_shape, r"d_legtrig has shape \(2, 3\), expected \(26, 26\)"),
+    (_n_max_off_by_one, r"d_legtrig has shape \(26, 26\), expected \(28, 28\)"),
+])
+def test_loader_refuses_malformed_operator(freq20, basis20, corrupt, message):
+    doc = to_doc(to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20))
+    corrupt(doc)
+    with pytest.raises(ValueError, match=message):
+        from_doc(doc)
 
 
 def test_csv_export(freq20, basis20, tmp_path):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oscbasis import StabilityWarning, load_basis
-from oscbasis.approx import BasisRef, Expansion, save_expansion
+from oscbasis.approx import BasisRef, Expansion
 from oscbasis.cli import main
+from oscbasis.documents import save_expansion
 from oscbasis.frequency import TWO_PI
 
 
@@ -211,6 +212,22 @@ def _lengthen_row(doc):
     doc["rows"][2]["b"].append(0.0)
 
 
+def _empty_m3(doc):
+    doc["m3"] = {}
+
+
+def _asymmetric_m5(doc):
+    doc["m5"][1][2] += 1e-3
+
+
+def _nan_norm(doc):
+    doc["norms"][4] = float("nan")
+
+
+def _string_alpha(doc):
+    doc["rec"][2]["alpha"] = "0.5"
+
+
 @pytest.mark.parametrize("kind, corrupt, message", [
     ("tables", _drop_m4, "m4"),
     ("basis", _drop_row_b, "row 3"),
@@ -218,6 +235,10 @@ def _lengthen_row(doc):
     ("basis", _future_schema, "schema_version 99"),
     ("basis", _drop_row, "18 rows"),
     ("basis", _lengthen_row, "row 2 has 3 coefficients"),
+    ("tables", _empty_m3, "m3 is not a numeric array"),
+    ("tables", _asymmetric_m5, "m5 is not symmetric"),
+    ("basis", _nan_norm, "basis norms has non-finite entries"),
+    ("basis", _string_alpha, "rec is not a numeric array"),
 ])
 def test_verify_refuses_malformed_document(tmp_path, capsys, kind, corrupt,
                                            message):
@@ -229,6 +250,24 @@ def test_verify_refuses_malformed_document(tmp_path, capsys, kind, corrupt,
     capsys.readouterr()
     assert _run("verify", path) == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_expansion_document(workdir, tmp_path, capsys):
+    exp_path = tmp_path / "exp.json"
+    assert _run("project", "--basis", workdir / "basis.json", "--f", "zero",
+                "--g", "one", "--omega-raw", "2pi*20", "--out", exp_path) == 0
+    capsys.readouterr()
+    assert _run("verify", exp_path) == 2
+    assert "holds Expansion, not OscBasis or InnerProductTables" in \
+        capsys.readouterr().err
+
+
+def test_verify_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    assert _run("tables", "--omega", "1e308", "--n", "2", "--out", path) == 0
+    capsys.readouterr()
+    assert _run("verify", path) == 2
+    assert "over the budget of 16777216" in capsys.readouterr().err
 
 
 def test_verify_missing_file_is_io_error(tmp_path):
@@ -337,3 +376,9 @@ def test_hilbert_demo_deviation_shrinks_with_frequency(tmp_path):
 def test_hilbert_demo_rejects_large_n(tmp_path):
     assert _run("hilbert-demo", "--n", "13", "--omegas", "2pi*10",
                 "--out", tmp_path / "d.csv") == 2
+
+
+def test_hilbert_demo_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
+    assert _run("hilbert-demo", "--n", "2", "--omegas", "1e308",
+                "--out", tmp_path / "d.csv") == 2
+    assert "over the budget" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscbasis import Frequency
+from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import (
     OracleConfig,
@@ -9,6 +9,7 @@ from oscbasis.oracle import (
     cond_estimate,
     hilbert_limit,
     integrate,
+    member_gram,
     monomial_gram,
     oracle_entry,
     oracle_tables,
@@ -26,6 +27,25 @@ def test_config_validation_and_panel_count():
         OracleConfig(panels_per_period=0)
     with pytest.raises(ValueError):
         OracleConfig(points_per_panel=-1)
+
+
+def test_composite_rule_refuses_rule_over_node_budget():
+    with pytest.raises(ValueError, match=r"omega=1e\+308 needs inf nodes, "
+                                         r"over the budget of 16777216"):
+        composite_rule(1e308)
+
+
+def test_member_gram_matches_per_member_quadrature():
+    # 2pi*50 gives 9600 nodes, so member_gram sums more than one node chunk
+    freq = Frequency.exact(50)
+    basis = build_basis(freq, 10, build_tables(freq, 11))
+    rule = composite_rule(freq.omega)
+    E = np.array([m.evaluate(freq.omega, rule.nodes) for m in basis.rep])
+    want = (E * rule.weights) @ E.T
+    got = member_gram(basis.rep, freq.omega)
+    assert rule.nodes.size > 4096
+    assert np.max(np.abs(got - 0.5 * (want + want.T))) <= 1e-14
+    assert np.array_equal(got, got.T)
 
 
 def test_composite_rule_covers_interval():

@@ -14,7 +14,7 @@ from oscbasis import (
     verify_tables,
 )
 from oscbasis.oracle import oracle_tables
-from oscbasis.tables import save_tables_csv, tables_from_doc, tables_to_doc
+from oscbasis.documents import from_doc, save_tables_csv, to_doc
 
 
 def _quiet_tables(freq, n_max):
@@ -163,10 +163,17 @@ def test_verify_flags_nan_entry(tables20):
 
 
 def test_loader_refuses_non_finite_matrix(tables20):
-    doc = tables_to_doc(tables20)
+    doc = to_doc(tables20)
     doc["m5"][2][3] = float("nan")
     with pytest.raises(ValueError, match="m5 has non-finite"):
-        tables_from_doc(doc)
+        from_doc(doc)
+
+
+def test_loader_refuses_asymmetric_matrix(tables20):
+    doc = to_doc(tables20)
+    doc["m5"][2][3] += 1e-9
+    with pytest.raises(ValueError, match="m5 is not symmetric"):
+        from_doc(doc)
 
 
 def test_verify_runs_at_stability_boundary():
@@ -187,10 +194,10 @@ def test_json_round_trip_is_bit_exact(tables20, tmp_path):
 
 
 def test_doc_round_trip(tables20):
-    doc = tables_to_doc(tables20)
+    doc = to_doc(tables20)
     assert doc["schema_version"] == 1
     assert doc["omega"] == tables20.freq.omega
-    back = tables_from_doc(doc)
+    back = from_doc(doc)
     assert np.array_equal(back.m6, tables20.m6)
 
 
