@@ -21,7 +21,7 @@ import numpy as np
 from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import legendre_norm_sq, legendre_rows, legendre_table
-from .oracle import OracleConfig, composite_rule
+from .oracle import OracleConfig, composite_rule, sample
 from .pairing import LegTrigCoeffs
 
 logger = logging.getLogger(__name__)
@@ -155,18 +155,7 @@ def _sample_on_rule(target: OscTarget, basis: OscBasis,
             f"frequency {omega!r}; apply reduce_frequency first"
         )
     rule = composite_rule(omega, cfg)
-    return rule, _sample_target(target, rule.nodes)
-
-
-def _sample_target(target: OscTarget, x: np.ndarray) -> np.ndarray:
-    values = target.evaluate(x)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"target returned non-finite value {values[i]!r} at x={x[i]!r}"
-        )
-    return values
+    return rule, sample(target.evaluate, rule.nodes)
 
 
 def project(target: OscTarget, basis: OscBasis,
@@ -214,7 +203,7 @@ def plain_legendre_residuals(target: OscTarget, n_max: int,
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     rule = composite_rule(target.freq_raw, cfg)
     x, w = rule.nodes, rule.weights
-    F = _sample_target(target, x)
+    F = sample(target.evaluate, x)
     wF = w * F
     total = float(np.sum(wF * F))
     residuals = np.empty(n_max + 1)

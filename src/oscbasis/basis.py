@@ -4,8 +4,8 @@ Seeds are p_0 = cos(omega x), q_0 = sin(omega x).  Each later member comes
 from the mixed three-term recurrence: multiply by x (which in Legendre
 coordinates shifts degree by exactly one), subtract the projection onto the
 opposite member of the current pair and onto the same-side member one pair
-back, then normalize.  All inner products go through the pairing bilinear
-form, so the only approximation anywhere is in the tables themselves.
+back, then normalize.  All inner products are the pairing bilinear form
+over the tables, so the only approximation anywhere is in the tables.
 
 Rows are stored interleaved [p_0, q_0, p_1, q_1, ...] in two coefficient
 arrays, the cosine part and the sine part; row 2k and 2k+1 have Legendre
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .pairing import LegTrigCoeffs, bilinear, legtrig_values
+from .pairing import LegTrigCoeffs, legtrig_values
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in
@@ -132,18 +132,22 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
         )
 
     # rows[i] holds member i as (cos part, sin part), zero-padded to the
-    # table size so every inner product is the same padded bilinear form
+    # table size, and applied[i] its image G rows[i] = (M3 a + M2 b, M2 a +
+    # M4 b) under the bilinear form, so that <f, rows[i]> is one dot product
+    G = np.block([[tables.m3, tables.m2], [tables.m2, tables.m4]])
     n_rows = 2 * (n_max + 1)
     rows = np.zeros((n_rows, 2, tables.n_max + 1))
+    applied = np.zeros_like(rows)
     norms = np.empty(n_rows)
     self_ip = [0.0] * n_rows
     rec: list[RecurrenceStep] = []
 
-    def ip(f, g):
-        return float(bilinear(f[0], f[1], g[0], g[1], tables))
+    def ip(f, i):
+        return float(np.vdot(f, applied[i]))
 
     def store(i, f):
-        nsq = ip(f, f)
+        Gf = (G @ f.ravel()).reshape(f.shape)
+        nsq = float(np.vdot(f, Gf))
         if nsq < DEGENERATION_THRESHOLD ** 2:
             raise BasisDegenerationError(
                 f"basis degenerated at member {i // 2}: pre-normalization "
@@ -152,8 +156,9 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
                 f"reliable only for omega > n_max)"
             )
         norms[i] = np.sqrt(nsq)
-        rows[i] = f * (1.0 / norms[i]) if normalize else f
-        self_ip[i] = ip(rows[i], rows[i])
+        scale = 1.0 / norms[i] if normalize else 1.0
+        rows[i], applied[i] = f * scale, Gf * scale
+        self_ip[i] = ip(rows[i], i)
 
     for i in (0, 1):
         seed = np.zeros_like(rows[i])
@@ -164,12 +169,12 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
         p_k, q_k = rows[2 * k], rows[2 * k + 1]
         xp = _times_x(p_k, k + 1)
         xq = _times_x(q_k, k + 1)
-        alpha = ip(xp, q_k) / self_ip[2 * k + 1]
-        gamma = ip(xq, p_k) / self_ip[2 * k]
+        alpha = ip(xp, 2 * k + 1) / self_ip[2 * k + 1]
+        gamma = ip(xq, 2 * k) / self_ip[2 * k]
         if k > 0:
             p_prev, q_prev = rows[2 * k - 2], rows[2 * k - 1]
-            beta = ip(xp, p_prev) / self_ip[2 * k - 2]
-            delta = ip(xq, q_prev) / self_ip[2 * k - 1]
+            beta = ip(xp, 2 * k - 2) / self_ip[2 * k - 2]
+            delta = ip(xq, 2 * k - 1) / self_ip[2 * k - 1]
         else:
             beta = delta = 0.0
         rec.append(RecurrenceStep(alpha=alpha, beta=beta,
@@ -186,7 +191,7 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
             # sequential (modified Gram-Schmidt) passes, one row at a time
             for new in (xp, xq):
                 for j in range(2 * k + 2):
-                    coef = ip(new, rows[j]) / self_ip[j]
+                    coef = ip(new, j) / self_ip[j]
                     new[:, : j // 2 + 1] += -coef * rows[j, :, : j // 2 + 1]
         store(2 * k + 2, xp)
         store(2 * k + 3, xq)
@@ -247,7 +252,9 @@ def evaluate_member(basis: OscBasis, row_index: int, x):
         raise IndexError(
             f"row_index {row_index} out of range for basis with {n_rows} rows"
         )
-    return basis.rep[row_index].evaluate(basis.freq.omega, x)
+    length = row_index // 2 + 1
+    return LegTrigCoeffs(a=basis.a[row_index, :length],
+                         b=basis.b[row_index, :length]).evaluate(basis.freq.omega, x)
 
 
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:

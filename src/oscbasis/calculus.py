@@ -21,7 +21,6 @@ import numpy as np
 
 from .basis import OscBasis, representation_matrix
 from .frequency import Frequency
-from .legendre import derivative_expansion
 
 
 @dataclass
@@ -42,13 +41,12 @@ def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     size = 2 * (n_max + 1)
     D = np.zeros((size, size))
-    omega = freq.omega
-    for j in range(n_max + 1):
-        D[2 * j, 2 * j + 1] = omega
-        D[2 * j + 1, 2 * j] = -omega
-        for m, coeff in derivative_expansion(j).terms:
-            D[2 * m, 2 * j] = coeff
-            D[2 * m + 1, 2 * j + 1] = coeff
+    j = np.arange(n_max + 1)
+    D[2 * j, 2 * j + 1] = freq.omega
+    D[2 * j + 1, 2 * j] = -freq.omega
+    m, j = np.triu_indices(n_max + 1, 1)
+    m, j = m[(j - m) % 2 == 1], j[(j - m) % 2 == 1]
+    D[2 * m, 2 * j] = D[2 * m + 1, 2 * j + 1] = 2 * m + 1
     return DerivativeOperator(freq=freq, n_max=n_max, d_legtrig=D)
 
 

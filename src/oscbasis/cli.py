@@ -83,7 +83,7 @@ def cmd_basis(args) -> int:
     tables = build_tables(freq, args.n + 1)
     basis = build_basis(freq, args.n, tables,
                         reorthogonalize=args.reorthogonalize)
-    G = gram_matrix(basis.rep, tables)
+    G = gram_matrix(basis, tables)
     dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
     print(f"self-check max|G - I| = {dev:.3e} against the table-based Gram")
     out = Path(args.out)
@@ -102,7 +102,7 @@ def cmd_verify(args) -> int:
     loaded = load(in_path, (OscBasis, InnerProductTables))
     tol = args.tol
     if isinstance(loaded, OscBasis):
-        G = member_gram(loaded.rep, loaded.freq.omega)
+        G = member_gram(loaded, loaded.freq.omega)
         diff = np.abs(G - np.eye(G.shape[0]))
         flagged = [
             {"i": int(i), "j": int(j), "deviation": float(diff[i, j])}

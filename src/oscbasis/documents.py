@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,10 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
         arr = np.array(value)
     except ValueError:
         raise ValueError(f"{name} is a ragged array") from None
-    if arr.dtype.kind not in "iuf":
+    # numpy reads a JSON true or false among numbers as 1 or 0
+    entries = chain.from_iterable(value) if arr.ndim > 1 else value
+    if arr.dtype.kind not in "iuf" or (
+            isinstance(value, list) and bool in set(map(type, entries))):
         raise ValueError(f"{name} is not a numeric array")
     if arr.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, arr.shape)):

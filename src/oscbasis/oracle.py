@@ -17,7 +17,7 @@ import numpy as np
 
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
-from .pairing import legtrig_values, stacked
+from .pairing import coefficient_arrays, legtrig_values
 
 # most nodes a composite rule may have; a refined rule (6 panels per period,
 # 32 points per panel) at omega/2pi = 2000 has 768,000
@@ -80,7 +80,8 @@ def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureR
                         cfg.points_per_panel, cfg.min_panels)
 
 
-def _sample(F, nodes: np.ndarray) -> np.ndarray:
+def sample(F, nodes: np.ndarray) -> np.ndarray:
+    """F at the nodes, or ValueError at the first non-finite value."""
     values = np.asarray(F(nodes), dtype=float)
     if values.shape != nodes.shape:
         values = np.array([float(F(t)) for t in nodes])
@@ -100,7 +101,7 @@ def integrate(F, freq: Frequency, cfg: OracleConfig | None = None) -> float:
     (polynomial of degree <= 40) * trig(<= 2*omega) at default settings.
     """
     rule = composite_rule(freq.omega, cfg)
-    values = _sample(F, rule.nodes)
+    values = sample(F, rule.nodes)
     return float(np.sum(rule.weights * values))
 
 
@@ -165,12 +166,12 @@ def oracle_tables(freq: Frequency, n_max: int,
 
 
 def member_gram(members, omega: float, cfg: OracleConfig | None = None) -> np.ndarray:
-    """Gram matrix of Legendre-trig members (objects with coefficient vectors
-    a and b) by quadrature, independent of any recursion tables; evaluated a
+    """Gram matrix of Legendre-trig members (as coefficient_arrays takes
+    them) by quadrature, independent of any recursion tables; evaluated a
     chunk of nodes at a time, so memory is bounded by the chunk size."""
     rule = composite_rule(omega, cfg)
-    A, B = stacked(members, max((m.a.size for m in members), default=0))
-    G = np.zeros((len(members), len(members)))
+    A, B = coefficient_arrays(members)
+    G = np.zeros((A.shape[0], A.shape[0]))
     for start in range(0, rule.nodes.size, _GRAM_CHUNK):
         chunk = slice(start, start + _GRAM_CHUNK)
         E = legtrig_values(A, B, omega, rule.nodes[chunk])

@@ -63,20 +63,31 @@ def legtrig_values(a, b, omega: float, x: np.ndarray) -> np.ndarray:
     return (a @ P) * np.cos(omega * x) + (b @ P) * np.sin(omega * x)
 
 
-def stacked(rows, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cosine and sine parts of rows as two arrays zero-padded to `size`
-    columns; a row longer than that raises with the table size it needs."""
-    A = np.zeros((len(rows), size))
-    B = np.zeros((len(rows), size))
+def coefficient_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine parts of rows as two arrays, shorter rows
+    zero-padded: rows are members with coefficient vectors a and b, or a
+    basis, whose arrays a and b already hold its members stacked."""
+    if np.ndim(getattr(rows, "a", None)) == 2:
+        return rows.a, rows.b
+    rows = list(rows)
+    A = np.zeros((len(rows), max((row.a.size for row in rows), default=0)))
+    B = np.zeros_like(A)
     for i, row in enumerate(rows):
-        if row.a.size > size:
-            raise ValueError(
-                f"coefficient vector of length {row.a.size} exceeds tables built "
-                f"for n_max={size - 1}; rebuild tables with n_max >= {row.a.size - 1}"
-            )
-        A[i, : row.a.size] = row.a
-        B[i, : row.b.size] = row.b
+        A[i, : row.a.size], B[i, : row.b.size] = row.a, row.b
     return A, B
+
+
+def stacked(rows, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """coefficient_arrays(rows) zero-padded to `size` columns; a row longer
+    than that raises with the table size it needs."""
+    A, B = coefficient_arrays(rows)
+    if A.shape[1] > size:
+        raise ValueError(
+            f"coefficient vector of length {A.shape[1]} exceeds tables built "
+            f"for n_max={size - 1}; rebuild tables with n_max >= {A.shape[1] - 1}"
+        )
+    pad = ((0, 0), (0, size - A.shape[1]))
+    return np.pad(A, pad), np.pad(B, pad)
 
 
 def inner_product(f: LegTrigCoeffs, g: LegTrigCoeffs,
@@ -98,8 +109,9 @@ def bilinear(a, b, c, d, tables: "InnerProductTables"):
 
 
 def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
-    """G[i][j] = inner_product(rows[i], rows[j], tables), computed batched."""
-    A, B = stacked(list(rows), tables.n_max + 1)
+    """G[i][j] = inner_product(rows[i], rows[j], tables), computed batched;
+    rows as coefficient_arrays takes them."""
+    A, B = stacked(rows, tables.n_max + 1)
     return bilinear(A, B, A.T, B.T, tables)
 
 

@@ -9,10 +9,12 @@ M6[j][k] = <P_j, P_k sin(2wx)>
 
 M5 and M6 satisfy a coupled recursion obtained by integrating by parts and
 re-expanding P' in the Legendre basis: each entry on skew diagonal j+k = s
-is a boundary term plus a (1/2w)-weighted combination of opposite-table
-entries on diagonal s-1.  Entries are filled diagonal by diagonal, upper
-triangle only, then mirrored.  Boundary terms vanish for M5 when j+k is odd
-and for M6 when j+k is even, so those entries stay exactly zero.
+is a boundary term plus (R[j,k] + R[k,j]) / 2w, where R[j,k] is the sum of
+(2m+1) M[m,k] over m = j-1, j-3, ... of the opposite table M.  R is carried
+as the strided prefix sum R[j-2,k] + (2j-1) M[j-1,k], so every diagonal is a
+few whole-slice operations and the fill costs O(N^2).  Whole diagonals keep
+the tables exactly symmetric; M5 is exactly zero where j+k is odd and M6
+where it is even.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning, parse_omega_spec  # noqa: F401
-from .legendre import derivative_expansion, legendre_norm_sq
+from .legendre import legendre_norm_sq
 from .oracle import OracleConfig, oracle_tables
 
 
@@ -76,35 +78,22 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
         sin_2w, cos_2w = np.sin(2.0 * omega), np.cos(2.0 * omega)
     inv_2w = 1.0 / (2.0 * omega)
 
+    # diagonal s is the step-(n-1) slice d of flat indices j n + k: R_jk[d],
+    # m5[d], m6[d] are its own entries, R[d] is R[j-2, k], pad5/6[d] M[j-1, k]
     n = n_max + 1
-    m5 = np.zeros((n, n))
-    m6 = np.zeros((n, n))
-    expansions = [derivative_expansion(j).terms for j in range(n)]
-
-    for s in range(0, 2 * n_max + 1):
-        even = (s % 2 == 0)
-        for j in range(max(0, s - n_max), s // 2 + 1):
-            k = s - j
-            # derivative re-expansion sums pull from the opposite table on
-            # the previous skew diagonal
-            if even:
-                acc = 0.0
-                for m, coeff in expansions[j]:
-                    acc += coeff * m6[m, k]
-                for m, coeff in expansions[k]:
-                    acc += coeff * m6[j, m]
-                val = sin_2w / omega - inv_2w * acc
-                m5[j, k] = val
-                m5[k, j] = val
-            else:
-                acc = 0.0
-                for m, coeff in expansions[j]:
-                    acc += coeff * m5[m, k]
-                for m, coeff in expansions[k]:
-                    acc += coeff * m5[j, m]
-                val = -cos_2w / omega + inv_2w * acc
-                m6[j, k] = val
-                m6[k, j] = val
+    R = np.zeros((n + 2) * n)
+    pad5, pad6 = np.zeros((n + 1) * n), np.zeros((n + 1) * n)
+    R_jk, m5, m6 = R[2 * n:], pad5[n:], pad6[n:]
+    odd = 2.0 * np.arange(n) - 1.0
+    for s in range(2 * n_max + 1):
+        j0, j1 = max(0, s - n_max), min(s, n_max)
+        d = slice(j0 * n + s - j0, j1 * n + s - j1 + 1, max(n - 1, 1))
+        R_jk[d] = r = R[d] + odd[j0:j1 + 1] * (pad6 if s % 2 == 0 else pad5)[d]
+        if s % 2 == 0:
+            m5[d] = sin_2w / omega - inv_2w * (r + r[::-1])
+        else:
+            m6[d] = -cos_2w / omega + inv_2w * (r + r[::-1])
+    m5, m6 = m5.reshape(n, n), m6.reshape(n, n)
 
     m1 = np.diag([legendre_norm_sq(k) for k in range(n)])
     m2 = m6 / 2.0

@@ -18,7 +18,7 @@ from oscbasis import (
 from oscbasis.basis import member_values, representation_matrix
 from oscbasis.documents import from_doc, save_basis_csv, to_doc
 from oscbasis.oracle import member_gram
-from oscbasis.pairing import gram_matrix, inner_product
+from oscbasis.pairing import LegTrigCoeffs, gram_matrix, inner_product
 
 
 def _build_quiet(freq, n_max, tables, **kw):
@@ -127,6 +127,17 @@ def test_recurrence_steps_reproduce_stored_rows(basis20, tables20):
             assert np.max(np.abs(raw - want * getattr(got, part))) <= 1e-12
 
 
+def test_recurrence_quotients_are_table_inner_products(basis20, tables20):
+    for k in range(1, basis20.n_max):
+        step = basis20.rec[k]
+        p_prev, p_k, q_k = (basis20.rep[i] for i in (2 * k - 2, 2 * k, 2 * k + 1))
+        xp = LegTrigCoeffs(_times_x(p_k.a), _times_x(p_k.b))
+        alpha = inner_product(xp, q_k, tables20) / inner_product(q_k, q_k, tables20)
+        beta = inner_product(xp, p_prev, tables20) / inner_product(p_prev, p_prev, tables20)
+        assert step.alpha == pytest.approx(alpha, rel=1e-12, abs=1e-14)
+        assert step.beta == pytest.approx(beta, rel=1e-12, abs=1e-14)
+
+
 def test_reorthogonalization_tightens_marginal_gram():
     freq = Frequency.exact(10)
     tables = build_tables(freq, 13)
@@ -181,6 +192,17 @@ def test_member_evaluation(freq20, basis20):
     assert vals[3, 2] == pytest.approx(evaluate_member(basis20, 3, 0.0), rel=1e-14, abs=1e-15)
     with pytest.raises(IndexError):
         evaluate_member(basis20, 26, 0.0)
+
+
+def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
+    omega = basis20.freq.omega
+    assert np.array_equal(gram_matrix(basis20, tables20),
+                          gram_matrix(basis20.rep, tables20))
+    assert np.array_equal(member_gram(basis20, omega), member_gram(basis20.rep, omega))
+    x = np.linspace(-1.0, 1.0, 7)
+    for i, member in enumerate(basis20.rep):
+        assert np.array_equal(evaluate_member(basis20, i, x), member.evaluate(omega, x))
+        assert evaluate_member(basis20, i, 0.3) == member.evaluate(omega, 0.3)
 
 
 def test_monic_norms_decrease(freq20, tables20):

@@ -77,6 +77,18 @@ def test_bool_integer_fields_are_refused(kind, key):
         from_doc(_replaced(DOCS[kind], (key,), True))
 
 
+@pytest.mark.parametrize("kind, path", [
+    ("tables", ("m5", 1, 1)), ("basis", ("rows", 3, "a", 0)),
+    ("basis", ("norms", 2)), ("basis", ("rec", 0, "alpha")),
+    ("expansion", ("coeffs", 1)), ("operator", ("d_legtrig", 0, 1)),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_inside_numeric_array_is_refused(kind, path, flag):
+    # numpy alone would read the boolean as 1.0 or 0.0 among the floats
+    with pytest.raises(ValueError, match="is not a numeric array"):
+        from_doc(_replaced(DOCS[kind], path, flag))
+
+
 def test_document_with_two_kinds_is_refused():
     doc = dict(DOCS["tables"], coeffs=[0.0])
     with pytest.raises(ValueError, match="it has 2 of the keys"):

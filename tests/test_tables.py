@@ -13,14 +13,79 @@ from oscbasis import (
     save_tables,
     verify_tables,
 )
-from oscbasis.oracle import oracle_tables
 from oscbasis.documents import from_doc, save_tables_csv, to_doc
+from oscbasis.legendre import derivative_expansion, legendre_table
+from oscbasis.oracle import composite_rule, oracle_tables
 
 
 def _quiet_tables(freq, n_max):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         return build_tables(freq, n_max)
+
+
+def _scalar_recursion(freq, n_max):
+    """M5 and M6 by the entry-at-a-time skew-diagonal loop: every entry sums
+    its derivative re-expansion terms directly from the opposite table."""
+    omega = freq.omega
+    if freq.exact_multiple:
+        sin_2w, cos_2w = 0.0, 1.0
+    else:
+        sin_2w, cos_2w = np.sin(2.0 * omega), np.cos(2.0 * omega)
+    inv_2w = 1.0 / (2.0 * omega)
+    m5 = np.zeros((n_max + 1, n_max + 1))
+    m6 = np.zeros((n_max + 1, n_max + 1))
+    expansions = [derivative_expansion(j).terms for j in range(n_max + 1)]
+    for s in range(2 * n_max + 1):
+        src, dst = (m6, m5) if s % 2 == 0 else (m5, m6)
+        for j in range(max(0, s - n_max), s // 2 + 1):
+            k = s - j
+            acc = 0.0
+            for m, coeff in expansions[j]:
+                acc += coeff * src[m, k]
+            for m, coeff in expansions[k]:
+                acc += coeff * src[j, m]
+            if s % 2 == 0:
+                val = sin_2w / omega - inv_2w * acc
+            else:
+                val = -cos_2w / omega + inv_2w * acc
+            dst[j, k] = dst[k, j] = val
+    return m5, m6
+
+
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(12), 40), (Frequency.exact(25), 60),
+    (Frequency.exact(40), 60), (Frequency.from_omega(97.3), 40),
+    (Frequency.from_omega(150.2), 60), (Frequency.from_omega(300.7), 60),
+])
+def test_prefix_sum_fill_matches_scalar_recursion(freq, n_max):
+    t = build_tables(freq, n_max)
+    want5, want6 = _scalar_recursion(freq, n_max)
+    assert np.max(np.abs(t.m5 - want5)) <= 1e-14
+    assert np.max(np.abs(t.m6 - want6)) <= 1e-14
+    idx = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+    for m in (t.m5, t.m6):
+        assert np.array_equal(m, m.T)
+    assert np.all(t.m5[idx % 2 == 1] == 0.0)
+    assert np.all(t.m6[idx % 2 == 0] == 0.0)
+
+
+def test_far_corner_matches_quadrature_at_large_degree():
+    # the last rows of M5 and M6 at 2pi*200, N = 201, where the recursion
+    # has run longest, against the oracle rule summed 4096 nodes at a time
+    freq, n_max, corner = Frequency.exact(200), 201, 4
+    t = build_tables(freq, n_max)
+    rule = composite_rule(freq.omega)
+    want5 = np.zeros((corner, n_max + 1))
+    want6 = np.zeros((corner, n_max + 1))
+    for start in range(0, rule.nodes.size, 4096):
+        x = rule.nodes[start:start + 4096]
+        w = rule.weights[start:start + 4096]
+        P = legendre_table(n_max, x)
+        want5 += (P[-corner:] * (w * np.cos(2.0 * freq.omega * x))) @ P.T
+        want6 += (P[-corner:] * (w * np.sin(2.0 * freq.omega * x))) @ P.T
+    assert np.max(np.abs(t.m5[-corner:] - want5)) <= 1e-13
+    assert np.max(np.abs(t.m6[-corner:] - want6)) <= 1e-13
 
 
 def test_diagonal_table_is_legendre_norms(tables20):
