@@ -19,11 +19,10 @@ from .documents import (load_basis, load_expansion, load_operator, load_tables,
                         save_operator, save_operator_csv, save_tables,
                         save_tables_csv)
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
-from .legendre import (DerivExpansion, QuadratureRule, derivative_expansion,
-                       eval_legendre, gauss_legendre_rule, legendre_norm_sq)
+from .legendre import QuadratureRule, gauss_legendre_rule, legendre_norm_sq
 from .oracle import (OracleConfig, cond_estimate, hilbert_limit, integrate,
-                     monomial_gram, oracle_entry)
-from .pairing import LegTrigCoeffs, gram_matrix, inner_product, norm
+                     monomial_gram)
+from .pairing import LegTrigCoeffs, gram_matrix, inner_product
 from .tables import InnerProductTables, VerifyReport, build_tables, verify_tables
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "ENVELOPES",
     "BasisDegenerationError",
     "BasisRef",
-    "DerivExpansion",
     "DerivativeOperator",
     "Expansion",
     "Frequency",
@@ -48,9 +46,7 @@ __all__ = [
     "build_basis",
     "build_tables",
     "cond_estimate",
-    "derivative_expansion",
     "derivative_matrix_legtrig",
-    "eval_legendre",
     "evaluate_expansion",
     "evaluate_member",
     "gauss_legendre_rule",
@@ -65,8 +61,6 @@ __all__ = [
     "load_tables",
     "monic_norm_profile",
     "monomial_gram",
-    "norm",
-    "oracle_entry",
     "parse_omega_spec",
     "plain_legendre_residuals",
     "project",

@@ -34,7 +34,7 @@ DEGENERATION_THRESHOLD = 1e-13
 
 class BasisDegenerationError(RuntimeError):
     """Recurrence produced a direction with norm below the degeneration
-    threshold (orthogonality has collapsed, typically omega <= N)."""
+    threshold (orthogonality has collapsed, typically omega/2pi <= n_max)."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,31 @@ def _times_x(f: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
-                    normalize: bool, reorthogonalize: bool):
+def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
+                reorthogonalize: bool = False) -> OscBasis:
+    """Run the mixed recurrence with per-step normalization.
+
+    Parameters
+    ----------
+    freq : Frequency
+    n_max : int
+        Largest pair index N; the basis has 2(N+1) rows.
+    tables : InnerProductTables
+        Must cover degree n_max + 1 (the x-shift overshoot).
+    reorthogonalize : bool
+        When true, each new row gets one extra orthogonalization pass
+        against all previous rows before normalization.  Off by default;
+        useful near the omega / (2 pi) <= n_max boundary.
+
+    Raises BasisDegenerationError when a pre-normalization norm drops below
+    1e-13, and warns with StabilityWarning when the oscillation period count
+    omega / (2 pi) does not exceed n_max.
+    """
+    if freq.omega != tables.freq.omega:
+        raise ValueError(
+            f"frequency mismatch: basis requested at omega={freq.omega!r} "
+            f"but tables were built at omega={tables.freq.omega!r}"
+        )
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if tables.n_max < n_max + 1:
@@ -128,7 +151,7 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
                 f"oscillation periods but n_max={n_max}: outside the stable "
                 f"regime, expect orthogonality loss"
             ),
-            stacklevel=3,
+            stacklevel=2,
         )
 
     # rows[i] holds member i as (cos part, sin part), zero-padded to the
@@ -153,10 +176,10 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
                 f"basis degenerated at member {i // 2}: pre-normalization "
                 f"norm^2 = {nsq:.3e} is below {DEGENERATION_THRESHOLD}^2 "
                 f"(omega={freq.omega:.6g}, n_max={n_max}; the recurrence is "
-                f"reliable only for omega > n_max)"
+                f"reliable only for omega/2pi > n_max)"
             )
         norms[i] = np.sqrt(nsq)
-        scale = 1.0 / norms[i] if normalize else 1.0
+        scale = 1.0 / norms[i]
         rows[i], applied[i] = f * scale, Gf * scale
         self_ip[i] = ip(rows[i], i)
 
@@ -196,53 +219,22 @@ def _run_recurrence(freq: Frequency, n_max: int, tables: InnerProductTables,
         store(2 * k + 2, xp)
         store(2 * k + 3, xq)
 
-    a = rows[:, 0, : n_max + 1]
-    b = rows[:, 1, : n_max + 1]
-    return a, b, norms, rec
-
-
-def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
-                reorthogonalize: bool = False) -> OscBasis:
-    """Run the mixed recurrence with per-step normalization.
-
-    Parameters
-    ----------
-    freq : Frequency
-    n_max : int
-        Largest pair index N; the basis has 2(N+1) rows.
-    tables : InnerProductTables
-        Must cover degree n_max + 1 (the x-shift overshoot).
-    reorthogonalize : bool
-        When true, each new row gets one extra orthogonalization pass
-        against all previous rows before normalization.  Off by default;
-        useful near the omega <= N boundary.
-
-    Raises BasisDegenerationError when a pre-normalization norm drops below
-    1e-13, and warns with StabilityWarning when the oscillation period count
-    omega / (2 pi) does not exceed n_max.
-    """
-    if freq.omega != tables.freq.omega:
-        raise ValueError(
-            f"frequency mismatch: basis requested at omega={freq.omega!r} "
-            f"but tables were built at omega={tables.freq.omega!r}"
-        )
-    a, b, norms, rec = _run_recurrence(freq, n_max, tables, normalize=True,
-                                       reorthogonalize=reorthogonalize)
-    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms, rec=rec)
+    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0, : n_max + 1],
+                    b=rows[:, 1, : n_max + 1], norms=norms, rec=rec)
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,
                        tables: InnerProductTables) -> np.ndarray:
-    """Pre-normalization norms h_k of the monic-style run (no rescaling of
-    recurrence inputs), p-side rows only, k = 0 ... n_max.
+    """Norms h_k of the monic p-side members, k = 0 ... n_max.
 
-    This is the decay diagnostic: h_0 = ||cos(omega x)|| and the h_k shrink
-    rapidly, which is why build_basis normalizes at every step.  The q-side
-    norms track the p-side ones closely and are not reported separately.
+    The monic run (no rescaling of recurrence inputs) is the normalized run
+    scaled by h_k, so h_k is the running product of build_basis's
+    pre-normalization p-side norms.  This is the decay diagnostic: h_0 =
+    ||cos(omega x)|| and the h_k shrink rapidly, which is why build_basis
+    normalizes at every step.  The q-side norms track the p-side ones
+    closely and are not reported separately.
     """
-    norms = _run_recurrence(freq, n_max, tables, normalize=False,
-                            reorthogonalize=False)[2]
-    return norms[0::2].copy()
+    return np.cumprod(build_basis(freq, n_max, tables).norms[0::2])
 
 
 def evaluate_member(basis: OscBasis, row_index: int, x):

@@ -98,9 +98,11 @@ def cmd_basis(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    tol = args.tol
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
     in_path = Path(args.input)
     loaded = load(in_path, (OscBasis, InnerProductTables))
-    tol = args.tol
     if isinstance(loaded, OscBasis):
         G = member_gram(loaded, loaded.freq.omega)
         diff = np.abs(G - np.eye(G.shape[0]))

@@ -1,9 +1,9 @@
 """Legendre polynomial primitives.
 
-Evaluation by the standard forward three-term recurrence, the closed-form
-norms, the derivative re-expansion P_j' = sum_{m} (2m+1) P_m over m = j-1,
-j-3, ..., and Gauss-Legendre rule generation for the quadrature oracle.
-All arithmetic is 64-bit floating point.
+Evaluation by the standard forward three-term recurrence (P_n at x is
+row n of legendre_table(n, x)), the closed-form norms, and Gauss-Legendre
+rule generation for the quadrature oracle.  All arithmetic is 64-bit
+floating point.
 """
 
 from __future__ import annotations
@@ -34,32 +34,11 @@ def legendre_rows(x):
         k += 1
 
 
-def eval_legendre(degree: int, x):
-    """Evaluate P_degree(x) on [-1, 1].
-
-    Parameters
-    ----------
-    degree : int
-        Polynomial degree, >= 0.
-    x : float or ndarray
-        Evaluation point(s).
-
-    Returns
-    -------
-    float or ndarray
-        P_degree(x), same shape as x.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    p = next(islice(legendre_rows(x), degree, None))
-    return p if isinstance(x, np.ndarray) else float(p)
-
-
 def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """All of P_0 ... P_n_max at once.
 
     Returns an (n_max+1, len(x)) array; row j holds P_j at the sample
-    points.  One recurrence pass, so cheaper than eval_legendre in a loop.
+    points, from one recurrence pass.
     """
     x = np.asarray(x, dtype=float)
     table = np.empty((n_max + 1, x.size))
@@ -73,37 +52,6 @@ def legendre_norm_sq(degree: int) -> float:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     return 2.0 / (2 * degree + 1)
-
-
-@dataclass(frozen=True)
-class DerivExpansion:
-    """P'_j expanded in the Legendre basis.
-
-    terms lists (m, 2m+1) for m = j-1, j-3, ... down to 0 or 1; empty for
-    j = 0.  The coefficients are exact integers stored as floats.
-    """
-
-    source_degree: int
-    terms: tuple[tuple[int, float], ...]
-
-    def evaluate(self, x):
-        """Value of P'_source_degree at x via the expansion."""
-        xa = np.asarray(x, dtype=float)
-        total = np.zeros_like(xa)
-        for m, coeff in self.terms:
-            total = total + coeff * eval_legendre(m, xa)
-        return total if isinstance(x, np.ndarray) else float(total)
-
-
-def derivative_expansion(degree: int) -> DerivExpansion:
-    """Legendre expansion of P'_degree: coefficients 2m+1 on degrees m =
-    degree-1, degree-3, ... >= 0."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    terms = tuple(
-        (m, float(2 * m + 1)) for m in range(degree - 1, -1, -2)
-    )
-    return DerivExpansion(source_degree=degree, terms=terms)
 
 
 @dataclass(frozen=True)

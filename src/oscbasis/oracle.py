@@ -2,7 +2,7 @@
 
 Composite Gauss-Legendre quadrature with enough panels to resolve the
 fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)), plus the
-direct inner-product, Gram-matrix, Hilbert-limit, and condition-number
+batched table, Gram-matrix, Hilbert-limit, and condition-number
 computations that the rest of the package is checked against.  Nothing here
 shares code with the table recursion it verifies.
 """
@@ -105,46 +105,14 @@ def integrate(F, freq: Frequency, cfg: OracleConfig | None = None) -> float:
     return float(np.sum(rule.weights * values))
 
 
-_ENTRY_KINDS = ("m2", "m3", "m4", "m5", "m6")
-
-
-def oracle_entry(kind: str, j: int, k: int, freq: Frequency,
-                 cfg: OracleConfig | None = None) -> float:
-    """Direct quadrature of one defining integrand of M2 ... M6.
-
-    kind 'm2' means <P_j cos, P_k sin>, 'm3' <P_j cos, P_k cos>, 'm4'
-    <P_j sin, P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6'
-    <P_j, P_k sin(2 omega x)>.
-    """
-    kind = kind.lower()
-    if kind not in _ENTRY_KINDS:
-        raise ValueError(f"kind must be one of {_ENTRY_KINDS}, got {kind!r}")
-    if j < 0 or k < 0:
-        raise ValueError(f"indices must be >= 0, got j={j}, k={k}")
-    omega = freq.omega
-    rule = composite_rule(omega, cfg)
-    x, w = rule.nodes, rule.weights
-    P = legendre_table(max(j, k), x)
-    pj, pk = P[j], P[k]
-    if kind == "m2":
-        values = pj * np.cos(omega * x) * pk * np.sin(omega * x)
-    elif kind == "m3":
-        values = pj * np.cos(omega * x) * pk * np.cos(omega * x)
-    elif kind == "m4":
-        values = pj * np.sin(omega * x) * pk * np.sin(omega * x)
-    elif kind == "m5":
-        values = pj * pk * np.cos(2.0 * omega * x)
-    else:
-        values = pj * pk * np.sin(2.0 * omega * x)
-    return float(np.sum(w * values))
-
-
 def oracle_tables(freq: Frequency, n_max: int,
                   cfg: OracleConfig | None = None) -> dict[str, np.ndarray]:
     """All five non-trivial tables M2 ... M6 at once by batched quadrature.
 
-    Returns {'m2': ..., 'm6': ...} with (n_max+1) x (n_max+1) matrices.
-    Much faster than calling oracle_entry per entry; used by verify_tables.
+    Returns {'m2': ..., 'm6': ...} with (n_max+1) x (n_max+1) matrices:
+    'm2' holds <P_j cos, P_k sin>, 'm3' <P_j cos, P_k cos>, 'm4' <P_j sin,
+    P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6' <P_j, P_k sin(2 omega
+    x)>.  Used by verify_tables.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")

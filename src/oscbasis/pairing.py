@@ -12,7 +12,6 @@ coefficients.  M2 appears in both cross terms because it is symmetric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -113,14 +112,3 @@ def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
     rows as coefficient_arrays takes them."""
     A, B = stacked(rows, tables.n_max + 1)
     return bilinear(A, B, A.T, B.T, tables)
-
-
-def norm(f: LegTrigCoeffs, tables: "InnerProductTables") -> float:
-    """sqrt(<f, f>), clipping roundoff-negative self inner products to 0."""
-    nsq = inner_product(f, f, tables)
-    if nsq < -1e-12:
-        raise ValueError(
-            f"self inner product {nsq:.6e} is strongly negative; "
-            "tables are inconsistent or corrupted"
-        )
-    return math.sqrt(max(nsq, 0.0))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import Frequency, StabilityWarning, parse_omega_spec  # noqa: F401
+from .frequency import Frequency, StabilityWarning
 from .legendre import legendre_norm_sq
 from .oracle import OracleConfig, oracle_tables
 

@@ -4,6 +4,7 @@ test."""
 
 import numpy as np
 
+import oscbasis
 from oscbasis import (ENVELOPES, BasisDegenerationError, Frequency, OscTarget,
                       build_basis, build_tables, derivative_matrix_legtrig,
                       evaluate_expansion, gram_matrix, load_basis,
@@ -39,3 +40,8 @@ def test_bench_names_and_call_forms(tmp_path):
     assert np.isfinite(evaluate_expansion(exp, loaded, 0.3))
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 8), loaded)
     assert op.similarity_residual <= 1e-9
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in oscbasis.__all__ if not hasattr(oscbasis, name)]
+    assert not missing

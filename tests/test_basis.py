@@ -213,6 +213,25 @@ def test_monic_norms_decrease(freq20, tables20):
         monic_norm_profile(freq20, -1, tables20)
 
 
+def test_monic_norms_past_member_44():
+    # the monic norms fall below the degeneration threshold near k = 44,
+    # but they are products of normalized-run norms, which do not
+    freq = Frequency.exact(100)
+    tables = build_tables(freq, 61)
+    profile = monic_norm_profile(freq, 60, tables)
+    assert profile.shape == (61,)
+    assert np.all(profile > 0.0)
+    assert np.all(np.diff(profile) < 0.0)
+    assert np.array_equal(profile,
+                          np.cumprod(build_basis(freq, 60, tables).norms[0::2]))
+
+
+def test_monic_norms_refuse_tables_at_another_frequency():
+    tables = build_tables(Frequency.exact(50), 11)
+    with pytest.raises(ValueError, match=r"omega=125\.66.*omega=314\.15"):
+        monic_norm_profile(Frequency.exact(20), 10, tables)
+
+
 def test_serialization_round_trip(basis20, tmp_path):
     path = tmp_path / "basis.json"
     save_basis(basis20, path)

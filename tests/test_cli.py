@@ -168,6 +168,17 @@ def test_verify_zero_tolerance_fails_on_roundoff(tmp_path):
     assert _run("verify", t, "--tol", "0") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("kind", ["tables", "basis"])
+def test_verify_refuses_bad_tolerance(tmp_path, capsys, kind, tol):
+    f = tmp_path / f"{kind}.json"
+    assert _run(kind, "--omega", "2pi*20", "--n", "8", "--out", f) == 0
+    capsys.readouterr()
+    assert _run("verify", f, "--tol", tol) == 2
+    assert f"got {float(tol)!r}" in capsys.readouterr().err
+    assert not (tmp_path / f"{kind}.verify.json").exists()
+
+
 def test_verify_basis_file(workdir):
     assert _run("verify", workdir / "basis.json") == 0
     report = json.loads((workdir / "basis.verify.json").read_text())

@@ -3,27 +3,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscbasis.legendre import (
-    derivative_expansion,
-    eval_legendre,
-    gauss_legendre_rule,
-    legendre_norm_sq,
-    legendre_table,
-)
+from oscbasis.legendre import gauss_legendre_rule, legendre_norm_sq, legendre_table
+
+
+def _p(n, x):
+    """P_n at the points x, read off the table row."""
+    return legendre_table(n, x)[n]
+
+
+def _deriv_terms(j):
+    """Reference re-expansion P_j' = sum (2m+1) P_m over m = j-1, j-3, ..."""
+    return [(m, 2 * m + 1) for m in range(j - 1, -1, -2)]
 
 
 def test_low_degree_values():
-    assert eval_legendre(0, 0.37) == 1.0
-    assert eval_legendre(1, -0.5) == -0.5
-    assert eval_legendre(2, 0.5) == -0.125
+    x = np.array([0.37, -0.5, 0.5])
+    assert np.array_equal(_p(0, x), [1.0, 1.0, 1.0])
+    assert _p(1, x)[1] == -0.5
+    assert _p(2, x)[2] == -0.125
 
 
 def test_array_argument_matches_scalar():
+    # a point evaluated alone gets the same bits as inside a batch
     x = np.linspace(-1.0, 1.0, 7)
-    vals = eval_legendre(5, x)
+    vals = _p(5, x)
     assert vals.shape == x.shape
     for xi, vi in zip(x, vals):
-        assert eval_legendre(5, float(xi)) == vi
+        assert _p(5, float(xi)) == [vi]
 
 
 def test_table_stacks_all_degrees():
@@ -31,7 +37,9 @@ def test_table_stacks_all_degrees():
     table = legendre_table(6, x)
     assert table.shape == (7, 11)
     for n in range(7):
-        assert np.array_equal(table[n], eval_legendre(n, x))
+        assert np.array_equal(table[: n + 1], legendre_table(n, x))
+        ref = np.polynomial.legendre.legval(x, np.eye(7)[n])
+        assert np.max(np.abs(table[n] - ref)) <= 1e-14
 
 
 @given(
@@ -40,7 +48,7 @@ def test_table_stacks_all_degrees():
 )
 def test_parity(n, x):
     # the recurrence is sign-symmetric term by term, so this holds exactly
-    assert eval_legendre(n, -x) == (-1.0) ** n * eval_legendre(n, x)
+    assert _p(n, -x) == (-1.0) ** n * _p(n, x)
 
 
 @given(
@@ -48,13 +56,14 @@ def test_parity(n, x):
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
 )
 def test_bounded_on_interval(n, x):
-    assert abs(eval_legendre(n, x)) <= 1.0 + 1e-12
+    assert abs(_p(n, x)) <= 1.0 + 1e-12
 
 
 def test_endpoint_values():
+    table = legendre_table(19, np.array([1.0, -1.0]))
     for n in range(20):
-        assert eval_legendre(n, 1.0) == 1.0
-        assert eval_legendre(n, -1.0) == (-1.0) ** n
+        assert table[n, 0] == 1.0
+        assert table[n, 1] == (-1.0) ** n
 
 
 def test_norm_sq_closed_form():
@@ -74,26 +83,25 @@ def test_orthogonality_against_quadrature():
 
 
 def test_derivative_expansion_terms():
-    assert derivative_expansion(0).terms == ()
-    assert derivative_expansion(1).terms == ((0, 1.0),)
-    assert derivative_expansion(3).terms == ((2, 5.0), (0, 1.0))
-
-
-def test_derivative_expansion_structure():
-    for j in range(1, 21):
-        exp = derivative_expansion(j)
-        assert exp.source_degree == j
-        for m, coeff in exp.terms:
-            assert (j - m) % 2 == 1
-            assert coeff == 2.0 * m + 1.0
+    # the reference re-expansion against numpy's Legendre differentiation
+    assert _deriv_terms(0) == []
+    assert _deriv_terms(3) == [(2, 5), (0, 1)]
+    for j in range(21):
+        want = np.polynomial.legendre.legder(np.eye(21)[j])
+        got = np.zeros(20)
+        for m, coeff in _deriv_terms(j):
+            got[m] = coeff
+        assert np.array_equal(got[: want.size], want)
+        assert not np.any(got[want.size:])
 
 
 def test_derivative_expansion_against_finite_differences():
     x = np.linspace(-0.9, 0.9, 13)
     h = 1e-6
     for j in (1, 2, 5, 12, 20):
-        exact = derivative_expansion(j).evaluate(x)
-        fd = (eval_legendre(j, x + h) - eval_legendre(j, x - h)) / (2.0 * h)
+        table = legendre_table(j, x)
+        exact = sum(coeff * table[m] for m, coeff in _deriv_terms(j))
+        fd = (_p(j, x + h) - _p(j, x - h)) / (2.0 * h)
         assert np.max(np.abs(exact - fd)) <= 1e-4
 
 
@@ -120,7 +128,7 @@ def test_rule_shape_and_weights(n):
     assert np.all(rule.weights > 0.0)
     assert np.sum(rule.weights) == pytest.approx(2.0, abs=1e-14)
     # nodes are roots of P_n
-    assert np.max(np.abs(eval_legendre(n, rule.nodes))) <= 1e-13
+    assert np.max(np.abs(_p(n, rule.nodes))) <= 1e-13
 
 
 def test_rule_monomial_moments():

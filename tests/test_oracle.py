@@ -11,7 +11,6 @@ from oscbasis.oracle import (
     integrate,
     member_gram,
     monomial_gram,
-    oracle_entry,
     oracle_tables,
 )
 
@@ -82,19 +81,10 @@ def test_integrate_rejects_non_finite_samples():
 
 def test_oracle_entry_known_values():
     freq = Frequency.exact(10)
-    assert oracle_entry("m6", 1, 0, freq) == pytest.approx(-1.0 / freq.omega, rel=1e-12)
-    assert oracle_entry("m3", 0, 0, freq) == pytest.approx(1.0, rel=1e-12)
-    assert oracle_entry("m5", 0, 1, freq) == pytest.approx(
-        oracle_entry("m5", 1, 0, freq), abs=1e-15
-    )
-
-
-def test_oracle_entry_rejects_bad_arguments():
-    freq = Frequency.exact(2)
-    with pytest.raises(ValueError):
-        oracle_entry("m1", 0, 0, freq)
-    with pytest.raises(ValueError):
-        oracle_entry("m5", -1, 0, freq)
+    t = oracle_tables(freq, 1)
+    assert t["m6"][1, 0] == pytest.approx(-1.0 / freq.omega, rel=1e-12)
+    assert t["m3"][0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert t["m5"][0, 1] == pytest.approx(t["m5"][1, 0], abs=1e-15)
 
 
 def test_oracle_tables_consistent_under_refinement():

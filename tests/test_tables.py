@@ -14,7 +14,7 @@ from oscbasis import (
     verify_tables,
 )
 from oscbasis.documents import from_doc, save_tables_csv, to_doc
-from oscbasis.legendre import derivative_expansion, legendre_table
+from oscbasis.legendre import legendre_table
 from oscbasis.oracle import composite_rule, oracle_tables
 
 
@@ -35,7 +35,9 @@ def _scalar_recursion(freq, n_max):
     inv_2w = 1.0 / (2.0 * omega)
     m5 = np.zeros((n_max + 1, n_max + 1))
     m6 = np.zeros((n_max + 1, n_max + 1))
-    expansions = [derivative_expansion(j).terms for j in range(n_max + 1)]
+    # P_j' = sum (2m+1) P_m over m = j-1, j-3, ...
+    expansions = [[(m, 2 * m + 1) for m in range(j - 1, -1, -2)]
+                  for j in range(n_max + 1)]
     for s in range(2 * n_max + 1):
         src, dst = (m6, m5) if s % 2 == 0 else (m5, m6)
         for j in range(max(0, s - n_max), s // 2 + 1):
