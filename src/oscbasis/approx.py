@@ -4,10 +4,14 @@ A target F(x) = f(x) sin(w x) + g(x) cos(w x) at arbitrary w > pi is first
 rewritten at the nearest exact multiple 2 pi k using the trig addition
 formulas; the new envelopes absorb the remainder epsilon and stay
 non-oscillatory because |epsilon| <= pi.  Projection onto the orthonormal
-basis is then a plain inner product per row, done by oracle quadrature.
-Expansions are collapsed through the basis coefficient arrays first, so
-every quadrature step costs one Legendre table and two matrix-vector
-products, whatever the number of rows.
+basis is then a plain inner product per row, and the residual the L2 norm
+of what is left.  Both are Filon quadrature (Iserles & Norsett, 2005): the
+envelopes and the rows are sampled on one fixed Gauss-Legendre rule, and
+the oscillatory factor cos(2 w x) + i sin(2 w x) their products carry is
+integrated exactly through the moments of the Legendre polynomials, so the
+cost does not depend on w.  The quadrature oracle is left to checking and
+to the plain-Legendre baseline.  Expansions are evaluated through the basis
+coefficient arrays, one Legendre table and two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -15,16 +19,23 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import OscBasis
 from .frequency import Frequency
-from .legendre import legendre_norm_sq, legendre_rows, legendre_table
+from .legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
+                       legendre_table)
 from .oracle import OracleConfig, composite_rule, sample
 from .pairing import LegTrigCoeffs
 
 logger = logging.getLogger(__name__)
+
+# The reduced envelopes must be resolved by Legendre degree ENVELOPE_DEGREE:
+# their Legendre tail beyond it may hold at most RESOLVE_TOL of their L2 norm.
+ENVELOPE_DEGREE = 160
+RESOLVE_TOL = 1e-10
 
 # built-in envelope catalog for the CLI and tests
 ENVELOPES = {
@@ -145,32 +156,102 @@ def _expansion_values(coeffs: np.ndarray, basis: OscBasis, x):
                          b=coeffs @ basis.b).evaluate(basis.freq.omega, x)
 
 
-def _sample_on_rule(target: OscTarget, basis: OscBasis,
-                    cfg: OracleConfig | None):
-    """The oracle rule at the basis frequency and the reduced target on it."""
+@lru_cache(maxsize=2)
+def _analysis(points: int):
+    """The Gauss-Legendre analysis rule: nodes, weights, the Legendre table P
+    at the nodes, and W, which takes values at the nodes to the Legendre
+    coefficients of their interpolant (row l holds (l + 1/2) w_i P_l(x_i))."""
+    rule = gauss_legendre_rule(points)
+    P = legendre_table(points - 1, rule.nodes)
+    W = (np.arange(points)[:, None] + 0.5) * P * rule.weights
+    return rule.nodes, rule.weights, P, W
+
+
+def _spherical_bessel(kappa: float, sin_k: float, cos_k: float,
+                      count: int) -> np.ndarray:
+    """j_0(kappa) ... j_{count-1}(kappa), given sin and cos of kappa.
+
+    Forward recurrence where every degree is below kappa / 2, so that it
+    stays in the oscillatory range where it is stable; otherwise Miller's
+    backward recurrence from well past both count and kappa, rescaled
+    against overflow and normalised by j_0 or j_1, whichever is larger.
+    """
+    if kappa >= 2 * count:
+        j = np.empty(count + 1)
+        j[0], j[1] = sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa
+        for n in range(1, count):
+            j[n + 1] = (2 * n + 1) / kappa * j[n] - j[n - 1]
+        return j[:count]
+    top = int(max(count, kappa)) + 40 + int(4 * kappa ** (1 / 3))
+    j = np.zeros(top + 2)
+    j[top] = 1e-300
+    for n in range(top, 0, -1):
+        j[n - 1] = (2 * n + 1) / kappa * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:
+            j[n - 1:] *= 1e-250
+    if abs(sin_k) >= abs(cos_k):
+        return j[:count] * (sin_k / kappa / j[0])
+    return j[:count] * ((sin_k / kappa ** 2 - cos_k / kappa) / j[1])
+
+
+@lru_cache(maxsize=4)
+def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
+    """Complex weights v on the analysis nodes with sum_i v_i h(x_i) equal to
+    the integral of h(x) exp(2i omega x) over [-1, 1] for every polynomial h
+    of degree < points: the moments 2 i^l j_l(2 omega) of P_l, times W."""
+    kappa = 2.0 * freq.omega
+    if freq.exact_multiple:
+        sin_k, cos_k = 0.0, 1.0
+    else:
+        sin_k, cos_k = math.sin(kappa), math.cos(kappa)
+    phase = np.array([2.0, 2.0j, -2.0, -2.0j])[np.arange(points) % 4]
+    moments = phase * _spherical_bessel(kappa, sin_k, cos_k, points)
+    return moments @ _analysis(points)[3]
+
+
+def _filon_setup(target: OscTarget, basis: OscBasis):
+    """The reduced target and the basis rows as complex values g - i f and
+    a - i b on the analysis nodes, with the plain and the Filon weights.
+
+    F = g cos + f sin times a row a cos + b sin integrates to half the real
+    part of the sums of w (g - i f) conj(a - i b) and v (g - i f)(a - i b),
+    and the square of F to half the real part of those of w |g - i f|^2 and
+    v (g - i f)^2.  So with envelopes resolved by degree D and rows of
+    degree at most D, a rule of 2D + 1 points makes every integral exact up
+    to the envelopes' tail, whatever omega.
+    """
     omega = basis.freq.omega
     if abs(target.freq_raw - omega) > 1e-12 * max(1.0, omega):
         raise ValueError(
             f"target frequency {target.freq_raw!r} does not match basis "
             f"frequency {omega!r}; apply reduce_frequency first"
         )
-    rule = composite_rule(omega, cfg)
-    return rule, sample(target.evaluate, rule.nodes)
+    degree = max(ENVELOPE_DEGREE, basis.n_max)
+    x, w, P, W = _analysis(2 * degree + 1)
+    g, f = sample(target.g_env, x), sample(target.f_env, x)
+    energy = np.square(W @ np.column_stack([g, f])).sum(axis=1) \
+        / (np.arange(x.size) + 0.5)
+    norm, tail = math.sqrt(energy.sum()), math.sqrt(energy[degree + 1:].sum())
+    if not tail <= RESOLVE_TOL * norm:
+        raise ValueError(
+            f"envelopes not resolved at Legendre degree M={degree} "
+            f"(omega={omega:.6g}): the tail beyond it is {tail / norm:.2e} "
+            f"of the envelope norm, over {RESOLVE_TOL:g}"
+        )
+    rows = (basis.a - 1j * basis.b) @ P[:basis.n_max + 1]
+    return g - 1j * f, rows, w, _filon_weights(basis.freq, x.size)
 
 
-def project(target: OscTarget, basis: OscBasis,
-            cfg: OracleConfig | None = None) -> Expansion:
-    """Coefficients <F, row_i> by oracle quadrature.
+def project(target: OscTarget, basis: OscBasis) -> Expansion:
+    """Coefficients <F, row_i> by Filon quadrature on the analysis rule.
 
-    The rows are orthonormal, so no normal-equations solve is involved.
-    The target must already be reduced: its frequency has to equal the
-    basis frequency to 1e-12 relative.
+    The cost does not depend on omega.  The rows are orthonormal, so no
+    normal-equations solve is involved.  The target must already be
+    reduced: its frequency has to equal the basis frequency to 1e-12
+    relative, and its envelopes must be resolved by ENVELOPE_DEGREE.
     """
-    rule, F = _sample_on_rule(target, basis, cfg)
-    x, wF, omega = rule.nodes, rule.weights * F, basis.freq.omega
-    P = legendre_table(basis.n_max, x)
-    coeffs = basis.a @ (P @ (wF * np.cos(omega * x))) \
-        + basis.b @ (P @ (wF * np.sin(omega * x)))
+    F, rows, w, v = _filon_setup(target, basis)
+    coeffs = 0.5 * ((rows.conj() * w + rows * v) @ F).real
     return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs)
 
 
@@ -180,13 +261,14 @@ def evaluate_expansion(exp: Expansion, basis: OscBasis, x):
     return _expansion_values(exp.coeffs, basis, x)
 
 
-def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis,
-                  cfg: OracleConfig | None = None) -> float:
-    """L2 norm of F minus its expansion, by oracle quadrature."""
+def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
+    """L2 norm of F minus its expansion, by the same Filon quadrature as
+    project, on the residual's own values (no Parseval cancellation)."""
     _check_match(exp, basis)
-    rule, F = _sample_on_rule(target, basis, cfg)
-    r = F - _expansion_values(exp.coeffs, basis, rule.nodes)
-    return float(np.sqrt(max(np.sum(rule.weights * r * r), 0.0)))
+    F, rows, w, v = _filon_setup(target, basis)
+    r = F - exp.coeffs @ rows
+    r2 = 0.5 * (w @ (r.real ** 2 + r.imag ** 2) + (v @ (r * r)).real)
+    return float(np.sqrt(max(r2, 0.0)))
 
 
 def plain_legendre_residuals(target: OscTarget, n_max: int,

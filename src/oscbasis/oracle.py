@@ -10,8 +10,8 @@ shares code with the table recursion it verifies.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,12 +57,16 @@ class OracleConfig:
         return math.ceil(panels)
 
 
-@lru_cache(maxsize=64)
-def _cached_rule(omega: float, panels_per_period: int, points_per_panel: int,
-                 min_panels: int) -> QuadratureRule:
-    cfg = OracleConfig(panels_per_period, points_per_panel, min_panels)
+# built rules by (omega, panels_per_period, points_per_panel, min_panels),
+# least recently used first; at most _RULE_CACHE_SIZE of them and, together,
+# at most NODE_BUDGET nodes
+_RULE_CACHE_SIZE = 64
+_rules: OrderedDict[tuple, QuadratureRule] = OrderedDict()
+
+
+def _build_rule(omega: float, cfg: OracleConfig) -> QuadratureRule:
     n_panels = cfg.panel_count(omega)
-    base = gauss_legendre_rule(points_per_panel)
+    base = gauss_legendre_rule(cfg.points_per_panel)
     edges = np.linspace(-1.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -74,10 +78,20 @@ def _cached_rule(omega: float, panels_per_period: int, points_per_panel: int,
 def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-1, 1] resolving oscillations up to
     frequency 2*omega.  Refuses with ValueError, before allocating anything,
-    a rule of more than NODE_BUDGET nodes."""
+    a rule of more than NODE_BUDGET nodes.  Rules are cached; the least
+    recently used are dropped once the cache holds more than NODE_BUDGET
+    nodes in all."""
     cfg = cfg or OracleConfig()
-    return _cached_rule(float(omega), cfg.panels_per_period,
-                        cfg.points_per_panel, cfg.min_panels)
+    key = (float(omega), cfg.panels_per_period, cfg.points_per_panel,
+           cfg.min_panels)
+    rule = _rules.get(key)
+    if rule is None:
+        rule = _rules[key] = _build_rule(key[0], cfg)
+        while len(_rules) > _RULE_CACHE_SIZE or \
+                sum(map(len, _rules.values())) > NODE_BUDGET:
+            _rules.popitem(last=False)
+    _rules.move_to_end(key)
+    return rule
 
 
 def sample(F, nodes: np.ndarray) -> np.ndarray:

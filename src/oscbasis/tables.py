@@ -19,6 +19,7 @@ where it is even.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -130,7 +131,12 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
 
     Deviations are data, not errors: the report lists the max deviation per
     matrix and flags every entry not within oracle_tolerance, NaN included.
+    The tolerance must be finite and >= 0; anything else is a ValueError.
     """
+    if not 0.0 <= oracle_tolerance < math.inf:
+        raise ValueError(
+            f"oracle_tolerance must be finite and >= 0, got {oracle_tolerance!r}"
+        )
     reference = oracle_tables(tables.freq, tables.n_max, cfg)
     deviations: dict[str, float] = {}
     flagged: list[tuple[str, int, int, float]] = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,13 @@ from oscbasis import (
     residual_norm,
     save_expansion,
 )
-from oscbasis.approx import BasisRef, plain_legendre_residuals
-from oscbasis.frequency import TWO_PI
-from oscbasis.oracle import composite_rule, integrate
+from oscbasis import Frequency, build_basis, build_tables
+from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _filon_weights,
+                             plain_legendre_residuals)
+from oscbasis.basis import member_values
+from oscbasis.frequency import TWO_PI, StabilityWarning
+from oscbasis.legendre import gauss_legendre_rule, legendre_table
+from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
 
 
 def _target(f_name, g_name, omega):
@@ -149,6 +155,80 @@ def test_non_finite_target_rejected(freq20, basis20):
     )
     with pytest.raises(ValueError, match="non-finite"):
         project(bad, basis20)
+
+
+def _basis(k, n_max):
+    freq = Frequency.exact(k)
+    return build_basis(freq, n_max, build_tables(freq, n_max + 1))
+
+
+@pytest.mark.parametrize("k", [20, 200, 2000])
+def test_projection_and_residual_match_fine_quadrature(k):
+    basis = _basis(k, 12)
+    omega = basis.freq.omega
+    # off the 2 pi grid, so the reduced envelopes carry the remainder
+    targets = [reduce_frequency(_target(f, g, omega + 0.3))[1]
+               for f in ENVELOPES for g in ENVELOPES]
+    exps = [project(t, basis) for t in targets]
+    C = np.array([e.coeffs for e in exps])
+    resid = np.array([residual_norm(t, e, basis) for t, e in zip(targets, exps)])
+    rule = composite_rule(omega, OracleConfig(6, 32))
+    c_ref, r2 = np.zeros_like(C), np.zeros(len(targets))
+    for start in range(0, rule.nodes.size, 8192):
+        x = rule.nodes[start:start + 8192]
+        w = rule.weights[start:start + 8192]
+        E = member_values(basis, x)
+        F = np.array([t.evaluate(x) for t in targets])
+        c_ref += (F * w) @ E.T
+        r2 += ((F - C @ E) ** 2) @ w
+    assert np.max(np.abs(C - c_ref)) <= 1e-11
+    assert np.max(np.abs(resid - np.sqrt(r2))) <= 1e-11
+
+
+def test_projection_raises_no_stability_warning(freq20, basis20):
+    t = _target("exp", "runge", freq20.omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        residual_norm(t, project(t, basis20), basis20)
+
+
+@pytest.mark.parametrize("freq", [Frequency.exact(20), Frequency.exact(600),
+                                  Frequency.from_omega(130.0)])
+def test_filon_weights_integrate_legendre_moments(freq):
+    # 2pi*20 runs the backward recurrence, 2pi*600 the forward one
+    v = _filon_weights(freq, 2 * ENVELOPE_DEGREE + 1)
+    got = v @ legendre_table(60, gauss_legendre_rule(v.size).nodes).T
+    ref = oracle_tables(freq, 60, OracleConfig(6, 32))
+    assert np.max(np.abs(got.real - ref["m5"][0])) <= 1e-14
+    assert np.max(np.abs(got.imag - ref["m6"][0])) <= 1e-14
+
+
+def test_projection_reaches_past_the_oracle_node_budget():
+    # the composite rule at 2pi*1e5 would need 19.2 million nodes
+    basis = _basis(10 ** 5, 4)
+    with pytest.raises(ValueError, match="over the budget"):
+        composite_rule(basis.freq.omega)
+    t = _target("zero", "one", basis.freq.omega)
+    exp = project(t, basis)
+    assert abs(exp.coeffs[0] - 1.0) <= 1e-13
+    assert np.max(np.abs(exp.coeffs[1:])) <= 1e-13
+    assert residual_norm(t, exp, basis) <= 1e-12
+
+
+def test_basis_degree_past_envelope_degree():
+    basis = _basis(600, ENVELOPE_DEGREE + 10)
+    t = _target("x", "one", basis.freq.omega)
+    assert residual_norm(t, project(t, basis), basis) <= 1e-12
+
+
+def test_unresolved_envelope_refused(freq20, basis20):
+    t = OscTarget(f_env=np.abs, g_env=ENVELOPES["one"], freq_raw=freq20.omega)
+    msg = rf"not resolved at Legendre degree M={ENVELOPE_DEGREE} .*tail beyond it is"
+    with pytest.raises(ValueError, match=msg):
+        project(t, basis20)
+    exp = project(_target("zero", "one", freq20.omega), basis20)
+    with pytest.raises(ValueError, match=msg):
+        residual_norm(t, exp, basis20)
 
 
 def test_plain_legendre_residuals_decrease(freq20):

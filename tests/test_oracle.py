@@ -34,6 +34,23 @@ def test_composite_rule_refuses_rule_over_node_budget():
         composite_rule(1e308)
 
 
+def test_rule_cache_holds_at_most_node_budget_nodes(monkeypatch):
+    from oscbasis import oracle
+
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1000)
+    monkeypatch.setattr(oracle, "_rules", oracle.OrderedDict())
+    cfg = OracleConfig(min_panels=10)  # 240 nodes while omega <= 2.5 pi
+    rules = [composite_rule(1.0 + i, cfg) for i in range(6)]
+    assert all(len(rule) == 240 for rule in rules)
+    assert sum(map(len, oracle._rules.values())) <= 1000
+    assert len(oracle._rules) == 4
+    # the newest rules are kept, the oldest rebuilt
+    assert composite_rule(6.0, cfg) is rules[-1]
+    assert composite_rule(1.0, cfg) is not rules[0]
+    with pytest.raises(ValueError, match="over the budget of 1000"):
+        composite_rule(1.0, OracleConfig(min_panels=50))
+
+
 def test_member_gram_matches_per_member_quadrature():
     # 2pi*50 gives 9600 nodes, so member_gram sums more than one node chunk
     freq = Frequency.exact(50)

@@ -229,6 +229,18 @@ def test_verify_flags_nan_entry(tables20):
     assert ("m5", 2, 3) in flagged
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_verify_refuses_tolerance_that_is_not_finite_and_non_negative(tables20, tol):
+    with pytest.raises(ValueError, match=f"oracle_tolerance must be finite and >= 0, got {tol!r}"):
+        verify_tables(tables20, tol)
+
+
+def test_verify_accepts_zero_tolerance(tables20):
+    report = verify_tables(tables20, 0.0)
+    assert report.tolerance == 0.0
+    assert report.passed == (max(report.deviations.values()) == 0.0)
+
+
 def test_loader_refuses_non_finite_matrix(tables20):
     doc = to_doc(tables20)
     doc["m5"][2][3] = float("nan")
