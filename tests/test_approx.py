@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from oscbasis import (
     ENVELOPES,
     Expansion,
+    Frequency,
     OscTarget,
+    build_basis,
+    build_tables,
     evaluate_expansion,
     load_expansion,
     project,
@@ -16,7 +19,6 @@ from oscbasis import (
     residual_norm,
     save_expansion,
 )
-from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _filon_weights,
                              plain_legendre_residuals)
 from oscbasis.basis import member_values
@@ -201,6 +203,21 @@ def test_filon_weights_integrate_legendre_moments(freq):
     ref = oracle_tables(freq, 60, OracleConfig(6, 32))
     assert np.max(np.abs(got.real - ref["m5"][0])) <= 1e-14
     assert np.max(np.abs(got.imag - ref["m6"][0])) <= 1e-14
+
+
+@pytest.mark.parametrize("freq", [Frequency.exact(1), Frequency.exact(20),
+                                  Frequency.from_omega(200.0), Frequency.exact(600)])
+def test_filon_moments_match_mpmath_at_every_degree(freq):
+    # integral of P_l(x) exp(2i omega x) = 2 i^l j_l(2 omega); the Gauss rule
+    # reproduces each moment from v, so every degree of the recurrence shows
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    v = _filon_weights(freq, 2 * ENVELOPE_DEGREE + 1)
+    got = v @ legendre_table(v.size - 1, gauss_legendre_rule(v.size).nodes).T
+    kappa = mp.mpf(2) * mp.mpf(freq.omega)
+    for l in [*range(0, v.size, 8), v.size - 1]:
+        j_l = mp.sqrt(mp.pi / (2 * kappa)) * mp.besselj(l + mp.mpf(1) / 2, kappa)
+        assert abs(got[l] - 2 * 1j ** l * float(j_l)) <= 1e-14
 
 
 def test_projection_reaches_past_the_oracle_node_budget():
