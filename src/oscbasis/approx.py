@@ -27,7 +27,7 @@ from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
                        legendre_table)
-from .oracle import OracleConfig, composite_rule, sample
+from .oracle import composite_rule, sample
 from .pairing import LegTrigCoeffs
 
 logger = logging.getLogger(__name__)
@@ -199,13 +199,9 @@ def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
     """Complex weights v on the analysis nodes with sum_i v_i h(x_i) equal to
     the integral of h(x) exp(2i omega x) over [-1, 1] for every polynomial h
     of degree < points: the moments 2 i^l j_l(2 omega) of P_l, times W."""
-    kappa = 2.0 * freq.omega
-    if freq.exact_multiple:
-        sin_k, cos_k = 0.0, 1.0
-    else:
-        sin_k, cos_k = math.sin(kappa), math.cos(kappa)
     phase = np.array([2.0, 2.0j, -2.0, -2.0j])[np.arange(points) % 4]
-    moments = phase * _spherical_bessel(kappa, sin_k, cos_k, points)
+    moments = phase * _spherical_bessel(2.0 * freq.omega, *freq.double_angle(),
+                                         points)
     return moments @ _analysis(points)[3]
 
 
@@ -271,8 +267,7 @@ def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
     return float(np.sqrt(max(r2, 0.0)))
 
 
-def plain_legendre_residuals(target: OscTarget, n_max: int,
-                             cfg: OracleConfig | None = None) -> np.ndarray:
+def plain_legendre_residuals(target: OscTarget, n_max: int) -> np.ndarray:
     """Residual norms of plain Legendre expansions of the full oscillatory
     target, degrees 0 ... n_max.
 
@@ -283,7 +278,7 @@ def plain_legendre_residuals(target: OscTarget, n_max: int,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rule = composite_rule(target.freq_raw, cfg)
+    rule = composite_rule(target.freq_raw)
     x, w = rule.nodes, rule.weights
     F = sample(target.evaluate, x)
     wF = w * F

@@ -90,7 +90,7 @@ def cmd_basis(args) -> int:
     if args.format == "json":
         outputs = [save(basis, out)]
     else:
-        outputs = save_csv(basis, out)
+        outputs = save_csv(basis, out.with_suffix(".csv"))
     manifest = _write_manifest("basis", args, [], outputs, t0)
     _announce(outputs + [manifest])
     return 0

@@ -169,10 +169,14 @@ def save(obj, path) -> Path:
 
 
 def load(path, kind):
-    """The object saved at path; ValueError if the document is malformed or
-    holds no instance of kind, a class or a tuple of classes."""
+    """The object saved at path; ValueError if the file is not JSON, is
+    malformed or holds no instance of kind, a class or a tuple of classes."""
     with open(path) as fh:
-        obj = from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a JSON document: {exc}") from None
+    obj = from_doc(doc)
     if not isinstance(obj, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         raise ValueError(f"{path} holds {type(obj).__name__}, not "

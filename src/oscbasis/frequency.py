@@ -68,6 +68,13 @@ class Frequency:
         """True iff epsilon is exactly zero."""
         return self.epsilon == 0.0
 
+    def double_angle(self) -> tuple[float, float]:
+        """(sin 2 omega, cos 2 omega), substituted as exactly (0.0, 1.0) at
+        an exact multiple instead of evaluated at a large argument."""
+        if self.exact_multiple:
+            return 0.0, 1.0
+        return math.sin(2.0 * self.omega), math.cos(2.0 * self.omega)
+
     @classmethod
     def exact(cls, k: int) -> "Frequency":
         """The frequency 2*pi*k with epsilon = 0 guaranteed."""

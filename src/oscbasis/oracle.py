@@ -1,10 +1,10 @@
 """Brute-force verification oracle.
 
 Composite Gauss-Legendre quadrature with enough panels to resolve the
-fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)), plus the
-batched table, Gram-matrix, Hilbert-limit, and condition-number
-computations that the rest of the package is checked against.  Nothing here
-shares code with the table recursion it verifies.
+fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables,
+member and monomial-trig Grams go through one Gram kernel that walks the
+rule a chunk of nodes at a time, so their memory does not grow with omega.
+Nothing here shares code with the table recursion it verifies.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .pairing import coefficient_arrays, legtrig_values
 # most nodes a composite rule may have; a refined rule (6 panels per period,
 # 32 points per panel) at omega/2pi = 2000 has 768,000
 NODE_BUDGET = 2 ** 24
-_GRAM_CHUNK = 4096  # nodes per member_gram chunk
+_GRAM_CHUNK = 4096  # nodes per quadrature Gram chunk
 
 
 @dataclass(frozen=True)
@@ -108,60 +108,63 @@ def sample(F, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrate(F, freq: Frequency, cfg: OracleConfig | None = None) -> float:
+def integrate(F, freq: Frequency) -> float:
     """Integral of F over [-1, 1] by composite Gauss-Legendre quadrature.
 
     Accurate to about 1e-12 absolute for integrands of the form
     (polynomial of degree <= 40) * trig(<= 2*omega) at default settings.
     """
-    rule = composite_rule(freq.omega, cfg)
+    rule = composite_rule(freq.omega)
     values = sample(F, rule.nodes)
     return float(np.sum(rule.weights * values))
 
 
-def oracle_tables(freq: Frequency, n_max: int,
-                  cfg: OracleConfig | None = None) -> dict[str, np.ndarray]:
-    """All five non-trivial tables M2 ... M6 at once by batched quadrature.
-
-    Returns {'m2': ..., 'm6': ...} with (n_max+1) x (n_max+1) matrices:
-    'm2' holds <P_j cos, P_k sin>, 'm3' <P_j cos, P_k cos>, 'm4' <P_j sin,
-    P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6' <P_j, P_k sin(2 omega
-    x)>.  Used by verify_tables.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    omega = freq.omega
+def _gram(rows, omega: float, cfg: OracleConfig | None = None) -> np.ndarray:
+    """Exactly symmetric Gram matrix, by the composite rule for omega, of
+    the functions whose values at points x are the rows of rows(x); summed
+    _GRAM_CHUNK nodes at a time, so memory is bounded by the chunk."""
     rule = composite_rule(omega, cfg)
-    x, w = rule.nodes, rule.weights
-    P = legendre_table(n_max, x)
-    c = np.cos(omega * x)
-    s = np.sin(omega * x)
-    Pc = P * c
-    Ps = P * s
-    return {
-        "m2": (Pc * w) @ Ps.T,
-        "m3": (Pc * w) @ Pc.T,
-        "m4": (Ps * w) @ Ps.T,
-        "m5": (P * (w * np.cos(2.0 * omega * x))) @ P.T,
-        "m6": (P * (w * np.sin(2.0 * omega * x))) @ P.T,
-    }
-
-
-def member_gram(members, omega: float, cfg: OracleConfig | None = None) -> np.ndarray:
-    """Gram matrix of Legendre-trig members (as coefficient_arrays takes
-    them) by quadrature, independent of any recursion tables; evaluated a
-    chunk of nodes at a time, so memory is bounded by the chunk size."""
-    rule = composite_rule(omega, cfg)
-    A, B = coefficient_arrays(members)
-    G = np.zeros((A.shape[0], A.shape[0]))
+    G = 0.0
     for start in range(0, rule.nodes.size, _GRAM_CHUNK):
         chunk = slice(start, start + _GRAM_CHUNK)
-        E = legtrig_values(A, B, omega, rule.nodes[chunk])
+        E = rows(rule.nodes[chunk])
         G += (E * rule.weights[chunk]) @ E.T
     return 0.5 * (G + G.T)
 
 
-def monomial_gram(freq: Frequency, n: int, cfg: OracleConfig | None = None) -> np.ndarray:
+def oracle_tables(freq: Frequency, n_max: int,
+                  cfg: OracleConfig | None = None) -> dict[str, np.ndarray]:
+    """All five non-trivial tables M2 ... M6 from one quadrature Gram.
+
+    Returns {'m2': ..., 'm6': ...} with (n_max+1) x (n_max+1) matrices:
+    'm2' holds <P_j cos, P_k sin>, 'm3' <P_j cos, P_k cos>, 'm4' <P_j sin,
+    P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6' <P_j, P_k sin(2 omega
+    x)>.  The Gram of the unit modes P_j cos and P_j sin holds M3, M2 and
+    M4 as blocks; M5 = M3 - M4 and M6 = 2 M2 by the double-angle formulas.
+    Used by verify_tables.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    omega = freq.omega
+
+    def units(x):  # rows P_j cos(omega x), then rows P_j sin(omega x)
+        trig = np.stack([np.cos(omega * x), np.sin(omega * x)])
+        return (trig[:, None] * legendre_table(n_max, x)).reshape(-1, x.size)
+
+    n = n_max + 1
+    G = _gram(units, omega, cfg)
+    m2, m3, m4 = G[:n, n:], G[:n, :n], G[n:, n:]
+    return {"m2": m2, "m3": m3, "m4": m4, "m5": m3 - m4, "m6": 2.0 * m2}
+
+
+def member_gram(members, omega: float) -> np.ndarray:
+    """Gram matrix of Legendre-trig members (as coefficient_arrays takes
+    them) by quadrature, independent of any recursion tables."""
+    A, B = coefficient_arrays(members)
+    return _gram(lambda x: legtrig_values(A, B, omega, x), omega)
+
+
+def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
     """Gram matrix H[i][j] = <x^i cos(omega x), x^j cos(omega x)>.
 
     This is the ill-conditioned object the Legendre-trig representation
@@ -170,15 +173,8 @@ def monomial_gram(freq: Frequency, n: int, cfg: OracleConfig | None = None) -> n
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     omega = freq.omega
-    rule = composite_rule(omega, cfg)
-    x, w = rule.nodes, rule.weights
-    V = np.empty((n + 1, x.size))
-    V[0] = 1.0
-    for i in range(1, n + 1):
-        V[i] = V[i - 1] * x
-    A = V * np.cos(omega * x)
-    H = (A * w) @ A.T
-    return 0.5 * (H + H.T)
+    return _gram(lambda x: np.vander(x, n + 1, increasing=True).T
+                 * np.cos(omega * x), omega)
 
 
 def hilbert_limit(n: int) -> np.ndarray:

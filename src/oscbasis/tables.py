@@ -27,7 +27,7 @@ import numpy as np
 
 from .frequency import Frequency, StabilityWarning
 from .legendre import legendre_norm_sq
-from .oracle import OracleConfig, oracle_tables
+from .oracle import oracle_tables
 
 
 @dataclass
@@ -73,10 +73,7 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
             stacklevel=2,
         )
 
-    if freq.exact_multiple:
-        sin_2w, cos_2w = 0.0, 1.0
-    else:
-        sin_2w, cos_2w = np.sin(2.0 * omega), np.cos(2.0 * omega)
+    sin_2w, cos_2w = freq.double_angle()
     inv_2w = 1.0 / (2.0 * omega)
 
     # diagonal s is the step-(n-1) slice d of flat indices j n + k: R_jk[d],
@@ -125,8 +122,7 @@ class VerifyReport:
         }
 
 
-def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
-                  cfg: OracleConfig | None = None) -> VerifyReport:
+def verify_tables(tables: InnerProductTables, oracle_tolerance: float) -> VerifyReport:
     """Compare every entry of m2 ... m6 against direct quadrature.
 
     Deviations are data, not errors: the report lists the max deviation per
@@ -137,7 +133,7 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float,
         raise ValueError(
             f"oracle_tolerance must be finite and >= 0, got {oracle_tolerance!r}"
         )
-    reference = oracle_tables(tables.freq, tables.n_max, cfg)
+    reference = oracle_tables(tables.freq, tables.n_max)
     deviations: dict[str, float] = {}
     flagged: list[tuple[str, int, int, float]] = []
     for name in ("m2", "m3", "m4", "m5", "m6"):

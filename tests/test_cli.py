@@ -124,6 +124,23 @@ def test_basis_csv_format(tmp_path):
     assert len(rows) == 9  # header plus 2(N+1) members
 
 
+def test_basis_csv_default_out_takes_the_csv_suffix(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run("basis", "--omega", "2pi*20", "--n", "3", "--format", "csv") == 0
+    assert not (tmp_path / "basis.json").exists()
+    assert (tmp_path / "basis.csv").read_text().startswith("c0,c1,")
+    manifest = json.loads((tmp_path / "basis.manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == ["basis.csv"]
+
+
+def test_verify_refuses_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text("c0,c1\n1,2\n")
+    assert _run("verify", path) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is not a JSON document" in err
+
+
 def test_basis_warns_outside_stable_regime(tmp_path):
     out = tmp_path / "marginal.json"
     with pytest.warns(StabilityWarning):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.frequency import TWO_PI
+from oscbasis.legendre import legendre_table
 from oscbasis.oracle import (
     OracleConfig,
     composite_rule,
@@ -113,6 +116,49 @@ def test_oracle_tables_consistent_under_refinement():
         assert np.max(np.abs(coarse[key] - fine[key])) <= 1e-12
 
 
+def _five_products(freq, n_max):
+    """M2 ... M6 as five weighted products over the whole rule, each with
+    its own integrand: the form oracle_tables had before the chunked Gram."""
+    rule = composite_rule(freq.omega)
+    x, w = rule.nodes, rule.weights
+    P = legendre_table(n_max, x)
+    Pc, Ps = P * np.cos(freq.omega * x), P * np.sin(freq.omega * x)
+    return {
+        "m2": (Pc * w) @ Ps.T,
+        "m3": (Pc * w) @ Pc.T,
+        "m4": (Ps * w) @ Ps.T,
+        "m5": (P * (w * np.cos(2.0 * freq.omega * x))) @ P.T,
+        "m6": (P * (w * np.sin(2.0 * freq.omega * x))) @ P.T,
+    }
+
+
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(20), 8),
+    (Frequency.exact(100), 60),
+    (Frequency.from_omega(200.3), 30),
+])
+def test_oracle_tables_match_five_products(freq, n_max):
+    got, want = oracle_tables(freq, n_max), _five_products(freq, n_max)
+    for key in ("m2", "m3", "m4", "m5", "m6"):
+        assert got[key].shape == (n_max + 1, n_max + 1)
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-14
+
+
+def test_oracle_tables_memory_does_not_grow_with_omega():
+    # 2pi*400 has four times the nodes of 2pi*100; both span several chunks
+    def peak(k):
+        freq = Frequency.exact(k)
+        composite_rule(freq.omega)  # the rule itself is built and cached
+        tracemalloc.start()
+        try:
+            oracle_tables(freq, 60)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.25 * peak(100)
+
+
 def test_monomial_gram_low_order_entries():
     freq = Frequency.exact(20)
     H = monomial_gram(freq, 3)
@@ -168,8 +214,10 @@ def test_cond_estimate_tracks_dense_spectra():
 
 def test_monomial_gram_parity_split_and_limit_conditioning():
     # odd i+j entries pair an even with an odd integrand and vanish, so the
-    # Gram splits into even and odd Hankel blocks
+    # Gram splits into even and odd Hankel blocks; 2pi*50 gives 9600 nodes,
+    # so the Gram sums more than one node chunk and must stay symmetric
     H = monomial_gram(Frequency.exact(50), 10)
+    assert np.array_equal(H, H.T)
     i = np.arange(11)
     odd = (i[:, None] + i[None, :]) % 2 == 1
     assert np.max(np.abs(H[odd])) <= 1e-12
