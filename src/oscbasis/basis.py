@@ -171,7 +171,7 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     def store(i, f):
         Gf = (G @ f.ravel()).reshape(f.shape)
         nsq = float(np.vdot(f, Gf))
-        if nsq < DEGENERATION_THRESHOLD ** 2:
+        if not nsq >= DEGENERATION_THRESHOLD ** 2:
             raise BasisDegenerationError(
                 f"basis degenerated at member {i // 2}: pre-normalization "
                 f"norm^2 = {nsq:.3e} is below {DEGENERATION_THRESHOLD}^2 "

@@ -1,12 +1,15 @@
 """Batch CLI: table generation, basis construction, verification,
 projection, differentiation, and the conditioning demo.
 
-Every command writes its data files plus a run manifest (parameters and
-sha256 content hashes).  Data files are byte-identical across reruns with
-the same arguments; only the manifest duration field varies.
+Each cmd_* function writes its data files and returns (inputs, outputs,
+exit code); main then writes the run manifest (parameters and sha256
+content hashes) and prints one "wrote" line per file.  Data files are
+byte-identical across reruns with the same arguments; only the manifest
+duration field varies.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid parameters or a
+refused input (tables the recursion cannot fill with finite values, a
+degree over the table limit), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ def _manifest_path(out: Path) -> Path:
     return stem.parent / (stem.name + ".manifest.json")
 
 
-def _write_manifest(command: str, args: argparse.Namespace,
-                    inputs: list[Path], outputs: list[Path],
-                    t0: float) -> Path:
+def _write_manifest(args: argparse.Namespace, inputs: list[Path],
+                    outputs: list[Path], t0: float) -> Path:
     doc = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": [{"path": p.name, "sha256": _sha256(p)} for p in inputs],
         "outputs": [{"path": p.name, "sha256": _sha256(p),
@@ -58,13 +60,7 @@ def _write_manifest(command: str, args: argparse.Namespace,
     return write_json(doc, _manifest_path(Path(args.out)))
 
 
-def _announce(paths):
-    for p in paths:
-        print(f"wrote {p}")
-
-
-def cmd_tables(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tables(args):
     freq = parse_omega_spec(args.omega)
     tables = build_tables(freq, args.n)
     out = Path(args.out)
@@ -72,13 +68,10 @@ def cmd_tables(args) -> int:
         outputs = [save(tables, out)]
     else:
         outputs = save_csv(tables, out.with_suffix(""))
-    manifest = _write_manifest("tables", args, [], outputs, t0)
-    _announce(outputs + [manifest])
-    return 0
+    return [], outputs, 0
 
 
-def cmd_basis(args) -> int:
-    t0 = time.perf_counter()
+def cmd_basis(args):
     freq = parse_omega_spec(args.omega)
     tables = build_tables(freq, args.n + 1)
     basis = build_basis(freq, args.n, tables,
@@ -91,13 +84,10 @@ def cmd_basis(args) -> int:
         outputs = [save(basis, out)]
     else:
         outputs = save_csv(basis, out.with_suffix(".csv"))
-    manifest = _write_manifest("basis", args, [], outputs, t0)
-    _announce(outputs + [manifest])
-    return 0
+    return [], outputs, 0
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args):
     tol = args.tol
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
@@ -136,15 +126,12 @@ def cmd_verify(args) -> int:
     out = Path(args.out) if args.out else in_path.with_suffix(".verify.json")
     args.out = str(out)
     outputs = [write_json(report, out)]
-    manifest = _write_manifest("verify", args, [in_path], outputs, t0)
     verdict = "PASS" if passed else "FAIL"
     print(f"verify {report['kind']}: {summary} (tolerance {tol:g}) -> {verdict}")
-    _announce(outputs + [manifest])
-    return 0 if passed else 1
+    return [in_path], outputs, 0 if passed else 1
 
 
-def cmd_project(args) -> int:
-    t0 = time.perf_counter()
+def cmd_project(args):
     basis_path = Path(args.basis)
     basis = load_basis(basis_path)
     omega_raw = parse_omega_spec(args.omega_raw).omega
@@ -167,14 +154,11 @@ def cmd_project(args) -> int:
         ],
     }
     outputs.append(write_json(report, out.with_suffix(".report.json")))
-    manifest = _write_manifest("project", args, [basis_path], outputs, t0)
     print(f"residual_norm = {resid:.6e}")
-    _announce(outputs + [manifest])
-    return 0
+    return [basis_path], outputs, 0
 
 
-def cmd_diff(args) -> int:
-    t0 = time.perf_counter()
+def cmd_diff(args):
     basis_path = Path(args.basis)
     exp_path = Path(args.expansion)
     basis = load_basis(basis_path)
@@ -206,15 +190,12 @@ def cmd_diff(args) -> int:
         "max_fd_relative_deviation": rel_dev,
     }
     outputs.append(write_json(report, out.with_suffix(".report.json")))
-    manifest = _write_manifest("diff", args, [basis_path, exp_path], outputs, t0)
     print(f"max finite-difference deviation = {max_dev:.3e} "
           f"(relative {rel_dev:.3e}) at {len(xs)} points")
-    _announce(outputs + [manifest])
-    return 0
+    return [basis_path, exp_path], outputs, 0
 
 
-def cmd_hilbert_demo(args) -> int:
-    t0 = time.perf_counter()
+def cmd_hilbert_demo(args):
     n = args.n
     if n < 0 or n > 12:
         raise ValueError(f"--n must be between 0 and 12 (desk scale), got {n}")
@@ -241,9 +222,7 @@ def cmd_hilbert_demo(args) -> int:
               f"cond(H)={cond_m:.3e} cond(legtrig)={cond_l:.3e}")
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")
-    manifest = _write_manifest("hilbert-demo", args, [], [out], t0)
-    _announce([out, manifest])
-    return 0
+    return [], [out], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +294,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs, code = args.func(args)
+        manifest = _write_manifest(args, inputs, outputs, t0)
     except (ValueError, BasisDegenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for path in outputs + [manifest]:
+        print(f"wrote {path}")
+    return code
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@ Composite Gauss-Legendre quadrature with enough panels to resolve the
 fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables,
 member and monomial-trig Grams go through one Gram kernel that walks the
 rule a chunk of nodes at a time, so their memory does not grow with omega.
-Nothing here shares code with the table recursion it verifies.
+The module keeps no state: each call builds the rule it needs.  Nothing
+here shares code with the table recursion it verifies.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,33 +23,31 @@ from .pairing import coefficient_arrays, legtrig_values
 # 32 points per panel) at omega/2pi = 2000 has 768,000
 NODE_BUDGET = 2 ** 24
 _GRAM_CHUNK = 4096  # nodes per quadrature Gram chunk
+MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Resolution knobs for the composite quadrature.
 
-    Panel count for frequency omega is max(min_panels,
+    Panel count for frequency omega is max(MIN_PANELS,
     ceil(panels_per_period * omega / pi)), so with the default 4 panels per
     period of cos(2*omega*x) each panel sees about a quarter period.
     """
 
     panels_per_period: int = 4
     points_per_panel: int = 24
-    min_panels: int = 8
 
     def __post_init__(self):
         if self.panels_per_period < 2:
             raise ValueError("panels_per_period must be >= 2")
         if self.points_per_panel < 8:
             raise ValueError("points_per_panel must be >= 8")
-        if self.min_panels < 1:
-            raise ValueError("min_panels must be >= 1")
 
     def panel_count(self, omega: float) -> int:
         """Panels for omega; ValueError past NODE_BUDGET nodes, compared as
         a float before ceil so that omega = 1e308, inf or NaN is refused."""
-        panels = max(self.panels_per_period * omega / math.pi, self.min_panels)
+        panels = max(self.panels_per_period * omega / math.pi, MIN_PANELS)
         nodes = panels * self.points_per_panel
         if not nodes <= NODE_BUDGET:
             raise ValueError(f"the oracle rule at omega={omega:.6g} needs {nodes:.4g} "
@@ -57,15 +55,12 @@ class OracleConfig:
         return math.ceil(panels)
 
 
-# built rules by (omega, panels_per_period, points_per_panel, min_panels),
-# least recently used first; at most _RULE_CACHE_SIZE of them and, together,
-# at most NODE_BUDGET nodes
-_RULE_CACHE_SIZE = 64
-_rules: OrderedDict[tuple, QuadratureRule] = OrderedDict()
-
-
-def _build_rule(omega: float, cfg: OracleConfig) -> QuadratureRule:
-    n_panels = cfg.panel_count(omega)
+def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureRule:
+    """Composite Gauss-Legendre rule on [-1, 1] resolving oscillations up to
+    frequency 2*omega, built afresh on every call.  Refuses with ValueError,
+    before allocating anything, a rule of more than NODE_BUDGET nodes."""
+    cfg = cfg or OracleConfig()
+    n_panels = cfg.panel_count(float(omega))
     base = gauss_legendre_rule(cfg.points_per_panel)
     edges = np.linspace(-1.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -73,25 +68,6 @@ def _build_rule(omega: float, cfg: OracleConfig) -> QuadratureRule:
     nodes = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
     weights = (half[:, None] * base.weights[None, :]).ravel()
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [-1, 1] resolving oscillations up to
-    frequency 2*omega.  Refuses with ValueError, before allocating anything,
-    a rule of more than NODE_BUDGET nodes.  Rules are cached; the least
-    recently used are dropped once the cache holds more than NODE_BUDGET
-    nodes in all."""
-    cfg = cfg or OracleConfig()
-    key = (float(omega), cfg.panels_per_period, cfg.points_per_panel,
-           cfg.min_panels)
-    rule = _rules.get(key)
-    if rule is None:
-        rule = _rules[key] = _build_rule(key[0], cfg)
-        while len(_rules) > _RULE_CACHE_SIZE or \
-                sum(map(len, _rules.values())) > NODE_BUDGET:
-            _rules.popitem(last=False)
-    _rules.move_to_end(key)
-    return rule
 
 
 def sample(F, nodes: np.ndarray) -> np.ndarray:

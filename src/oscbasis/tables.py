@@ -27,7 +27,12 @@ import numpy as np
 
 from .frequency import Frequency, StabilityWarning
 from .legendre import legendre_norm_sq
-from .oracle import oracle_tables
+from .oracle import NODE_BUDGET, oracle_tables
+
+# largest table degree N: the Gram of the 2(N+1) unit modes P_j cos(wx) and
+# P_j sin(wx), the largest array that a basis on the tables or their oracle
+# check allocates, then holds at most NODE_BUDGET entries
+MAX_DEGREE = math.isqrt(NODE_BUDGET) // 2 - 1
 
 
 @dataclass
@@ -57,10 +62,17 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
         Largest Legendre degree N; matrices are (N+1) x (N+1).
 
     Emits a StabilityWarning when omega <= n_max, the regime where the
-    recursion is no longer guaranteed accurate.
+    recursion is no longer guaranteed accurate.  Raises ValueError, before
+    allocating anything, when n_max is over MAX_DEGREE, and after the fill
+    when M5 or M6 holds a value that is not finite (the recursion overflows
+    far outside its stable regime).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > MAX_DEGREE:
+        raise ValueError(f"n_max={n_max} is over the table degree limit of "
+                         f"{MAX_DEGREE} (a basis of pair index N takes tables "
+                         f"of degree N + 1)")
     omega = freq.omega
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
@@ -83,14 +95,20 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
     pad5, pad6 = np.zeros((n + 1) * n), np.zeros((n + 1) * n)
     R_jk, m5, m6 = R[2 * n:], pad5[n:], pad6[n:]
     odd = 2.0 * np.arange(n) - 1.0
-    for s in range(2 * n_max + 1):
-        j0, j1 = max(0, s - n_max), min(s, n_max)
-        d = slice(j0 * n + s - j0, j1 * n + s - j1 + 1, max(n - 1, 1))
-        R_jk[d] = r = R[d] + odd[j0:j1 + 1] * (pad6 if s % 2 == 0 else pad5)[d]
-        if s % 2 == 0:
-            m5[d] = sin_2w / omega - inv_2w * (r + r[::-1])
-        else:
-            m6[d] = -cos_2w / omega + inv_2w * (r + r[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(2 * n_max + 1):
+            j0, j1 = max(0, s - n_max), min(s, n_max)
+            d = slice(j0 * n + s - j0, j1 * n + s - j1 + 1, max(n - 1, 1))
+            R_jk[d] = r = R[d] + odd[j0:j1 + 1] * (pad6 if s % 2 == 0 else pad5)[d]
+            if s % 2 == 0:
+                m5[d] = sin_2w / omega - inv_2w * (r + r[::-1])
+            else:
+                m6[d] = -cos_2w / omega + inv_2w * (r + r[::-1])
+    if not (np.all(np.isfinite(m5)) and np.all(np.isfinite(m6))):
+        raise ValueError(
+            f"the table recursion overflows at omega={omega:.6g}, "
+            f"n_max={n_max}: M5 or M6 holds a value that is not finite"
+        )
     m5, m6 = m5.reshape(n, n), m6.reshape(n, n)
 
     m1 = np.diag([legendre_norm_sq(k) for k in range(n)])

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -157,6 +158,13 @@ def test_degeneration_raises_with_context():
         tables = build_tables(freq, 25)
         with pytest.raises(BasisDegenerationError, match="member"):
             build_basis(freq, 24, tables)
+
+
+def test_degeneration_check_refuses_nan_norm(freq20, tables20):
+    tables = copy.deepcopy(tables20)
+    tables.m3[2, 2] = np.nan
+    with pytest.raises(BasisDegenerationError, match="norm\\^2 = nan"):
+        build_basis(freq20, 4, tables)
 
 
 def test_boundary_build_warns_but_succeeds():

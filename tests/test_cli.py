@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_tables_csv_layout(tmp_path):
 def test_tables_invalid_parameters(tmp_path):
     assert _run("tables", "--omega", "2pi*4", "--n", "-1", "--out", tmp_path / "x.json") == 2
     assert _run("tables", "--omega", "fast", "--n", "3", "--out", tmp_path / "y.json") == 2
+
+
+@pytest.mark.parametrize("command, omega, n, message", [
+    ("tables", "2pi*1", 300, "overflows at omega=6.28319, n_max=300: M5 or M6 "
+                             "holds a value that is not finite"),
+    ("basis", "0.5", 150, "overflows at omega=0.5, n_max=151: M5 or M6 holds "
+                          "a value that is not finite"),
+    ("tables", "2pi*20", 1000000, "n_max=1000000 is over the table degree "
+                                  "limit of 2047"),
+    ("basis", "2pi*20", 100000, "n_max=100001 is over the table degree limit "
+                                "of 2047 (a basis of pair index N takes "
+                                "tables of degree N + 1)"),
+], ids=["tables-overflow", "basis-overflow", "tables-over-limit",
+        "basis-over-limit"])
+def test_refused_build_writes_no_file(tmp_path, capsys, command, omega, n,
+                                      message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        rc = _run(command, "--omega", omega, "--n", n, "--out",
+                  tmp_path / "out.json")
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -22,7 +22,6 @@ def test_config_validation_and_panel_count():
     cfg = OracleConfig()
     assert cfg.panels_per_period == 4
     assert cfg.points_per_panel == 24
-    assert cfg.min_panels == 8
     assert cfg.panel_count(TWO_PI * 20) == 160
     assert cfg.panel_count(0.5) == 8
     with pytest.raises(ValueError):
@@ -37,21 +36,15 @@ def test_composite_rule_refuses_rule_over_node_budget():
         composite_rule(1e308)
 
 
-def test_rule_cache_holds_at_most_node_budget_nodes(monkeypatch):
-    from oscbasis import oracle
-
-    monkeypatch.setattr(oracle, "NODE_BUDGET", 1000)
-    monkeypatch.setattr(oracle, "_rules", oracle.OrderedDict())
-    cfg = OracleConfig(min_panels=10)  # 240 nodes while omega <= 2.5 pi
-    rules = [composite_rule(1.0 + i, cfg) for i in range(6)]
-    assert all(len(rule) == 240 for rule in rules)
-    assert sum(map(len, oracle._rules.values())) <= 1000
-    assert len(oracle._rules) == 4
-    # the newest rules are kept, the oldest rebuilt
-    assert composite_rule(6.0, cfg) is rules[-1]
-    assert composite_rule(1.0, cfg) is not rules[0]
-    with pytest.raises(ValueError, match="over the budget of 1000"):
-        composite_rule(1.0, OracleConfig(min_panels=50))
+def test_composite_rule_returns_new_arrays_on_every_call():
+    # a caller that scales a rule in place does not move the next one
+    first = composite_rule(10.0)
+    want = first.nodes.copy(), first.weights.copy()
+    first.nodes[:] *= 0.5
+    first.weights[:] *= 0.5
+    again = composite_rule(10.0)
+    assert np.array_equal(again.nodes, want[0])
+    assert np.array_equal(again.weights, want[1])
 
 
 def test_member_gram_matches_per_member_quadrature():
@@ -145,10 +138,11 @@ def test_oracle_tables_match_five_products(freq, n_max):
 
 
 def test_oracle_tables_memory_does_not_grow_with_omega():
-    # 2pi*400 has four times the nodes of 2pi*100; both span several chunks
+    # 2pi*400 has four times the nodes of 2pi*100; both span several chunks.
+    # The rule, built inside each call, is the one part that grows with
+    # omega: 16 bytes a node, 1.2 MB at 2pi*400
     def peak(k):
         freq = Frequency.exact(k)
-        composite_rule(freq.omega)  # the rule itself is built and cached
         tracemalloc.start()
         try:
             oracle_tables(freq, 60)

@@ -16,6 +16,7 @@ from oscbasis import (
 from oscbasis.documents import from_doc, save_tables_csv, to_doc
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import composite_rule, oracle_tables
+from oscbasis.tables import MAX_DEGREE
 
 
 def _quiet_tables(freq, n_max):
@@ -171,6 +172,14 @@ def test_no_warning_in_stable_regime():
 def test_rejects_negative_size():
     with pytest.raises(ValueError):
         build_tables(Frequency.exact(2), -1)
+
+
+def test_refuses_degree_over_the_limit():
+    # the unit-mode Gram of degree MAX_DEGREE has 4096^2 = NODE_BUDGET entries
+    assert MAX_DEGREE == 2047
+    with pytest.raises(ValueError, match="n_max=2048 is over the table degree "
+                                         "limit of 2047"):
+        build_tables(Frequency.exact(20), MAX_DEGREE + 1)
 
 
 @settings(max_examples=25, deadline=None)
