@@ -30,6 +30,8 @@ from .tables import InnerProductTables
 # below this pre-normalization norm a direction carries no information in
 # 64-bit arithmetic
 DEGENERATION_THRESHOLD = 1e-13
+# unit roundoff of 64-bit arithmetic
+ROUNDOFF = np.finfo(float).eps / 2
 
 
 class BasisDegenerationError(RuntimeError):
@@ -98,17 +100,6 @@ class OscBasis:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _times_x(f: np.ndarray, length: int) -> np.ndarray:
-    """x * f for f = (cos part, sin part) of Legendre length `length`, via
-    x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1)."""
-    out = np.zeros_like(f)
-    j = np.arange(length)
-    out[:, 1:length + 1] += f[:, :length] * (j + 1) / (2 * j + 1)
-    if length > 1:
-        out[:, :length - 1] += f[:, 1:length] * (j[1:] / (2 * j[1:] + 1))
-    return out
-
-
 def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
                 reorthogonalize: bool = False) -> OscBasis:
     """Run the mixed recurrence with per-step normalization.
@@ -121,13 +112,15 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     tables : InnerProductTables
         Must cover degree n_max + 1 (the x-shift overshoot).
     reorthogonalize : bool
-        When true, each new row gets one extra orthogonalization pass
+        When true, each new row gets one extra classical Gram-Schmidt pass
         against all previous rows before normalization.  Off by default;
         useful near the omega / (2 pi) <= n_max boundary.
 
     Raises BasisDegenerationError when a pre-normalization norm drops below
-    1e-13, and warns with StabilityWarning when the oscillation period count
-    omega / (2 pi) does not exceed n_max.
+    1e-13, or when a normalized row's largest coefficient c makes u c^2 >= 1
+    (u the unit roundoff), so that rounding alone perturbs the Gram by as
+    much as the Gram itself.  Warns with StabilityWarning when the
+    oscillation period count omega / (2 pi) does not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
         raise ValueError(
@@ -154,48 +147,67 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
             stacklevel=2,
         )
 
-    # rows[i] holds member i as (cos part, sin part), zero-padded to the
-    # table size, and applied[i] its image G rows[i] = (M3 a + M2 b, M2 a +
-    # M4 b) under the bilinear form, so that <f, rows[i]> is one dot product
-    G = np.block([[tables.m3, tables.m2], [tables.m2, tables.m4]])
+    # rows[i] holds member i in interleaved (a_0, b_0, a_1, b_1, ...)
+    # coordinates, zero beyond its first s = 2(i//2 + 1) entries, and
+    # applied[i] its image G rows[i] under the Gram of the bilinear form, so
+    # that <f, rows[i]> is one dot product over f's own length
+    size = 2 * (tables.n_max + 1)
+    G = np.empty((size, size))
+    G[0::2, 0::2] = tables.m3
+    G[0::2, 1::2] = G[1::2, 0::2] = tables.m2
+    G[1::2, 1::2] = tables.m4
     n_rows = 2 * (n_max + 1)
-    rows = np.zeros((n_rows, 2, tables.n_max + 1))
+    rows = np.zeros((n_rows, size))
     applied = np.zeros_like(rows)
     norms = np.empty(n_rows)
-    self_ip = [0.0] * n_rows
+    self_ip = np.empty(n_rows)
     rec: list[RecurrenceStep] = []
+    # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so entries 2j and 2j+1
+    # of x f take j/(2j-1) (up) of degree j-1 and (j+1)/(2j+3) (down) of
+    # degree j+1
+    deg = np.arange(size) // 2
+    up = deg / (2.0 * deg - 1.0)
+    down = (deg + 1) / (2.0 * deg + 3.0)
+
+    def degenerated(i, why):
+        return BasisDegenerationError(
+            f"basis degenerated at member {i // 2}: {why} (omega="
+            f"{freq.omega:.6g}, n_max={n_max}; the recurrence is reliable "
+            f"only for omega/2pi > n_max)")
 
     def ip(f, i):
-        return float(np.vdot(f, applied[i]))
+        return float(np.vdot(f, applied[i, : f.size]))
 
     def store(i, f):
-        Gf = (G @ f.ravel()).reshape(f.shape)
-        nsq = float(np.vdot(f, Gf))
+        # G is symmetric and f is zero past its length, so G f is the
+        # product with a row prefix of G
+        Gf = f @ G[: f.size]
+        nsq = float(np.vdot(f, Gf[: f.size]))
         if not nsq >= DEGENERATION_THRESHOLD ** 2:
-            raise BasisDegenerationError(
-                f"basis degenerated at member {i // 2}: pre-normalization "
-                f"norm^2 = {nsq:.3e} is below {DEGENERATION_THRESHOLD}^2 "
-                f"(omega={freq.omega:.6g}, n_max={n_max}; the recurrence is "
-                f"reliable only for omega/2pi > n_max)"
-            )
+            raise degenerated(i, f"pre-normalization norm^2 = {nsq:.3e} is "
+                                 f"below {DEGENERATION_THRESHOLD}^2")
         norms[i] = np.sqrt(nsq)
         scale = 1.0 / norms[i]
-        rows[i], applied[i] = f * scale, Gf * scale
-        self_ip[i] = ip(rows[i], i)
+        rows[i, : f.size], applied[i] = f * scale, Gf * scale
+        rho = ROUNDOFF * float(np.max(np.abs(rows[i]))) ** 2
+        if rho >= 1.0:
+            raise degenerated(i, f"u*max|c|^2 = {rho:.3e} >= 1, so rounding "
+                                 f"alone perturbs the Gram as much as the "
+                                 f"Gram itself")
+        self_ip[i] = ip(rows[i, : f.size], i)
 
-    for i in (0, 1):
-        seed = np.zeros_like(rows[i])
-        seed[i, 0] = 1.0
-        store(i, seed)
-
+    store(0, np.array([1.0, 0.0]))
+    store(1, np.array([0.0, 1.0]))
     for k in range(n_max):
-        p_k, q_k = rows[2 * k], rows[2 * k + 1]
-        xp = _times_x(p_k, k + 1)
-        xq = _times_x(q_k, k + 1)
+        s = 2 * (k + 1)
+        p_k, q_k = rows[2 * k, :s], rows[2 * k + 1, :s]
+        xp, xq = np.zeros(s + 2), np.zeros(s + 2)
+        for new, f in ((xp, p_k), (xq, q_k)):
+            new[2:] = f * up[2 : s + 2]
+            new[: s - 2] += f[2:] * down[: s - 2]
         alpha = ip(xp, 2 * k + 1) / self_ip[2 * k + 1]
         gamma = ip(xq, 2 * k) / self_ip[2 * k]
         if k > 0:
-            p_prev, q_prev = rows[2 * k - 2], rows[2 * k - 1]
             beta = ip(xp, 2 * k - 2) / self_ip[2 * k - 2]
             delta = ip(xq, 2 * k - 1) / self_ip[2 * k - 1]
         else:
@@ -203,24 +215,24 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         rec.append(RecurrenceStep(alpha=alpha, beta=beta,
                                   gamma=gamma, delta=delta))
 
-        # each update f + (-coef) g runs over g's Legendre length only, so
-        # the zeros above it keep their signs
-        xp[:, : k + 1] += -alpha * q_k[:, : k + 1]
-        xq[:, : k + 1] += -gamma * p_k[:, : k + 1]
+        # each update runs over the subtracted row's length only, so the
+        # zeros above it keep their signs
+        xp[:s] += -alpha * q_k
+        xq[:s] += -gamma * p_k
         if k > 0:
-            xp[:, :k] += -beta * p_prev[:, :k]
-            xq[:, :k] += -delta * q_prev[:, :k]
+            xp[: s - 2] += -beta * rows[2 * k - 2, : s - 2]
+            xq[: s - 2] += -delta * rows[2 * k - 1, : s - 2]
         if reorthogonalize:
-            # sequential (modified Gram-Schmidt) passes, one row at a time
+            # one classical Gram-Schmidt pass against every earlier row; the
+            # recurrence was the first pass, and twice is enough
             for new in (xp, xq):
-                for j in range(2 * k + 2):
-                    coef = ip(new, j) / self_ip[j]
-                    new[:, : j // 2 + 1] += -coef * rows[j, :, : j // 2 + 1]
+                coef = applied[:s, : s + 2] @ new / self_ip[:s]
+                new -= coef @ rows[:s, : s + 2]
         store(2 * k + 2, xp)
         store(2 * k + 3, xq)
 
-    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0, : n_max + 1],
-                    b=rows[:, 1, : n_max + 1], norms=norms, rec=rec)
+    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0:n_rows:2],
+                    b=rows[:, 1:n_rows:2], norms=norms, rec=rec)
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,

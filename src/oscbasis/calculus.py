@@ -50,14 +50,22 @@ def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator
     return DerivativeOperator(freq=freq, n_max=n_max, d_legtrig=D)
 
 
+# rows per back-substitution panel; even, so no 2x2 block is split
+PANEL = 64
+
+
 def _solve_block_upper(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve B X = Y for block upper triangular B with 2x2 blocks."""
-    n_blocks = B.shape[0] // 2
+    """Solve B X = Y for block upper triangular B and Y with 2x2 blocks.
+
+    X is block upper triangular too, so the back-substitution walks B in
+    PANEL-row panels from the bottom, each solved on the columns from its
+    first row on; X keeps exact zeros below the block diagonal.
+    """
     X = np.zeros_like(Y)
-    for i in reversed(range(n_blocks)):
-        rows = slice(2 * i, 2 * i + 2)
-        rhs = Y[rows] - B[rows, 2 * i + 2:] @ X[2 * i + 2:]
-        X[rows] = np.linalg.solve(B[rows, rows], rhs)
+    for lo in reversed(range(0, B.shape[0], PANEL)):
+        hi = lo + PANEL
+        rhs = Y[lo:hi, lo:] - B[lo:hi, hi:] @ X[hi:, lo:]
+        X[lo:hi, lo:] = np.linalg.solve(B[lo:hi, lo:hi], rhs)
     return X
 
 

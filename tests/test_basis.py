@@ -1,4 +1,5 @@
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -158,6 +159,32 @@ def test_degeneration_raises_with_context():
         tables = build_tables(freq, 25)
         with pytest.raises(BasisDegenerationError, match="member"):
             build_basis(freq, 24, tables)
+
+
+def test_collapse_is_refused_before_the_norm_turns_negative():
+    # at 2pi*3, N = 20 every norm^2 stays positive, but the coefficients
+    # grow until rounding alone swamps the Gram (oracle max|G - I| ~ 5 if
+    # the basis were returned)
+    freq = Frequency.exact(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        tables = build_tables(freq, 21)
+        with pytest.raises(BasisDegenerationError, match="member"):
+            build_basis(freq, 20, tables)
+
+
+@pytest.mark.parametrize("n_max", [39, 40, 41])
+@pytest.mark.parametrize("ratio", [1.05, 2, 4])
+def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
+    freq = Frequency.exact(math.ceil(ratio * n_max))
+    tables = build_tables(freq, n_max + 1)
+    dev = {}
+    for reorth in (False, True):
+        basis = build_basis(freq, n_max, tables, reorthogonalize=reorth)
+        G = member_gram(basis.rep, freq.omega)
+        dev[reorth] = np.max(np.abs(G - np.eye(G.shape[0])))
+    assert dev[True] <= 1e-10
+    assert dev[True] <= dev[False] + 1e-14
 
 
 def test_degeneration_check_refuses_nan_norm(freq20, tables20):

@@ -4,10 +4,12 @@ import pytest
 from oscbasis import (
     Frequency,
     build_basis,
+    build_tables,
     derivative_matrix_legtrig,
     to_orthogonal_basis,
 )
-from oscbasis.basis import evaluate_member
+from oscbasis.basis import evaluate_member, representation_matrix
+from oscbasis.calculus import _solve_block_upper
 from oscbasis.documents import (
     from_doc,
     load_operator,
@@ -85,6 +87,22 @@ def test_similarity_transform_small_residual(freq20, basis20):
     assert op.similarity_residual is not None
     assert op.similarity_residual <= 1e-9
     assert op.d_orth.shape == (26, 26)
+
+
+@pytest.mark.parametrize("n_max", [30, 31, 32, 63, 64])
+def test_panel_solve_matches_dense_solve(n_max):
+    # sizes 2(N+1) = 62, 64, 66, 128, 130 sit on both sides of the panel
+    # edges
+    freq = Frequency.exact(2 * n_max)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    B = representation_matrix(basis).T
+    Y = derivative_matrix_legtrig(freq, n_max).d_legtrig @ B
+    X = _solve_block_upper(B, Y)
+    blocks = np.arange(B.shape[0]) // 2
+    assert np.all(X[blocks[:, None] > blocks[None, :]] == 0.0)
+    assert np.max(np.abs(B @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
+    dense = np.linalg.solve(B, Y)
+    assert np.max(np.abs(X - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_transform_on_seed_pair_is_exact(freq20, tables20):
