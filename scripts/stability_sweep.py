@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Map orthogonality quality over an (omega, N) grid.
 
-For each combination this builds the basis and reports the worst Gram
-deviation max|<row_i, row_j> - delta_ij| measured by quadrature, or the
-member index where the recurrence degenerated.  CSV goes to --out,
-a readable table to stdout.
+For each combination this builds the basis and reports, as dev/rho, the
+worst Gram deviation max|<row_i, row_j> - delta_ij| measured by quadrature
+next to rho = u * max|c|^2 over the basis coefficients c (u the unit
+roundoff), the Gram error that rounding alone can cause; or the member
+index where the recurrence degenerated.  CSV goes to --out, a readable
+table to stdout.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from oscbasis import (
     build_basis,
     build_tables,
 )
+from oscbasis.basis import ROUNDOFF
 from oscbasis.oracle import member_gram
 
 
@@ -35,7 +38,8 @@ def sweep_cell(k: int, n: int) -> str:
             return f"degenerate@{member}"
     G = member_gram(basis.rep, freq.omega)
     dev = np.max(np.abs(G - np.eye(G.shape[0])))
-    return f"{dev:.3e}"
+    rho = ROUNDOFF * max(np.max(np.abs(basis.a)), np.max(np.abs(basis.b))) ** 2
+    return f"{dev:.3e}/{rho:.1e}"
 
 
 def main():
@@ -52,11 +56,12 @@ def main():
 
     rows = []
     header = ["omega"] + [f"N={n}" for n in ns]
-    print("  ".join(f"{h:>14}" for h in header))
+    print("cells: oracle max|G - I| / rho = u*max|c|^2")
+    print("  ".join(f"{h:>17}" for h in header))
     for k in ks:
         cells = [sweep_cell(k, n) for n in ns]
         rows.append([f"2pi*{k}"] + cells)
-        print("  ".join(f"{c:>14}" for c in rows[-1]))
+        print("  ".join(f"{c:>17}" for c in rows[-1]))
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -116,11 +116,15 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         against all previous rows before normalization.  Off by default;
         useful near the omega / (2 pi) <= n_max boundary.
 
-    Raises BasisDegenerationError when a pre-normalization norm drops below
-    1e-13, or when a normalized row's largest coefficient c makes u c^2 >= 1
-    (u the unit roundoff), so that rounding alone perturbs the Gram by as
-    much as the Gram itself.  Warns with StabilityWarning when the
-    oscillation period count omega / (2 pi) does not exceed n_max.
+    Pair k+1 depends only on pairs k and k-1, so (x p_k, x q_k) is
+    projected, normalized and checked as one block: one step per pair.
+
+    Raises BasisDegenerationError, naming the first such member, when a
+    pre-normalization norm drops below 1e-13 or is NaN, or when a
+    normalized row's largest coefficient c makes u c^2 >= 1 (u the unit
+    roundoff), so that rounding alone perturbs the Gram by as much as the
+    Gram itself.  Warns with StabilityWarning when the oscillation period
+    count omega / (2 pi) does not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
         raise ValueError(
@@ -148,91 +152,85 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         )
 
     # rows[i] holds member i in interleaved (a_0, b_0, a_1, b_1, ...)
-    # coordinates, zero beyond its first s = 2(i//2 + 1) entries, and
-    # applied[i] its image G rows[i] under the Gram of the bilinear form, so
-    # that <f, rows[i]> is one dot product over f's own length
-    size = 2 * (tables.n_max + 1)
-    G = np.empty((size, size))
-    G[0::2, 0::2] = tables.m3
-    G[0::2, 1::2] = G[1::2, 0::2] = tables.m2
-    G[1::2, 1::2] = tables.m4
+    # coordinates, zero past its first w = 2(i//2 + 1) entries; with x_i the
+    # member before normalization, applied[i] = G x_i over the w + 4 entries
+    # that quotients read and ip[i] = <rows[i], x_i>, so <f, rows[i]> /
+    # <rows[i], rows[i]> = f . applied[i] / ip[i].  A zero degree N+2 in G
+    # gives each pair's products the same shapes, and bits, at any N.
     n_rows = 2 * (n_max + 1)
-    rows = np.zeros((n_rows, size))
-    applied = np.zeros_like(rows)
+    size = n_rows + 2
+    G = np.empty((size, size))
+    G[0::2, 0::2] = tables.m3[: size // 2, : size // 2]
+    G[0::2, 1::2] = G[1::2, 0::2] = tables.m2[: size // 2, : size // 2]
+    G[1::2, 1::2] = tables.m4[: size // 2, : size // 2]
+    G = np.pad(G, (0, 2))
+    rows = np.zeros((n_rows, n_rows))
+    applied = np.zeros((n_rows, size + 2))
+    ip = np.empty(n_rows)
     norms = np.empty(n_rows)
-    self_ip = np.empty(n_rows)
-    rec: list[RecurrenceStep] = []
     # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so entries 2j and 2j+1
-    # of x f take j/(2j-1) (up) of degree j-1 and (j+1)/(2j+3) (down) of
-    # degree j+1
+    # of x f take j/(2j-1) of degree j-1 (up), (j+1)/(2j+3) of j+1 (down)
     deg = np.arange(size) // 2
     up = deg / (2.0 * deg - 1.0)
     down = (deg + 1) / (2.0 * deg + 3.0)
+    # quotients of (x p_k, x q_k) against (p_{k-1}, q_{k-1}, p_k, q_k)
+    quot = np.zeros((n_max, 2, 4))
+    used = np.array([[True, False, False, True], [False, True, True, False]])
 
-    def degenerated(i, why):
+    def degenerated(k, why):
         return BasisDegenerationError(
-            f"basis degenerated at member {i // 2}: {why} (omega="
+            f"basis degenerated at member {k}: {why} (omega="
             f"{freq.omega:.6g}, n_max={n_max}; the recurrence is reliable "
             f"only for omega/2pi > n_max)")
 
-    def ip(f, i):
-        return float(np.vdot(f, applied[i, : f.size]))
-
-    def store(i, f):
-        # G is symmetric and f is zero past its length, so G f is the
-        # product with a row prefix of G
-        Gf = f @ G[: f.size]
-        nsq = float(np.vdot(f, Gf[: f.size]))
-        if not nsq >= DEGENERATION_THRESHOLD ** 2:
-            raise degenerated(i, f"pre-normalization norm^2 = {nsq:.3e} is "
+    def store(k, X):
+        # normalize and store the pair X = (p_k, q_k); G is symmetric, so G X
+        # takes w rows of G, one row of X at a time (a 2-row product sums in
+        # longer chains, and its bases are less orthogonal near k = 1.6 N)
+        i, w = 2 * k, X.shape[1]
+        GX = applied[i : i + 2, : w + 4]
+        for x, gx in zip(X, GX):
+            np.matmul(x, G[:w, : w + 4], out=gx)
+        nsq = np.einsum("ij,ij->i", X, GX[:, :w])
+        if not nsq.min() >= DEGENERATION_THRESHOLD ** 2:
+            bad = nsq[~(nsq >= DEGENERATION_THRESHOLD ** 2)][0]
+            raise degenerated(k, f"pre-normalization norm^2 = {bad:.3e} is "
                                  f"below {DEGENERATION_THRESHOLD}^2")
-        norms[i] = np.sqrt(nsq)
-        scale = 1.0 / norms[i]
-        rows[i, : f.size], applied[i] = f * scale, Gf * scale
-        rho = ROUNDOFF * float(np.max(np.abs(rows[i]))) ** 2
-        if rho >= 1.0:
-            raise degenerated(i, f"u*max|c|^2 = {rho:.3e} >= 1, so rounding "
+        norms[i : i + 2] = np.sqrt(nsq)
+        scale = 1.0 / norms[i : i + 2, None]
+        R = np.multiply(X, scale, out=rows[i : i + 2, :w])
+        rho = ROUNDOFF * np.abs(R).max(axis=1) ** 2
+        if not rho.max() < 1.0:
+            bad = rho[~(rho < 1.0)][0]
+            raise degenerated(k, f"u*max|c|^2 = {bad:.3e} >= 1, so rounding "
                                  f"alone perturbs the Gram as much as the "
                                  f"Gram itself")
-        self_ip[i] = ip(rows[i, : f.size], i)
+        ip[i : i + 2] = np.einsum("ij,ij->i", R, GX[:, :w])
 
-    store(0, np.array([1.0, 0.0]))
-    store(1, np.array([0.0, 1.0]))
+    store(0, np.eye(2))
     for k in range(n_max):
         s = 2 * (k + 1)
-        p_k, q_k = rows[2 * k, :s], rows[2 * k + 1, :s]
-        xp, xq = np.zeros(s + 2), np.zeros(s + 2)
-        for new, f in ((xp, p_k), (xq, q_k)):
-            new[2:] = f * up[2 : s + 2]
-            new[: s - 2] += f[2:] * down[: s - 2]
-        alpha = ip(xp, 2 * k + 1) / self_ip[2 * k + 1]
-        gamma = ip(xq, 2 * k) / self_ip[2 * k]
-        if k > 0:
-            beta = ip(xp, 2 * k - 2) / self_ip[2 * k - 2]
-            delta = ip(xq, 2 * k - 1) / self_ip[2 * k - 1]
-        else:
-            beta = delta = 0.0
-        rec.append(RecurrenceStep(alpha=alpha, beta=beta,
-                                  gamma=gamma, delta=delta))
-
-        # each update runs over the subtracted row's length only, so the
-        # zeros above it keep their signs
-        xp[:s] += -alpha * q_k
-        xq[:s] += -gamma * p_k
-        if k > 0:
-            xp[: s - 2] += -beta * rows[2 * k - 2, : s - 2]
-            xq[: s - 2] += -delta * rows[2 * k - 1, : s - 2]
+        back = min(s, 4)
+        X = np.zeros((2, s + 2))
+        np.multiply(rows[s - 2 : s, :s], up[2 : s + 2], out=X[:, 2:])
+        X[:, : s - 2] += rows[s - 2 : s, 2:s] * down[: s - 2]
+        # one product gives the quotients against the last two pairs, and
+        # one more, with the unused ones left at zero, both subtractions
+        Q = quot[k, :, 4 - back :]
+        np.copyto(Q, X @ applied[s - back : s, : s + 2].T / ip[s - back : s],
+                  where=used[:, 4 - back :])
+        X -= Q @ rows[s - back : s, : s + 2]
         if reorthogonalize:
-            # one classical Gram-Schmidt pass against every earlier row; the
-            # recurrence was the first pass, and twice is enough
-            for new in (xp, xq):
-                coef = applied[:s, : s + 2] @ new / self_ip[:s]
-                new -= coef @ rows[:s, : s + 2]
-        store(2 * k + 2, xp)
-        store(2 * k + 3, xq)
+            # one classical Gram-Schmidt pass on all earlier rows (twice is
+            # enough); <X, rows[j]> = rows[j].G X, <rows[j], rows[j]> = ip/norm
+            X -= ((X @ G[: s + 2, :s]) @ rows[:s, :s].T
+                  * (norms[:s] / ip[:s])) @ rows[:s, : s + 2]
+        store(k + 1, X)
 
-    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0:n_rows:2],
-                    b=rows[:, 1:n_rows:2], norms=norms, rec=rec)
+    rec = [RecurrenceStep(*map(float, q)) for q in zip(
+        quot[:, 0, 3], quot[:, 0, 0], quot[:, 1, 2], quot[:, 1, 1])]
+    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0::2],
+                    b=rows[:, 1::2], norms=norms, rec=rec)
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,

@@ -117,27 +117,35 @@ def _times_x(c):
 def test_recurrence_steps_reproduce_stored_rows(basis20, tables20):
     for k in range(1, basis20.n_max):
         step = basis20.rec[k]
-        p_k, q_k = basis20.rep[2 * k], basis20.rep[2 * k + 1]
-        p_prev = basis20.rep[2 * k - 2]
-        want = basis20.norms[2 * k + 2]
-        got = basis20.rep[2 * k + 2]
-        for part in ("a", "b"):
-            raw = _times_x(getattr(p_k, part))
-            raw[: k + 1] -= step.alpha * getattr(q_k, part)
-            raw[:k] -= step.beta * getattr(p_prev, part)
-            assert raw.size == getattr(got, part).size
-            assert np.max(np.abs(raw - want * getattr(got, part))) <= 1e-12
+        p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
+        # x p_k - alpha q_k - beta p_{k-1} and x q_k - gamma p_k - delta q_{k-1}
+        for row, own, other, prev, (near, back) in (
+                (2 * k + 2, p_k, q_k, p_prev, (step.alpha, step.beta)),
+                (2 * k + 3, q_k, p_k, q_prev, (step.gamma, step.delta))):
+            want = basis20.norms[row]
+            got = basis20.rep[row]
+            for part in ("a", "b"):
+                raw = _times_x(getattr(own, part))
+                raw[: k + 1] -= near * getattr(other, part)
+                raw[:k] -= back * getattr(prev, part)
+                assert raw.size == getattr(got, part).size
+                assert np.max(np.abs(raw - want * getattr(got, part))) <= 1e-12
 
 
 def test_recurrence_quotients_are_table_inner_products(basis20, tables20):
+    def quotient(f, g):
+        return inner_product(f, g, tables20) / inner_product(g, g, tables20)
+
     for k in range(1, basis20.n_max):
         step = basis20.rec[k]
-        p_prev, p_k, q_k = (basis20.rep[i] for i in (2 * k - 2, 2 * k, 2 * k + 1))
+        p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
         xp = LegTrigCoeffs(_times_x(p_k.a), _times_x(p_k.b))
-        alpha = inner_product(xp, q_k, tables20) / inner_product(q_k, q_k, tables20)
-        beta = inner_product(xp, p_prev, tables20) / inner_product(p_prev, p_prev, tables20)
-        assert step.alpha == pytest.approx(alpha, rel=1e-12, abs=1e-14)
-        assert step.beta == pytest.approx(beta, rel=1e-12, abs=1e-14)
+        xq = LegTrigCoeffs(_times_x(q_k.a), _times_x(q_k.b))
+        for got, want in ((step.alpha, quotient(xp, q_k)),
+                          (step.beta, quotient(xp, p_prev)),
+                          (step.gamma, quotient(xq, p_k)),
+                          (step.delta, quotient(xq, q_prev))):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_reorthogonalization_tightens_marginal_gram():
@@ -150,6 +158,24 @@ def test_reorthogonalization_tightens_marginal_gram():
     dev_plain = np.max(np.abs(G_plain - np.eye(26)))
     dev_tight = np.max(np.abs(G_tight - np.eye(26)))
     assert dev_tight <= dev_plain + 1e-14
+
+
+@pytest.mark.parametrize("reorthogonalize", [False, True])
+def test_basis_is_bitwise_prefix_of_larger_build(reorthogonalize):
+    # a basis at N is the first 2(N+1) rows of the one at N' > N, bit for
+    # bit, whether it is built on its own tables or on the larger ones
+    freq = Frequency.exact(50)
+    shared = build_tables(freq, 41)
+    big = build_basis(freq, 40, shared, reorthogonalize=reorthogonalize)
+    for n_max in range(40):
+        rows = 2 * (n_max + 1)
+        for tables in (shared, build_tables(freq, n_max + 1)):
+            small = build_basis(freq, n_max, tables,
+                                reorthogonalize=reorthogonalize)
+            assert np.array_equal(small.a, big.a[:rows, : n_max + 1])
+            assert np.array_equal(small.b, big.b[:rows, : n_max + 1])
+            assert np.array_equal(small.norms, big.norms[:rows])
+            assert small.rec == big.rec[:n_max]
 
 
 def test_degeneration_raises_with_context():
@@ -192,6 +218,16 @@ def test_degeneration_check_refuses_nan_norm(freq20, tables20):
     tables.m3[2, 2] = np.nan
     with pytest.raises(BasisDegenerationError, match="norm\\^2 = nan"):
         build_basis(freq20, 4, tables)
+
+
+def test_degeneration_check_refuses_nan_in_q_row_only(freq20, tables20):
+    # M4[1, 1] enters only the sine part of q_1; p_1 of the same pair stays
+    # finite, and the pair is still refused
+    tables = copy.deepcopy(tables20)
+    tables.m4[1, 1] = np.nan
+    with pytest.raises(BasisDegenerationError,
+                       match=r"member 1: pre-normalization norm\^2 = nan"):
+        build_basis(freq20, 12, tables)
 
 
 def test_boundary_build_warns_but_succeeds():

@@ -8,8 +8,8 @@ from oscbasis import (
     derivative_matrix_legtrig,
     to_orthogonal_basis,
 )
-from oscbasis.basis import evaluate_member, representation_matrix
-from oscbasis.calculus import _solve_block_upper
+from oscbasis.basis import OscBasis, evaluate_member, representation_matrix
+from oscbasis.calculus import _solve_block_upper, _times_d
 from oscbasis.documents import (
     from_doc,
     load_operator,
@@ -103,6 +103,45 @@ def test_panel_solve_matches_dense_solve(n_max):
     assert np.max(np.abs(B @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
     dense = np.linalg.solve(B, Y)
     assert np.max(np.abs(X - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 63, 64, 200])
+def test_structured_transform_matches_dense_products(n_max):
+    # the smallest suffix sums, and sizes 2(N+1) on both sides of the
+    # 64-row panel edges
+    freq = Frequency.exact(2 * n_max + 1)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    op = derivative_matrix_legtrig(freq, n_max)
+    B = representation_matrix(basis).T
+    dense = op.d_legtrig @ B
+    scale = np.max(np.abs(dense))
+    # the solve and the residual share Y, so a wrong Y would not show in
+    # the residual; each of the two products is within about 1e-15 * scale
+    # of the exact one, so they differ by up to twice that
+    Y = _times_d(freq.omega, B)
+    assert np.max(np.abs(Y - dense)) <= 2e-15 * scale
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        exact = op.d_legtrig.astype(np.longdouble) @ B.astype(np.longdouble)
+        assert float(np.max(np.abs(Y - exact))) <= 1e-15 * scale
+    result = to_orthogonal_basis(op, basis)
+    assert np.array_equal(result.d_orth, _solve_block_upper(B, Y))
+    residual = np.max(np.abs(B @ result.d_orth - dense))
+    assert abs(result.similarity_residual - residual) <= 1e-12 * scale
+    blocks = np.arange(B.shape[0]) // 2
+    assert np.all(result.d_orth[blocks[:, None] > blocks[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("row, degree", [(0, 0), (81, 40)])
+def test_similarity_residual_propagates_nan(row, degree):
+    # N = 40 gives two panels; the NaN sits in the first or in the last one
+    freq = Frequency.exact(84)
+    basis = build_basis(freq, 40, build_tables(freq, 41))
+    a = basis.a.copy()
+    a[row, degree] = np.nan
+    broken = OscBasis(freq=freq, n_max=40, a=a, b=basis.b, norms=basis.norms,
+                      rec=basis.rec)
+    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 40), broken)
+    assert np.isnan(op.similarity_residual)
 
 
 def test_transform_on_seed_pair_is_exact(freq20, tables20):

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at desk size."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,7 @@ import oscbasis
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("script, args", [
-    ("monic_decay.py", ["--omega", "2pi*20", "--n", "10"]),
-    ("stability_sweep.py", ["--periods", "5,20", "--degrees", "4,8"]),
-    ("frequency_cost.py", ["--periods", "20,50", "--plain-cap", "400"]),
-])
-def test_script_runs(script, args):
+def _run(script, args):
     # run against the package under test, wherever it was imported from
     package_root = str(Path(oscbasis.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -28,3 +24,33 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines and lines[-1].strip()
+    return lines
+
+
+@pytest.mark.parametrize("script, args", [
+    ("monic_decay.py", ["--omega", "2pi*20", "--n", "10"]),
+    ("stability_sweep.py", ["--periods", "5,20", "--degrees", "4,8"]),
+    ("frequency_cost.py", ["--periods", "20,50", "--plain-cap", "400"]),
+    ("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"]),
+])
+def test_script_runs(script, args):
+    _run(script, args)
+
+
+def test_stability_sweep_prints_rho_next_to_each_deviation():
+    lines = _run("stability_sweep.py", ["--periods", "20", "--degrees", "4,8"])
+    cells = lines[-1].split()
+    assert cells[0] == "2pi*20"
+    for cell in cells[1:]:
+        assert re.fullmatch(r"\d\.\d{3}e[-+]\d+/\d\.\de[-+]\d+", cell), cell
+
+
+def test_construct_cost_prints_every_layer_and_rho():
+    lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"])
+    header, ok, refused = lines[-3].split(), lines[-2].split(), lines[-1].split()
+    for name in ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth", "rho"):
+        assert name in header
+    assert ok[0] == "2pi*20:12" and len(ok) == 7
+    assert all(float(ms) > 0.0 for ms in ok[1:6])
+    # at 2pi*3, N = 20 the plain build is refused, so there is no rho
+    assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
