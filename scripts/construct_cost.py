@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Median time of each construction layer, with the rounding figure rho.
+"""Median time of each construction layer, with rho and the Gram error.
 
 For each cell 2pi*k : N this times, R times over, `build_tables`, the
 plain and the reorthogonalized `build_basis`, `derivative_matrix_legtrig`
-and `to_orthogonal_basis`, and prints the median of each in milliseconds,
-next to rho = u * max|c|^2 over the plain basis's coefficients (u the unit
-roundoff), the size of the Gram error that rounding alone can cause.
+and `to_orthogonal_basis`, and prints the median of each in milliseconds.
+Next to them it prints rho = u * max|c|^2 over the plain basis's
+coefficients (u the unit roundoff), the size of the Gram error that
+rounding alone can cause, and the plain basis's quadrature-oracle max|G - I|
+(`member_gram`, computed once, outside the timed runs), the Gram error it
+has.
 
     python scripts/construct_cost.py --cells 330:200,84:40 --repeats 9
 """
@@ -26,13 +29,14 @@ from oscbasis import (
     to_orthogonal_basis,
 )
 from oscbasis.basis import ROUNDOFF
+from oscbasis.oracle import member_gram
 
 LAYERS = ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth")
 
 
 def time_cell(k: int, n: int, repeats: int):
-    """Median milliseconds per layer and rho, or None where a build is
-    refused."""
+    """Median milliseconds per layer, rho and the oracle max|G - I|, or
+    None where a build is refused."""
     freq = Frequency.exact(k)
     times = {name: [] for name in LAYERS}
 
@@ -59,9 +63,12 @@ def time_cell(k: int, n: int, repeats: int):
             timed("to_orth", to_orthogonal_basis, op, basis)
     ms = {name: 1e3 * float(np.median(t)) if t else None
           for name, t in times.items()}
-    rho = None if basis is None else ROUNDOFF * max(
-        float(np.max(np.abs(basis.a))), float(np.max(np.abs(basis.b)))) ** 2
-    return ms, rho
+    if basis is None:
+        return ms, None, None
+    rho = ROUNDOFF * max(float(np.max(np.abs(basis.a))),
+                         float(np.max(np.abs(basis.b)))) ** 2
+    G = member_gram(basis, freq.omega)
+    return ms, rho, float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
 def main():
@@ -75,16 +82,17 @@ def main():
         ap.error("--repeats must be at least 1")
 
     print(f"{'cell':>12}  " + "  ".join(f"{name:>12}" for name in LAYERS)
-          + f"  {'rho':>9}   (median ms of {args.repeats})")
+          + f"  {'rho':>9}  {'max|G-I|':>9}   (median ms of {args.repeats})")
     for spec in args.cells.split(","):
         k, n = (int(part) for part in spec.split(":"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
-            ms, rho = time_cell(k, n, args.repeats)
+            ms, rho, dev = time_cell(k, n, args.repeats)
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
         print(f"{f'2pi*{k}:{n}':>12}  " + "  ".join(cols) + "  "
-              + (f"{rho:9.2e}" if rho is not None else f"{'refused':>9}"))
+              + (f"{rho:9.2e}  {dev:9.2e}" if rho is not None
+                 else f"{'refused':>9}"))
 
 
 if __name__ == "__main__":

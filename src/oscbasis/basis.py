@@ -7,10 +7,13 @@ opposite member of the current pair and onto the same-side member one pair
 back, then normalize.  All inner products are the pairing bilinear form
 over the tables, so the only approximation anywhere is in the tables.
 
-Rows are stored interleaved [p_0, q_0, p_1, q_1, ...] in two coefficient
-arrays, the cosine part and the sine part; row 2k and 2k+1 have Legendre
-degree at most k, which makes the representation matrix B block upper
-triangular.
+On [-1, 1], p_k has parity (-1)^k and q_k (-1)^(k+1), so the build runs
+on two parity classes.  Class c has one coordinate per degree j, P_j
+cos(omega x) when j + c is even and P_j sin(omega x) otherwise, and one
+member per pair, p_k when k + c is even and q_k otherwise; the other half
+of every row, and of the Gram, is exactly zero.  The rows are stored in
+member order [p_0, q_0, p_1, q_1, ...] as two coefficient arrays, the
+cosine part and the sine part; rows 2k and 2k+1 have degree at most k.
 """
 
 from __future__ import annotations
@@ -151,86 +154,101 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
             stacklevel=2,
         )
 
-    # rows[i] holds member i in interleaved (a_0, b_0, a_1, b_1, ...)
-    # coordinates, zero past its first w = 2(i//2 + 1) entries; with x_i the
-    # member before normalization, applied[i] = G x_i over the w + 4 entries
-    # that quotients read and ip[i] = <rows[i], x_i>, so <f, rows[i]> /
-    # <rows[i], rows[i]> = f . applied[i] / ip[i].  A zero degree N+2 in G
-    # gives each pair's products the same shapes, and bits, at any N.
-    n_rows = 2 * (n_max + 1)
-    size = n_rows + 2
-    G = np.empty((size, size))
-    G[0::2, 0::2] = tables.m3[: size // 2, : size // 2]
-    G[0::2, 1::2] = G[1::2, 0::2] = tables.m2[: size // 2, : size // 2]
-    G[1::2, 1::2] = tables.m4[: size // 2, : size // 2]
-    G = np.pad(G, (0, 2))
-    rows = np.zeros((n_rows, n_rows))
-    applied = np.zeros((n_rows, size + 2))
-    ip = np.empty(n_rows)
-    norms = np.empty(n_rows)
-    # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so entries 2j and 2j+1
-    # of x f take j/(2j-1) of degree j-1 (up), (j+1)/(2j+3) of j+1 (down)
-    deg = np.arange(size) // 2
+    # rows[c, k] holds class c's member of pair k in class-c coordinates,
+    # zero past degree k: x times class 1 - c's member of pair k - 1, less
+    # its projections on class c's pairs k - 2 and k - 1.  With x_ck that
+    # member before normalization, applied[c, k] = G_c x_ck over the k + 3
+    # entries that quotients read and ip[c, k] = <rows[c, k], x_ck>, so
+    # <f, rows[c, k]> / <rows[c, k], rows[c, k]> = f . applied[c, k] /
+    # ip[c, k].  A zero degree N + 2 in G_c gives each pair's products the
+    # same shapes, and bits, at any N.
+    n = n_max + 1
+    # mixed degree parities pair cos with sin (M2), the others cos with cos
+    # (M3) or sin with sin (M4)
+    G = np.zeros((2, n + 2, n + 2))
+    G[:, : n + 1, : n + 1] = tables.m2[: n + 1, : n + 1]
+    for c, i in np.ndindex(2, 2):
+        G[c, i : n + 1 : 2, i : n + 1 : 2] = (tables.m3, tables.m4)[
+            (c + i) % 2][i : n + 1 : 2, i : n + 1 : 2]
+    rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
+    ip, norms = np.empty((2, 2, n))
+    # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so degree j of x f takes
+    # j/(2j-1) of degree j-1 (up) and (j+1)/(2j+3) of degree j+1 (down)
+    deg = np.arange(n + 1)
     up = deg / (2.0 * deg - 1.0)
     down = (deg + 1) / (2.0 * deg + 3.0)
-    # quotients of (x p_k, x q_k) against (p_{k-1}, q_{k-1}, p_k, q_k)
-    quot = np.zeros((n_max, 2, 4))
-    used = np.array([[True, False, False, True], [False, True, True, False]])
+    # quotients of each class's new member against its pairs k-1 and k
+    quot = np.zeros((n_max, 2, 2))
 
-    def degenerated(k, why):
-        return BasisDegenerationError(
-            f"basis degenerated at member {k}: {why} (omega="
-            f"{freq.omega:.6g}, n_max={n_max}; the recurrence is reliable "
-            f"only for omega/2pi > n_max)")
+    def check(k, values, ok, why):
+        # refuse pair k at its first member, in (p_k, q_k) order, whose
+        # value is not ok
+        for v in values.tolist()[:: -1 if k % 2 else 1]:
+            if not ok(v):
+                raise BasisDegenerationError(
+                    f"basis degenerated at member {k}: {why.format(v)} (omega="
+                    f"{freq.omega:.6g}, n_max={n_max}; the recurrence is "
+                    f"reliable only for omega/2pi > n_max)")
 
     def store(k, X):
-        # normalize and store the pair X = (p_k, q_k); G is symmetric, so G X
-        # takes w rows of G, one row of X at a time (a 2-row product sums in
-        # longer chains, and its bases are less orthogonal near k = 1.6 N)
-        i, w = 2 * k, X.shape[1]
-        GX = applied[i : i + 2, : w + 4]
-        for x, gx in zip(X, GX):
-            np.matmul(x, G[:w, : w + 4], out=gx)
-        nsq = np.einsum("ij,ij->i", X, GX[:, :w])
-        if not nsq.min() >= DEGENERATION_THRESHOLD ** 2:
-            bad = nsq[~(nsq >= DEGENERATION_THRESHOLD ** 2)][0]
-            raise degenerated(k, f"pre-normalization norm^2 = {bad:.3e} is "
-                                 f"below {DEGENERATION_THRESHOLD}^2")
-        norms[i : i + 2] = np.sqrt(nsq)
-        scale = 1.0 / norms[i : i + 2, None]
-        R = np.multiply(X, scale, out=rows[i : i + 2, :w])
-        rho = ROUNDOFF * np.abs(R).max(axis=1) ** 2
-        if not rho.max() < 1.0:
-            bad = rho[~(rho < 1.0)][0]
-            raise degenerated(k, f"u*max|c|^2 = {bad:.3e} >= 1, so rounding "
-                                 f"alone perturbs the Gram as much as the "
-                                 f"Gram itself")
-        ip[i : i + 2] = np.einsum("ij,ij->i", R, GX[:, :w])
+        # normalize and store pair k, X[c] its class-c member; G_c X[c] is a
+        # 1-row product per class (a 2-row product sums in longer chains,
+        # and its bases are less orthogonal near k = 1.6 N)
+        w = k + 1
+        GX = applied[:, k, : w + 2]
+        np.matmul(X[:, None], G[:, :w, : w + 2], out=GX[:, None])
+        nsq = (X[:, None] @ GX[:, :w, None])[:, 0, 0]
+        check(k, nsq, lambda v: v >= DEGENERATION_THRESHOLD ** 2,
+              "pre-normalization norm^2 = {:.3e} is below "
+              f"{DEGENERATION_THRESHOLD}^2")
+        norms[:, k] = np.sqrt(nsq)
+        R = np.divide(X, norms[:, k, None], out=rows[:, k, :w])
+        check(k, ROUNDOFF * np.abs(R).max(axis=1) ** 2, lambda v: v < 1.0,
+              "u*max|c|^2 = {:.3e} >= 1, so rounding alone perturbs the "
+              "Gram as much as the Gram itself")
+        ip[:, k] = (R[:, None] @ GX[:, :w, None])[:, 0, 0]
 
-    store(0, np.eye(2))
+    store(0, np.ones((2, 1)))
     for k in range(n_max):
-        s = 2 * (k + 1)
-        back = min(s, 4)
-        X = np.zeros((2, s + 2))
-        np.multiply(rows[s - 2 : s, :s], up[2 : s + 2], out=X[:, 2:])
-        X[:, : s - 2] += rows[s - 2 : s, 2:s] * down[: s - 2]
-        # one product gives the quotients against the last two pairs, and
-        # one more, with the unused ones left at zero, both subtractions
-        Q = quot[k, :, 4 - back :]
-        np.copyto(Q, X @ applied[s - back : s, : s + 2].T / ip[s - back : s],
-                  where=used[:, 4 - back :])
-        X -= Q @ rows[s - back : s, : s + 2]
+        X = np.zeros((2, k + 2))
+        other = rows[::-1, k, : k + 1]
+        np.multiply(other, up[1 : k + 2], out=X[:, 1:])
+        X[:, :k] += other[:, 1:] * down[:k]
+        lo = max(k - 1, 0)  # pairs lo ... k: k - 1 and k, or 0 at first
+        Q = quot[k, :, lo - k + 1 :]
+        Q[:] = (applied[:, lo : k + 1, : k + 2] @ X[:, :, None])[:, :, 0]
+        Q /= ip[:, lo : k + 1]
+        X -= (Q[:, None] @ rows[:, lo : k + 1, : k + 2])[:, 0]
         if reorthogonalize:
-            # one classical Gram-Schmidt pass on all earlier rows (twice is
-            # enough); <X, rows[j]> = rows[j].G X, <rows[j], rows[j]> = ip/norm
-            X -= ((X @ G[: s + 2, :s]) @ rows[:s, :s].T
-                  * (norms[:s] / ip[:s])) @ rows[:s, : s + 2]
+            # one classical Gram-Schmidt pass on all earlier members of the
+            # class (twice is enough); <X, rows[c, m]> = rows[c, m].G_c X,
+            # <rows[c, m], rows[c, m]> = ip / norm
+            coef = ((X[:, None] @ G[:, : k + 2, : k + 1])
+                    @ rows[:, : k + 1, : k + 1].transpose(0, 2, 1)
+                    * (norms[:, None, : k + 1] / ip[:, None, : k + 1]))
+            X -= (coef @ rows[:, : k + 1, : k + 2])[:, 0]
         store(k + 1, X)
 
-    rec = [RecurrenceStep(*map(float, q)) for q in zip(
-        quot[:, 0, 3], quot[:, 0, 0], quot[:, 1, 2], quot[:, 1, 1])]
-    return OscBasis(freq=freq, n_max=n_max, a=rows[:, 0::2],
-                    b=rows[:, 1::2], norms=norms, rec=rec)
+    # class (k+1) % 2 holds p_{k+1}: its quotients are alpha (against q_k)
+    # and beta (p_{k-1}); class k % 2 holds q_{k+1}: gamma and delta
+    k = np.arange(n_max)
+    p, q = quot[k, (k + 1) % 2], quot[k, k % 2]
+    rec = [RecurrenceStep(*map(float, r))
+           for r in zip(p[:, 1], p[:, 0], q[:, 1], q[:, 0])]
+    member = class_rows(n_max)
+    a, b, flat = np.zeros((2 * n, n)), np.zeros((2 * n, n)), np.empty(2 * n)
+    flat[member] = norms
+    for c in (0, 1):  # class c's coordinate j is P_j cos for j = c, c + 2, ...
+        a[member[c], c::2] = rows[c, :, c::2]
+        b[member[c], 1 - c :: 2] = rows[c, :, 1 - c :: 2]
+    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=flat, rec=rec)
+
+
+def class_rows(n_max: int) -> np.ndarray:
+    """[c, k]: the row of class c's member of pair k, 2k (p_k) or 2k + 1
+    (q_k); its parity is 1 where class c's coordinate k is P_k sin."""
+    k = np.arange(n_max + 1)
+    return 2 * k + (k + np.arange(2)[:, None]) % 2
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,

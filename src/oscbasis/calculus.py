@@ -8,11 +8,13 @@ omega * [[0, 1], [-1, 0]] for the trig part, and (2m+1) times the 2x2
 identity at block (m, j) for odd j-m > 0.
 
 The same operator expressed in the orthonormal basis is B^-1 D B, where the
-columns of B are the basis members in interleaved coordinates.  D B needs
-no dense product: row pair m is omega times the other trig row of degree m
-plus 2m+1 times the sum of the row pairs of degrees m+1, m+3, ..., a suffix
-sum within one parity class of degrees.  B is block upper triangular, so
-the transform needs one block back-substitution and no explicit inverse.
+columns of B are the basis members.  D flips parity, so it maps each
+parity class (see the basis module) to the other, and the class-c block of
+d_orth is B_{1-c}^-1 (D B_c), with B_c the upper triangular (N+1)-square
+block of class c's members.  D B_c needs no dense product: row m is omega
+times row m of B_c, negated for a cosine row (the trig swap), plus 2m+1
+times the stride-2 suffix sum of rows m+1, m+3, ....  Each block then
+takes one panel back-substitution and no explicit inverse.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import OscBasis, representation_matrix
+from .basis import OscBasis, class_rows
 from .frequency import Frequency
 
 
@@ -52,39 +54,56 @@ def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator
     return DerivativeOperator(freq=freq, n_max=n_max, d_legtrig=D)
 
 
-# rows per back-substitution panel; even, so no 2x2 block is split
+# rows per back-substitution panel
 PANEL = 64
 
 
-def _solve_block_upper(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve B X = Y for block upper triangular B and Y with 2x2 blocks.
-
-    X is block upper triangular too, so the back-substitution walks B in
-    PANEL-row panels from the bottom, each solved on the columns from its
-    first row on; X keeps exact zeros below the block diagonal.
-    """
-    X = np.zeros_like(Y)
-    for lo in reversed(range(0, B.shape[0], PANEL)):
-        hi = lo + PANEL
-        rhs = Y[lo:hi, lo:] - B[lo:hi, hi:] @ X[hi:, lo:]
-        X[lo:hi, lo:] = np.linalg.solve(B[lo:hi, lo:hi], rhs)
-    return X
+def _class_blocks(basis: OscBasis) -> np.ndarray:
+    """B_c for classes c = 0, 1, stacked: column k is class c's member of
+    pair k in class-c coordinates, so B_c is upper triangular.  A nonzero
+    or NaN coefficient of the wrong parity, which has no place in B_c, is
+    refused with ValueError naming its member and degree."""
+    member = class_rows(basis.n_max)
+    cos_part, sin_part = basis.a[member], basis.b[member]
+    for c in (0, 1):
+        # class c's coordinate j is P_j cos for j = c, c + 2, ...
+        for part, name, s in ((cos_part, "cosine", 1 - c), (sin_part, "sine", c)):
+            if np.any(part[c, :, s::2]):
+                k, j = np.argwhere(part[c, :, s::2])[0]
+                i, j = member[c, k], s + 2 * j
+                raise ValueError(
+                    f"basis member {i} ({'pq'[i % 2]}_{k}) has {name} "
+                    f"coefficient {float(part[c, k, j])!r} at degree {j}, where "
+                    f"its parity requires 0; the basis file is corrupted")
+        cos_part[c, :, 1 - c :: 2] = sin_part[c, :, 1 - c :: 2]
+    return np.ascontiguousarray(cos_part.transpose(0, 2, 1))
 
 
 def _times_d(omega: float, B: np.ndarray) -> np.ndarray:
-    """D B for the derivative matrix D at omega, in O(N^2) without D."""
+    """D B_c for both classes, in O(N^2) without D: row m of block c is
+    in class 1 - c coordinates."""
     Y = np.zeros(B.shape)
-    by_degree = Y.reshape(B.shape[0] // 2, 2, -1)
-    B_by_degree = B.reshape(by_degree.shape)
     for parity in (0, 1):
-        # pairs m = parity, parity + 2, ... take degrees m+1, m+3, ...
-        later = B_by_degree[parity + 1 :: 2]
-        np.cumsum(later[::-1], axis=0,
-                  out=by_degree[parity::2][: len(later)][::-1])
-    by_degree *= (2.0 * np.arange(len(by_degree)) + 1.0)[:, None, None]
-    Y[0::2] += omega * B[1::2]
-    Y[1::2] -= omega * B[0::2]
+        # rows m = parity, parity + 2, ... take degrees m+1, m+3, ...
+        later = B[:, parity + 1 :: 2]
+        np.cumsum(later[:, ::-1], axis=1,
+                  out=Y[:, parity::2][:, : later.shape[1]][:, ::-1])
+    Y *= (2.0 * np.arange(B.shape[1]) + 1.0)[:, None]
+    # D(P_m cos) has -omega P_m sin and D(P_m sin) has +omega P_m cos
+    Y += np.where(class_rows(B.shape[1] - 1) % 2, omega, -omega)[:, :, None] * B
     return Y
+
+
+def _solve_upper(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Solve B[c] X[c] = Y[c] for upper triangular B[c] and Y[c], c = 0, 1,
+    by back-substitution in PANEL-row panels from the bottom, each on the
+    columns from its first row on; X keeps exact zeros below the diagonal."""
+    X = np.zeros_like(Y)
+    for lo in reversed(range(0, B.shape[1], PANEL)):
+        hi = lo + PANEL
+        rhs = Y[:, lo:hi, lo:] - B[:, lo:hi, hi:] @ X[:, hi:, lo:]
+        X[:, lo:hi, lo:] = np.linalg.solve(B[:, lo:hi, lo:hi], rhs)
+    return X
 
 
 def to_orthogonal_basis(op: DerivativeOperator,
@@ -93,9 +112,9 @@ def to_orthogonal_basis(op: DerivativeOperator,
 
     B's columns are the basis members, so d_orth acts on coefficient
     vectors expressed in the orthonormal basis.  The similarity residual
-    max|B d_orth - D B| is recorded on the result for checking; all three
-    are zero below the 2x2 block diagonal, so it is taken over the block
-    upper part, panel by panel.
+    max|B_{1-c} X_c - D B_c| over the upper parts of the class blocks is
+    recorded on the result for checking.  A basis with a coefficient of
+    the wrong parity is refused.
     """
     if op.freq.omega != basis.freq.omega:
         raise ValueError(
@@ -106,15 +125,18 @@ def to_orthogonal_basis(op: DerivativeOperator,
         raise ValueError(
             f"size mismatch: operator n_max={op.n_max}, basis n_max={basis.n_max}"
         )
-    B = representation_matrix(basis).T
+    B = _class_blocks(basis)
     Y = _times_d(op.freq.omega, B)
     try:
-        d_orth = _solve_block_upper(B, Y)
+        X = _solve_upper(B[::-1], Y)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"representation matrix is singular ({exc}); the basis file is corrupted"
         ) from exc
     residual = float(np.max([np.max(np.abs(
-        B[lo : lo + PANEL, lo:] @ d_orth[lo:, lo:] - Y[lo : lo + PANEL, lo:]))
-        for lo in range(0, B.shape[0], PANEL)]))
+        B[::-1, lo : lo + PANEL, lo:] @ X[:, lo:, lo:]
+        - Y[:, lo : lo + PANEL, lo:])) for lo in range(0, B.shape[1], PANEL)]))
+    member = class_rows(basis.n_max)
+    d_orth = np.zeros((member.size, member.size))
+    d_orth[member[::-1, :, None], member[:, None]] = X
     return replace(op, d_orth=d_orth, similarity_residual=residual)

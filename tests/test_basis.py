@@ -19,6 +19,7 @@ from oscbasis import (
 )
 from oscbasis.basis import member_values, representation_matrix
 from oscbasis.documents import from_doc, save_basis_csv, to_doc
+from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram
 from oscbasis.pairing import LegTrigCoeffs, gram_matrix, inner_product
 
@@ -163,19 +164,40 @@ def test_reorthogonalization_tightens_marginal_gram():
 @pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_basis_is_bitwise_prefix_of_larger_build(reorthogonalize):
     # a basis at N is the first 2(N+1) rows of the one at N' > N, bit for
-    # bit, whether it is built on its own tables or on the larger ones
-    freq = Frequency.exact(50)
-    shared = build_tables(freq, 41)
-    big = build_basis(freq, 40, shared, reorthogonalize=reorthogonalize)
-    for n_max in range(40):
-        rows = 2 * (n_max + 1)
-        for tables in (shared, build_tables(freq, n_max + 1)):
-            small = build_basis(freq, n_max, tables,
-                                reorthogonalize=reorthogonalize)
-            assert np.array_equal(small.a, big.a[:rows, : n_max + 1])
-            assert np.array_equal(small.b, big.b[:rows, : n_max + 1])
-            assert np.array_equal(small.norms, big.norms[:rows])
-            assert small.rec == big.rec[:n_max]
+    # bit, whether it is built on its own tables or on the larger ones, at
+    # an exact multiple and off the 2 pi grid
+    for freq in (Frequency.exact(50), Frequency.from_omega(200.3)):
+        shared = build_tables(freq, 41)
+        big = _build_quiet(freq, 40, shared, reorthogonalize=reorthogonalize)
+        for n_max in range(40):
+            rows = 2 * (n_max + 1)
+            for tables in (shared, build_tables(freq, n_max + 1)):
+                small = _build_quiet(freq, n_max, tables,
+                                     reorthogonalize=reorthogonalize)
+                assert np.array_equal(small.a, big.a[:rows, : n_max + 1])
+                assert np.array_equal(small.b, big.b[:rows, : n_max + 1])
+                assert np.array_equal(small.norms, big.norms[:rows])
+                assert small.rec == big.rec[:n_max]
+
+
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(50), n) for n in (0, 1, 2, 63, 64)] + [
+    (Frequency.from_omega(200.3), n) for n in (0, 1, 2, 63, 64)] + [
+    # both frequencies above are refused at N = 200 (the basis collapses
+    # at member 112 and 89), so N = 200 takes 2pi*330 and an off-grid
+    # neighbour
+    (Frequency.exact(330), 200), (Frequency.from_omega(TWO_PI * 330 + 0.3), 200)])
+@pytest.mark.parametrize("reorthogonalize", [False, True])
+def test_rows_are_zero_at_opposite_parity(freq, n_max, reorthogonalize):
+    # p_k has parity (-1)^k and q_k (-1)^(k+1), and P_j cos(omega x) has
+    # (-1)^j and P_j sin(omega x) (-1)^(j+1): member i = 2k + s leaves its
+    # cosine part zero where j + k + s is odd and its sine part where even
+    basis = _build_quiet(freq, n_max, build_tables(freq, n_max + 1),
+                         reorthogonalize=reorthogonalize)
+    i, j = np.ogrid[: 2 * (n_max + 1), : n_max + 1]
+    odd = (i // 2 + i % 2 + j) % 2 == 1
+    assert np.all(basis.a[odd] == 0.0)
+    assert np.all(basis.b[~odd] == 0.0)
 
 
 def test_degeneration_raises_with_context():

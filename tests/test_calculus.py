@@ -1,15 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oscbasis import (
     Frequency,
+    StabilityWarning,
     build_basis,
     build_tables,
     derivative_matrix_legtrig,
     to_orthogonal_basis,
 )
-from oscbasis.basis import OscBasis, evaluate_member, representation_matrix
-from oscbasis.calculus import _solve_block_upper, _times_d
+from oscbasis.basis import (
+    OscBasis,
+    class_rows,
+    evaluate_member,
+    representation_matrix,
+)
+from oscbasis.calculus import _class_blocks, _solve_upper, _times_d
 from oscbasis.documents import (
     from_doc,
     load_operator,
@@ -17,6 +25,7 @@ from oscbasis.documents import (
     save_operator_csv,
     to_doc,
 )
+from oscbasis.frequency import TWO_PI
 from oscbasis.pairing import LegTrigCoeffs
 
 
@@ -89,59 +98,111 @@ def test_similarity_transform_small_residual(freq20, basis20):
     assert op.d_orth.shape == (26, 26)
 
 
-@pytest.mark.parametrize("n_max", [30, 31, 32, 63, 64])
+def _blocks(M, index, from_class):
+    """The class blocks of an interleaved matrix M: block c has rows in
+    class from_class[c] and columns in class c, and index = class_rows(N)
+    gives each class's positions in M."""
+    return M[index[from_class][:, :, None], index[:, None, :]]
+
+
+@pytest.mark.parametrize("n_max", [30, 31, 32, 62, 63, 64, 127, 128, 200])
 def test_panel_solve_matches_dense_solve(n_max):
-    # sizes 2(N+1) = 62, 64, 66, 128, 130 sit on both sides of the panel
-    # edges
+    # class sizes N + 1 = 63, 64, 65, 128, 129 sit on both sides of the
+    # panel edges
     freq = Frequency.exact(2 * n_max)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
-    B = representation_matrix(basis).T
-    Y = derivative_matrix_legtrig(freq, n_max).d_legtrig @ B
-    X = _solve_block_upper(B, Y)
-    blocks = np.arange(B.shape[0]) // 2
-    assert np.all(X[blocks[:, None] > blocks[None, :]] == 0.0)
-    assert np.max(np.abs(B @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
-    dense = np.linalg.solve(B, Y)
+    B = _class_blocks(basis)
+    index = class_rows(n_max)
+    DB = derivative_matrix_legtrig(freq, n_max).d_legtrig @ representation_matrix(basis).T
+    Y = _blocks(DB, index, [1, 0])
+    X = _solve_upper(B[::-1], Y)
+    assert np.all(np.tril(X, -1) == 0.0)
+    assert np.max(np.abs(B[::-1] @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
+    dense = np.linalg.solve(B[::-1], Y)
     assert np.max(np.abs(X - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 63, 64, 200])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 62, 63, 64, 127, 128, 200])
 def test_structured_transform_matches_dense_products(n_max):
-    # the smallest suffix sums, and sizes 2(N+1) on both sides of the
+    # the smallest suffix sums, and class sizes N + 1 on both sides of the
     # 64-row panel edges
     freq = Frequency.exact(2 * n_max + 1)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     op = derivative_matrix_legtrig(freq, n_max)
     B = representation_matrix(basis).T
+    index = class_rows(n_max)
+    Bc = _class_blocks(basis)
+    assert np.array_equal(Bc, _blocks(B, index, [0, 1]))
     dense = op.d_legtrig @ B
     scale = np.max(np.abs(dense))
+    # D maps class c to class 1 - c, so the class blocks hold all of D B
+    assert np.count_nonzero(dense) == np.count_nonzero(_blocks(dense, index, [1, 0]))
     # the solve and the residual share Y, so a wrong Y would not show in
     # the residual; each of the two products is within about 1e-15 * scale
     # of the exact one, so they differ by up to twice that
-    Y = _times_d(freq.omega, B)
-    assert np.max(np.abs(Y - dense)) <= 2e-15 * scale
+    Y = _times_d(freq.omega, Bc)
+    assert np.max(np.abs(Y - _blocks(dense, index, [1, 0]))) <= 2e-15 * scale
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
         exact = op.d_legtrig.astype(np.longdouble) @ B.astype(np.longdouble)
-        assert float(np.max(np.abs(Y - exact))) <= 1e-15 * scale
+        assert float(np.max(np.abs(Y - _blocks(exact, index, [1, 0])))) <= 1e-15 * scale
     result = to_orthogonal_basis(op, basis)
-    assert np.array_equal(result.d_orth, _solve_block_upper(B, Y))
+    assert np.array_equal(_blocks(result.d_orth, index, [1, 0]),
+                          _solve_upper(Bc[::-1], Y))
     residual = np.max(np.abs(B @ result.d_orth - dense))
     assert abs(result.similarity_residual - residual) <= 1e-12 * scale
     blocks = np.arange(B.shape[0]) // 2
     assert np.all(result.d_orth[blocks[:, None] > blocks[None, :]] == 0.0)
 
 
-@pytest.mark.parametrize("row, degree", [(0, 0), (81, 40)])
+PARITY_CELLS = [(Frequency.exact(50), n) for n in (0, 1, 2, 63, 64)] + [
+    (Frequency.from_omega(200.3), n) for n in (0, 1, 2, 63, 64)] + [
+    # both frequencies above are refused at N = 200 (the basis collapses
+    # at member 112 and 89), so N = 200 takes 2pi*330 and an off-grid
+    # neighbour
+    (Frequency.exact(330), 200), (Frequency.from_omega(TWO_PI * 330 + 0.3), 200)]
+
+
+@pytest.mark.parametrize("freq, n_max", PARITY_CELLS)
+def test_derivative_couples_only_opposite_classes(freq, n_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    d_orth = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis).d_orth
+    i = np.arange(2 * (n_max + 1))
+    pair, member_class = i // 2, (i // 2 + i % 2) % 2
+    same_class = member_class[:, None] == member_class[None, :]
+    below = pair[:, None] > pair[None, :]
+    assert np.all(d_orth[same_class | below] == 0.0)
+
+
+@pytest.mark.parametrize("row, degree", [(0, 0), (140, 70)])
 def test_similarity_residual_propagates_nan(row, degree):
-    # N = 40 gives two panels; the NaN sits in the first or in the last one
-    freq = Frequency.exact(84)
-    basis = build_basis(freq, 40, build_tables(freq, 41))
+    # N = 70 gives two 64-row panels per class; the NaN sits on a
+    # coefficient of the right parity in the first or in the last one
+    freq = Frequency.exact(147)
+    basis = build_basis(freq, 70, build_tables(freq, 71))
     a = basis.a.copy()
     a[row, degree] = np.nan
-    broken = OscBasis(freq=freq, n_max=40, a=a, b=basis.b, norms=basis.norms,
+    broken = OscBasis(freq=freq, n_max=70, a=a, b=basis.b, norms=basis.norms,
                       rec=basis.rec)
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 40), broken)
+    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 70), broken)
     assert np.isnan(op.similarity_residual)
+
+
+@pytest.mark.parametrize("part, row, degree, value, message", [
+    ("a", 81, 40, np.nan, r"member 81 \(q_40\) has cosine coefficient nan at degree 40"),
+    ("b", 80, 38, 1e-300, r"member 80 \(p_40\) has sine coefficient 1e-300 at degree 38"),
+], ids=["nan", "finite"])
+def test_transform_refuses_wrong_parity_coefficient(part, row, degree, value, message):
+    # the class blocks have no place for such a coefficient, so it is
+    # refused rather than dropped
+    freq = Frequency.exact(84)
+    basis = build_basis(freq, 40, build_tables(freq, 41))
+    arrays = {"a": basis.a.copy(), "b": basis.b.copy()}
+    arrays[part][row, degree] = value
+    broken = OscBasis(freq=freq, n_max=40, norms=basis.norms, rec=basis.rec, **arrays)
+    with pytest.raises(ValueError, match=message + ", where its parity requires 0"):
+        to_orthogonal_basis(derivative_matrix_legtrig(freq, 40), broken)
 
 
 def test_transform_on_seed_pair_is_exact(freq20, tables20):

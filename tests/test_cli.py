@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oscbasis import StabilityWarning, load_basis
+from oscbasis import StabilityWarning, load_basis, save_basis
 from oscbasis.approx import BasisRef, Expansion
+from oscbasis.basis import OscBasis
 from oscbasis.cli import main
 from oscbasis.documents import save_expansion
 from oscbasis.frequency import TWO_PI
@@ -402,6 +403,43 @@ def test_diff_rejects_mismatched_expansion(workdir, tmp_path):
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
     assert rc == 2
+
+
+def test_diff_refuses_wrong_parity_coefficient(workdir, tmp_path, capsys):
+    # q_4 (row 9) has odd parity, so its cosine part is zero at degree 4;
+    # the expansion references the altered basis, so only the parity check
+    # stands in the way
+    basis = load_basis(workdir / "basis.json")
+    a = basis.a.copy()
+    a[9, 4] = 1e-3
+    broken = OscBasis(freq=basis.freq, n_max=basis.n_max, a=a, b=basis.b,
+                      norms=basis.norms, rec=basis.rec)
+    save_basis(broken, tmp_path / "broken.json")
+    exp_path = tmp_path / "e.json"
+    save_expansion(Expansion(basis_ref=BasisRef.from_basis(broken),
+                             coeffs=np.ones(18)), exp_path)
+    rc = _run("diff", "--basis", tmp_path / "broken.json", "--expansion", exp_path,
+              "--out", tmp_path / "d.json")
+    assert rc == 2
+    assert ("basis member 9 (q_4) has cosine coefficient 0.001 at degree 4"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_diff_refuses_wrong_parity_nan(workdir, tmp_path, capsys):
+    # a NaN does not get as far as the parity check: the loader refuses it
+    doc = json.loads((workdir / "basis.json").read_text())
+    doc["rows"][9]["a"][4] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(doc))
+    basis = load_basis(workdir / "basis.json")
+    exp_path = tmp_path / "e.json"
+    save_expansion(Expansion(basis_ref=BasisRef.from_basis(basis),
+                             coeffs=np.ones(18)), exp_path)
+    rc = _run("diff", "--basis", tmp_path / "nan.json", "--expansion", exp_path,
+              "--out", tmp_path / "d.json")
+    assert rc == 2
+    assert "basis row 9 (a, b) has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_hilbert_demo_single_mode(tmp_path):
