@@ -12,20 +12,21 @@ import argparse
 
 import numpy as np
 
-from oscbasis import ENVELOPES, Frequency, OscTarget, build_basis, build_tables, project
+from oscbasis import (ENVELOPES, Expansion, Frequency, OscTarget, build_basis,
+                      build_tables, project, residual_norm)
 from oscbasis.approx import plain_legendre_residuals
-from oscbasis.oracle import integrate
 
 
 def smallest_osc_degree(freq, target, tol, n_cap=12):
+    """Smallest n whose expansion in pairs 0 ... n has residual norm <= tol,
+    by `residual_norm` on the projection with its tail zeroed."""
     tables = build_tables(freq, n_cap + 1)
     basis = build_basis(freq, n_cap, tables)
     exp = project(target, basis)
-    total = integrate(lambda x: target.evaluate(x) ** 2, freq)
-    c2 = exp.coeffs ** 2
     for n in range(n_cap + 1):
-        resid = np.sqrt(max(total - float(np.sum(c2[: 2 * (n + 1)])), 0.0))
-        if resid <= tol:
+        coeffs = exp.coeffs.copy()
+        coeffs[2 * (n + 1):] = 0.0
+        if residual_norm(target, Expansion(exp.basis_ref, coeffs), basis) <= tol:
             return n
     return None
 

@@ -10,8 +10,8 @@ quadrature oracle.
 from .approx import (ENVELOPES, BasisRef, Expansion, OscTarget,
                      evaluate_expansion, plain_legendre_residuals, project,
                      reduce_frequency, residual_norm)
-from .basis import (BasisDegenerationError, OscBasis, RecurrenceStep,
-                    build_basis, evaluate_member, monic_norm_profile)
+from .basis import (BasisDegenerationError, OscBasis, build_basis,
+                    evaluate_member, monic_norm_profile)
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
                        to_orthogonal_basis)
 from .documents import (load_basis, load_expansion, load_operator, load_tables,
@@ -40,7 +40,6 @@ __all__ = [
     "OscBasis",
     "OscTarget",
     "QuadratureRule",
-    "RecurrenceStep",
     "StabilityWarning",
     "VerifyReport",
     "build_basis",

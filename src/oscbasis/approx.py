@@ -68,7 +68,7 @@ class OscTarget:
         fv = np.broadcast_to(np.asarray(self.f_env(xa), dtype=float), xa.shape)
         gv = np.broadcast_to(np.asarray(self.g_env(xa), dtype=float), xa.shape)
         vals = fv * np.sin(self.freq_raw * xa) + gv * np.cos(self.freq_raw * xa)
-        return vals if isinstance(x, np.ndarray) else float(vals)
+        return float(vals) if vals.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,6 @@ def _check_match(exp: Expansion, basis: OscBasis):
             f"expansion was computed against basis {want[:12]}..., "
             f"got basis {have[:12]}..."
         )
-
-
-def _expansion_values(coeffs: np.ndarray, basis: OscBasis, x):
-    """sum_i coeffs[i] * row_i(x), collapsed to one Legendre-trig function."""
-    return LegTrigCoeffs(a=coeffs @ basis.a,
-                         b=coeffs @ basis.b).evaluate(basis.freq.omega, x)
 
 
 @lru_cache(maxsize=2)
@@ -252,9 +246,11 @@ def project(target: OscTarget, basis: OscBasis) -> Expansion:
 
 
 def evaluate_expansion(exp: Expansion, basis: OscBasis, x):
-    """Sum of coeffs[i] * row_i(x); x may be scalar or ndarray."""
+    """Sum of coeffs[i] * row_i(x), collapsed to one Legendre-trig function:
+    a float for a scalar or 0-d x, else an array of x's shape."""
     _check_match(exp, basis)
-    return _expansion_values(exp.coeffs, basis, x)
+    return LegTrigCoeffs(a=exp.coeffs @ basis.a,
+                         b=exp.coeffs @ basis.b).evaluate(basis.freq.omega, x)
 
 
 def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:

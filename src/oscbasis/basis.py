@@ -14,6 +14,8 @@ member per pair, p_k when k + c is even and q_k otherwise; the other half
 of every row, and of the Gram, is exactly zero.  The rows are stored in
 member order [p_0, q_0, p_1, q_1, ...] as two coefficient arrays, the
 cosine part and the sine part; rows 2k and 2k+1 have degree at most k.
+An OscBasis refuses a nonzero coefficient of the wrong parity, and
+class_blocks gathers its rows back into the classes.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ class BasisDegenerationError(RuntimeError):
     threshold (orthogonality has collapsed, typically omega/2pi <= n_max)."""
 
 
-@dataclass(frozen=True)
-class RecurrenceStep:
-    """Projection quotients used to build pair k+1 from pairs k and k-1.
-
-    alpha = <x p_k, q_k> / <q_k, q_k>, beta = <x p_k, p_{k-1}> / <p_{k-1}, p_{k-1}>,
-    gamma = <x q_k, p_k> / <p_k, p_k>, delta = <x q_k, q_{k-1}> / <q_{k-1}, q_{k-1}>;
-    beta and delta are 0 for the first step.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
 @dataclass(frozen=True, eq=False)
 class OscBasis:
     """Orthonormal family in Legendre-trig coordinates.
@@ -64,8 +51,11 @@ class OscBasis:
     Member i is sum_j a[i, j] P_j(x) cos(omega x) + b[i, j] P_j(x) sin(omega
     x); rows 2k and 2k+1 are p_k and q_k and are zero beyond Legendre degree
     k.  a and b have shape (2(N+1), N+1).  norms[i] is the pre-normalization
-    norm of member i; rec[i] holds the quotients that produced pair i+1.
-    All of it is read-only, so the content hash is computed once.
+    norm of member i.  rec, of shape (N, 4), has rows (alpha, beta, gamma,
+    delta), the projection quotients of x p_k on q_k and p_{k-1} and of x q_k
+    on p_k and q_{k-1} that produced pair k+1 (beta = delta = 0 at k = 0).
+    All of it is read-only, so the content hash is computed once.  A nonzero
+    or NaN coefficient of the wrong parity is refused with ValueError.
     """
 
     freq: Frequency
@@ -73,14 +63,22 @@ class OscBasis:
     a: np.ndarray
     b: np.ndarray
     norms: np.ndarray
-    rec: tuple
+    rec: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "norms"):
+        for name in ("a", "b", "norms", "rec"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rec", tuple(self.rec))
+        sine = _sine_slots(*self.a.shape)
+        stray = np.where(sine, self.a, self.b)
+        if np.any(stray):
+            i, j = np.argwhere(stray)[0]
+            raise ValueError(
+                f"basis member {i} ({'pq'[i % 2]}_{i // 2}) has "
+                f"{'cosine' if sine[i, j] else 'sine'} coefficient "
+                f"{float(stray[i, j])!r} at degree {j}, where its parity "
+                f"requires 0; the basis file is corrupted")
 
     @property
     def rep(self) -> list[LegTrigCoeffs]:
@@ -233,15 +231,13 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # and beta (p_{k-1}); class k % 2 holds q_{k+1}: gamma and delta
     k = np.arange(n_max)
     p, q = quot[k, (k + 1) % 2], quot[k, k % 2]
-    rec = [RecurrenceStep(*map(float, r))
-           for r in zip(p[:, 1], p[:, 0], q[:, 1], q[:, 0])]
+    rec = np.stack([p[:, 1], p[:, 0], q[:, 1], q[:, 0]], axis=1)
     member = class_rows(n_max)
-    a, b, flat = np.zeros((2 * n, n)), np.zeros((2 * n, n)), np.empty(2 * n)
-    flat[member] = norms
-    for c in (0, 1):  # class c's coordinate j is P_j cos for j = c, c + 2, ...
-        a[member[c], c::2] = rows[c, :, c::2]
-        b[member[c], 1 - c :: 2] = rows[c, :, 1 - c :: 2]
-    return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=flat, rec=rec)
+    full, flat = np.empty((2 * n, n)), np.empty(2 * n)
+    full[member], flat[member] = rows, norms
+    sine = _sine_slots(2 * n, n)
+    return OscBasis(freq=freq, n_max=n_max, a=np.where(sine, 0.0, full),
+                    b=np.where(sine, full, 0.0), norms=flat, rec=rec)
 
 
 def class_rows(n_max: int) -> np.ndarray:
@@ -249,6 +245,21 @@ def class_rows(n_max: int) -> np.ndarray:
     (q_k); its parity is 1 where class c's coordinate k is P_k sin."""
     k = np.arange(n_max + 1)
     return 2 * k + (k + np.arange(2)[:, None]) % 2
+
+
+def _sine_slots(rows: int, degrees: int) -> np.ndarray:
+    """[i, j]: True where member i's coefficient at degree j belongs to
+    P_j sin, whose parity j + 1 is that of member i (p_k has parity k, q_k
+    k + 1); the other of its two coefficients there is zero."""
+    i = np.arange(rows)
+    return ((i // 2 + i % 2) % 2)[:, None] != np.arange(degrees) % 2
+
+
+def class_blocks(basis: OscBasis) -> np.ndarray:
+    """B_c for classes c = 0, 1, stacked: column k is class c's member of
+    pair k in class-c coordinates, so B_c is upper triangular."""
+    kept = np.where(_sine_slots(*basis.a.shape), basis.b, basis.a)
+    return np.ascontiguousarray(kept[class_rows(basis.n_max)].transpose(0, 2, 1))
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,
@@ -266,7 +277,10 @@ def monic_norm_profile(freq: Frequency, n_max: int,
 
 
 def evaluate_member(basis: OscBasis, row_index: int, x):
-    """Value of basis row row_index at x (scalar or ndarray)."""
+    """Value of basis row row_index at x: a float for a scalar or 0-d x,
+    else an array of x's shape."""
+    if isinstance(row_index, bool) or not isinstance(row_index, (int, np.integer)):
+        raise TypeError(f"row_index must be an integer, got {row_index!r}")
     n_rows = 2 * (basis.n_max + 1)
     if not 0 <= row_index < n_rows:
         raise IndexError(

@@ -10,11 +10,12 @@ identity at block (m, j) for odd j-m > 0.
 The same operator expressed in the orthonormal basis is B^-1 D B, where the
 columns of B are the basis members.  D flips parity, so it maps each
 parity class (see the basis module) to the other, and the class-c block of
-d_orth is B_{1-c}^-1 (D B_c), with B_c the upper triangular (N+1)-square
-block of class c's members.  D B_c needs no dense product: row m is omega
-times row m of B_c, negated for a cosine row (the trig swap), plus 2m+1
-times the stride-2 suffix sum of rows m+1, m+3, ....  Each block then
-takes one panel back-substitution and no explicit inverse.
+d_orth is B_{1-c}^-1 (D B_c), with B_c = basis.class_blocks(basis)[c] the
+upper triangular (N+1)-square block of class c's members.  D B_c needs no
+dense product: row m is omega times row m of B_c, negated for a cosine row
+(the trig swap), plus 2m+1 times the stride-2 suffix sum of rows m+1, m+3,
+....  Each block then takes one panel back-substitution and no explicit
+inverse.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import OscBasis, class_rows
+from .basis import OscBasis, class_blocks, class_rows
 from .frequency import Frequency
 
 
@@ -56,27 +57,6 @@ def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator
 
 # rows per back-substitution panel
 PANEL = 64
-
-
-def _class_blocks(basis: OscBasis) -> np.ndarray:
-    """B_c for classes c = 0, 1, stacked: column k is class c's member of
-    pair k in class-c coordinates, so B_c is upper triangular.  A nonzero
-    or NaN coefficient of the wrong parity, which has no place in B_c, is
-    refused with ValueError naming its member and degree."""
-    member = class_rows(basis.n_max)
-    cos_part, sin_part = basis.a[member], basis.b[member]
-    for c in (0, 1):
-        # class c's coordinate j is P_j cos for j = c, c + 2, ...
-        for part, name, s in ((cos_part, "cosine", 1 - c), (sin_part, "sine", c)):
-            if np.any(part[c, :, s::2]):
-                k, j = np.argwhere(part[c, :, s::2])[0]
-                i, j = member[c, k], s + 2 * j
-                raise ValueError(
-                    f"basis member {i} ({'pq'[i % 2]}_{k}) has {name} "
-                    f"coefficient {float(part[c, k, j])!r} at degree {j}, where "
-                    f"its parity requires 0; the basis file is corrupted")
-        cos_part[c, :, 1 - c :: 2] = sin_part[c, :, 1 - c :: 2]
-    return np.ascontiguousarray(cos_part.transpose(0, 2, 1))
 
 
 def _times_d(omega: float, B: np.ndarray) -> np.ndarray:
@@ -113,8 +93,7 @@ def to_orthogonal_basis(op: DerivativeOperator,
     B's columns are the basis members, so d_orth acts on coefficient
     vectors expressed in the orthonormal basis.  The similarity residual
     max|B_{1-c} X_c - D B_c| over the upper parts of the class blocks is
-    recorded on the result for checking.  A basis with a coefficient of
-    the wrong parity is refused.
+    recorded on the result for checking.
     """
     if op.freq.omega != basis.freq.omega:
         raise ValueError(
@@ -125,7 +104,7 @@ def to_orthogonal_basis(op: DerivativeOperator,
         raise ValueError(
             f"size mismatch: operator n_max={op.n_max}, basis n_max={basis.n_max}"
         )
-    B = _class_blocks(basis)
+    B = class_blocks(basis)
     Y = _times_d(op.freq.omega, B)
     try:
         X = _solve_upper(B[::-1], Y)

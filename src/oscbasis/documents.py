@@ -4,7 +4,8 @@ A document is a JSON object: the header schema_version, omega, k, epsilon,
 n_max, then its kind's payload, floats in repr form for bit-exact round
 trips.  Loading checks the header, each payload array (numeric, exact shape,
 finite) and the kind's structure: symmetric tables, 2(N+1)-square operator
-matrices, basis rows no longer than their degree.  Faults are ValueErrors.
+matrices, basis rows no longer than their degree and, by OscBasis itself,
+no coefficient of the wrong parity.  Faults are ValueErrors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import BasisRef, Expansion
-from .basis import OscBasis, RecurrenceStep, representation_matrix
+from .basis import OscBasis, representation_matrix
 from .calculus import DerivativeOperator
 from .frequency import Frequency
 from .tables import InnerProductTables
@@ -51,7 +52,7 @@ def to_doc(obj) -> dict:
                 for i, (a, b) in enumerate(zip(obj.a, obj.b))]
         return {**_header(obj.freq, obj.n_max), "rows": rows,
                 "norms": obj.norms.tolist(),
-                "rec": [{key: getattr(r, key) for key in _STEP} for r in obj.rec]}
+                "rec": [dict(zip(_STEP, r)) for r in obj.rec.tolist()]}
     if isinstance(obj, Expansion):
         ref = obj.basis_ref
         return {**_header(ref.freq, ref.n_max), "basis_hash": ref.basis_hash,
@@ -134,9 +135,8 @@ def from_doc(doc):
             raise ValueError(f"a basis with n_max={n_max} has {n_max} rec steps")
         flat = [step.get(key) if isinstance(step, dict) else None
                 for step in steps for key in _STEP]
-        rec = [RecurrenceStep(*map(float, values))
-               for values in _array(flat, "rec", (4 * n_max,)).reshape(n_max, 4)]
-        return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms, rec=rec)
+        return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms,
+                        rec=_array(flat, "rec", (4 * n_max,)).reshape(n_max, 4))
     if cls is InnerProductTables:
         mats = {name: _array(doc[name], name, (n_max + 1, n_max + 1))
                 for name in _MATRICES}

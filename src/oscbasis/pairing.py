@@ -48,10 +48,11 @@ class LegTrigCoeffs:
         return self.a.size - 1
 
     def evaluate(self, omega: float, x):
-        """Value of the represented function at x (scalar or array)."""
+        """Value of the represented function at x: a float for a scalar or
+        0-d x, else an array of x's shape."""
         xa = np.asarray(x, dtype=float)
         vals = legtrig_values(self.a, self.b, omega, xa.ravel()).reshape(xa.shape)
-        return vals if isinstance(x, np.ndarray) else float(vals)
+        return float(vals) if vals.ndim == 0 else vals
 
 
 def legtrig_values(a, b, omega: float, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oscbasis import (
     build_basis,
     build_tables,
     evaluate_expansion,
+    evaluate_member,
     load_expansion,
     project,
     reduce_frequency,
@@ -130,6 +132,25 @@ def test_expansion_evaluation_round_trip(freq20, basis20):
     xs = np.linspace(-1, 1, 11)
     vals = evaluate_expansion(exp, basis20, xs)
     assert vals == pytest.approx(np.cos(freq20.omega * xs), abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2], (0.1, -0.7), [[0.1], [0.2]],
+                               0.3, np.float64(0.3), np.array(0.3)],
+                         ids=["list", "tuple", "nested", "float", "float64", "0d"])
+def test_evaluators_take_array_like_points(freq20, basis20, x):
+    # a scalar or 0-d x gives a float, anything else an array of x's shape
+    target = _target("exp", "one", freq20.omega)
+    exp = project(target, basis20)
+    xa = np.asarray(x, dtype=float)
+    for evaluate in (target.evaluate, partial(evaluate_expansion, exp, basis20),
+                     partial(evaluate_member, basis20, 3)):
+        got = evaluate(x)
+        if xa.ndim == 0:
+            assert type(got) is float
+            assert got == evaluate(xa.reshape(1))[0]
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == xa.shape
+            assert np.array_equal(got, evaluate(xa))
 
 
 def test_reduce_project_evaluate_pipeline(tables20, freq20, basis20):

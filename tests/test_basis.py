@@ -41,9 +41,10 @@ def test_seed_pair_is_normalized_trig(freq20, tables20, basis20):
 
 def test_first_quotient_has_closed_form(freq20, basis20):
     # <x cos, sin> = -1/(2 omega) when sin(2 omega) = 0
-    assert basis20.rec[0].alpha == pytest.approx(-1.0 / (2.0 * freq20.omega), rel=1e-13)
-    assert basis20.rec[0].beta == 0.0
-    assert basis20.rec[0].delta == 0.0
+    # rec rows are (alpha, beta, gamma, delta)
+    assert basis20.rec[0, 0] == pytest.approx(-1.0 / (2.0 * freq20.omega), rel=1e-13)
+    assert basis20.rec[0, 1] == 0.0
+    assert basis20.rec[0, 3] == 0.0
 
 
 def test_monic_p1_picks_up_sine_correction(freq20, basis20):
@@ -117,12 +118,12 @@ def _times_x(c):
 
 def test_recurrence_steps_reproduce_stored_rows(basis20, tables20):
     for k in range(1, basis20.n_max):
-        step = basis20.rec[k]
+        alpha, beta, gamma, delta = basis20.rec[k]
         p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
         # x p_k - alpha q_k - beta p_{k-1} and x q_k - gamma p_k - delta q_{k-1}
         for row, own, other, prev, (near, back) in (
-                (2 * k + 2, p_k, q_k, p_prev, (step.alpha, step.beta)),
-                (2 * k + 3, q_k, p_k, q_prev, (step.gamma, step.delta))):
+                (2 * k + 2, p_k, q_k, p_prev, (alpha, beta)),
+                (2 * k + 3, q_k, p_k, q_prev, (gamma, delta))):
             want = basis20.norms[row]
             got = basis20.rep[row]
             for part in ("a", "b"):
@@ -138,14 +139,14 @@ def test_recurrence_quotients_are_table_inner_products(basis20, tables20):
         return inner_product(f, g, tables20) / inner_product(g, g, tables20)
 
     for k in range(1, basis20.n_max):
-        step = basis20.rec[k]
+        alpha, beta, gamma, delta = basis20.rec[k]
         p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
         xp = LegTrigCoeffs(_times_x(p_k.a), _times_x(p_k.b))
         xq = LegTrigCoeffs(_times_x(q_k.a), _times_x(q_k.b))
-        for got, want in ((step.alpha, quotient(xp, q_k)),
-                          (step.beta, quotient(xp, p_prev)),
-                          (step.gamma, quotient(xq, p_k)),
-                          (step.delta, quotient(xq, q_prev))):
+        for got, want in ((alpha, quotient(xp, q_k)),
+                          (beta, quotient(xp, p_prev)),
+                          (gamma, quotient(xq, p_k)),
+                          (delta, quotient(xq, q_prev))):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -177,7 +178,7 @@ def test_basis_is_bitwise_prefix_of_larger_build(reorthogonalize):
                 assert np.array_equal(small.a, big.a[:rows, : n_max + 1])
                 assert np.array_equal(small.b, big.b[:rows, : n_max + 1])
                 assert np.array_equal(small.norms, big.norms[:rows])
-                assert small.rec == big.rec[:n_max]
+                assert np.array_equal(small.rec, big.rec[:n_max])
 
 
 @pytest.mark.parametrize("freq, n_max", [
@@ -287,6 +288,13 @@ def test_member_evaluation(freq20, basis20):
         evaluate_member(basis20, 26, 0.0)
 
 
+@pytest.mark.parametrize("row_index", [True, 3.0, "3", None])
+def test_member_evaluation_refuses_non_integer_row(basis20, row_index):
+    with pytest.raises(TypeError, match=f"row_index must be an integer, got {row_index!r}"):
+        evaluate_member(basis20, row_index, 0.0)
+    assert evaluate_member(basis20, np.int64(3), 0.3) == evaluate_member(basis20, 3, 0.3)
+
+
 def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
     omega = basis20.freq.omega
     assert np.array_equal(gram_matrix(basis20, tables20),
@@ -335,7 +343,7 @@ def test_serialization_round_trip(basis20, tmp_path):
     for got, want in zip(loaded.rep, basis20.rep):
         assert np.array_equal(got.a, want.a)
         assert np.array_equal(got.b, want.b)
-    assert loaded.rec == basis20.rec
+    assert np.array_equal(loaded.rec, basis20.rec)
     assert loaded.content_hash() == basis20.content_hash()
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from oscbasis import StabilityWarning, load_basis, save_basis
 from oscbasis.approx import BasisRef, Expansion
-from oscbasis.basis import OscBasis
 from oscbasis.cli import main
 from oscbasis.documents import save_expansion
 from oscbasis.frequency import TWO_PI
@@ -405,25 +404,54 @@ def test_diff_rejects_mismatched_expansion(workdir, tmp_path):
     assert rc == 2
 
 
-def test_diff_refuses_wrong_parity_coefficient(workdir, tmp_path, capsys):
-    # q_4 (row 9) has odd parity, so its cosine part is zero at degree 4;
-    # the expansion references the altered basis, so only the parity check
-    # stands in the way
+def _wrong_parity_basis(workdir, path, value):
+    """The workdir basis file with q_4's cosine coefficient at degree 4 set
+    to value; q_4 (row 9) has odd parity, so that coefficient must be 0."""
+    doc = json.loads((workdir / "basis.json").read_text())
+    doc["rows"][9]["a"][4] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _expansion_file(workdir, path):
     basis = load_basis(workdir / "basis.json")
-    a = basis.a.copy()
-    a[9, 4] = 1e-3
-    broken = OscBasis(freq=basis.freq, n_max=basis.n_max, a=a, b=basis.b,
-                      norms=basis.norms, rec=basis.rec)
-    save_basis(broken, tmp_path / "broken.json")
-    exp_path = tmp_path / "e.json"
-    save_expansion(Expansion(basis_ref=BasisRef.from_basis(broken),
-                             coeffs=np.ones(18)), exp_path)
-    rc = _run("diff", "--basis", tmp_path / "broken.json", "--expansion", exp_path,
+    save_expansion(Expansion(basis_ref=BasisRef.from_basis(basis),
+                             coeffs=np.ones(18)), path)
+    return path
+
+
+def test_diff_refuses_wrong_parity_coefficient(workdir, tmp_path, capsys):
+    # the loader refuses the basis before the expansion's hash is compared
+    broken = _wrong_parity_basis(workdir, tmp_path / "broken.json", 1e-3)
+    exp_path = _expansion_file(workdir, tmp_path / "e.json")
+    rc = _run("diff", "--basis", broken, "--expansion", exp_path,
               "--out", tmp_path / "d.json")
     assert rc == 2
     assert ("basis member 9 (q_4) has cosine coefficient 0.001 at degree 4"
             in capsys.readouterr().err)
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("command", ["project", "verify", "diff"])
+def test_commands_refuse_tiny_wrong_parity_coefficient(workdir, tmp_path, capsys,
+                                                       command):
+    # 1e-14 is below the oracle's verify tolerance, so only the parity
+    # check can refuse it; every command that loads the basis does
+    broken = _wrong_parity_basis(workdir, tmp_path / "broken.json", 1e-14)
+    out = tmp_path / "out.json"
+    args = {
+        "project": ["--basis", broken, "--f", "exp", "--g", "one",
+                    "--omega-raw", "2pi*20"],
+        "verify": [broken],
+        "diff": ["--basis", broken, "--expansion",
+                 _expansion_file(workdir, tmp_path / "e.json")],
+    }[command]
+    rc = _run(command, *args, "--out", out)
+    assert rc == 2
+    assert ("error: basis member 9 (q_4) has cosine coefficient 1e-14 at degree "
+            "4, where its parity requires 0" in capsys.readouterr().err)
+    # no output, report or manifest
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_diff_refuses_wrong_parity_nan(workdir, tmp_path, capsys):

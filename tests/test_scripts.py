@@ -19,6 +19,8 @@ def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    # as in the test suite's own warning filter
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -43,6 +45,17 @@ def test_stability_sweep_prints_rho_next_to_each_deviation():
     assert cells[0] == "2pi*20"
     for cell in cells[1:]:
         assert re.fullmatch(r"\d\.\d{3}e[-+]\d+/\d\.\de[-+]\d+", cell), cell
+
+
+def test_frequency_cost_degree_is_flat_at_a_tight_tolerance():
+    # at 1e-9 the residual must come from the expansion itself: a
+    # ||F||^2 - sum c^2 figure bottoms out near 2e-8 and hides the degree
+    lines = _run("frequency_cost.py", ["--tol", "1e-9", "--periods", "20,200",
+                                       "--plain-cap", "400"])
+    rows = [line.split() for line in lines[-2:]]
+    assert [row[0] for row in rows] == ["2pi*20", "2pi*200"]
+    assert rows[0][1] != "None"
+    assert rows[0][1] == rows[1][1]
 
 
 def test_construct_cost_prints_every_layer_and_rho():
