@@ -170,43 +170,51 @@ def _spherical_bessel(kappa: float, sin_k: float, cos_k: float,
     backward recurrence from well past both count and kappa, rescaled
     against overflow and normalised by j_0 or j_1, whichever is larger.
     """
+    # on Python floats: item-by-item numpy scalars cost several times more,
+    # for the same bits
     if kappa >= 2 * count:
-        j = np.empty(count + 1)
-        j[0], j[1] = sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa
+        j = [sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa]
         for n in range(1, count):
-            j[n + 1] = (2 * n + 1) / kappa * j[n] - j[n - 1]
-        return j[:count]
+            j.append((2 * n + 1) / kappa * j[n] - j[n - 1])
+        return np.array(j[:count])
     top = int(max(count, kappa)) + 40 + int(4 * kappa ** (1 / 3))
-    j = np.zeros(top + 2)
-    j[top] = 1e-300
+    # filled downwards: j[i] holds degree top + 1 - i
+    j = [0.0, 1e-300]
     for n in range(top, 0, -1):
-        j[n - 1] = (2 * n + 1) / kappa * j[n] - j[n + 1]
-        if abs(j[n - 1]) > 1e250:
-            j[n - 1:] *= 1e-250
+        j.append((2 * n + 1) / kappa * j[-1] - j[-2])
+        if abs(j[-1]) > 1e250:
+            j = [v * 1e-250 for v in j]
+    j = np.array(j[: -count - 1 : -1])
     if abs(sin_k) >= abs(cos_k):
-        return j[:count] * (sin_k / kappa / j[0])
-    return j[:count] * ((sin_k / kappa ** 2 - cos_k / kappa) / j[1])
+        return j * (sin_k / kappa / j[0])
+    return j * ((sin_k / kappa ** 2 - cos_k / kappa) / j[1])
 
 
 @lru_cache(maxsize=4)
 def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
     """Complex weights v on the analysis nodes with sum_i v_i h(x_i) equal to
     the integral of h(x) exp(2i omega x) over [-1, 1] for every polynomial h
-    of degree < points: the moments 2 i^l j_l(2 omega) of P_l, times W."""
-    phase = np.array([2.0, 2.0j, -2.0, -2.0j])[np.arange(points) % 4]
-    moments = phase * _spherical_bessel(2.0 * freq.omega, *freq.double_angle(),
-                                         points)
-    return moments @ _analysis(points)[3]
+    of degree < points: the moments 2 i^l j_l(2 omega) of P_l, times W.
+
+    The moments are real at even l and imaginary at odd l, so v is two real
+    products, one over the even rows of W and one over the odd ones."""
+    moments = np.array([2.0, -2.0])[np.arange(points) // 2 % 2] \
+        * _spherical_bessel(2.0 * freq.omega, *freq.double_angle(), points)
+    W = _analysis(points)[3]
+    v = np.empty(points, dtype=complex)
+    v.real = moments[0::2] @ W[0::2]
+    v.imag = moments[1::2] @ W[1::2]
+    return v
 
 
 def _filon_setup(target: OscTarget, basis: OscBasis):
-    """The reduced target and the basis rows as complex values g - i f and
-    a - i b on the analysis nodes, with the plain and the Filon weights.
+    """The reduced envelopes g and f on the analysis nodes, the Legendre
+    table there up to the basis degree, and the plain and the Filon weights.
 
-    F = g cos + f sin times a row a cos + b sin integrates to half the real
-    part of the sums of w (g - i f) conj(a - i b) and v (g - i f)(a - i b),
-    and the square of F to half the real part of those of w |g - i f|^2 and
-    v (g - i f)^2.  So with envelopes resolved by degree D and rows of
+    With F = g - i f and a row a - i b, the integral of (g cos + f sin)(a cos
+    + b sin) is half the real part of the sums of w F conj(a - i b) and v F
+    (a - i b), and that of (g cos + f sin)^2 half the real part of those of
+    w |F|^2 and v F^2.  So with envelopes resolved by degree D and rows of
     degree at most D, a rule of 2D + 1 points makes every integral exact up
     to the envelopes' tail, whatever omega.
     """
@@ -219,17 +227,18 @@ def _filon_setup(target: OscTarget, basis: OscBasis):
     degree = max(ENVELOPE_DEGREE, basis.n_max)
     x, w, P, W = _analysis(2 * degree + 1)
     g, f = sample(target.g_env, x), sample(target.f_env, x)
-    energy = np.square(W @ np.column_stack([g, f])).sum(axis=1) \
-        / (np.arange(x.size) + 0.5)
-    norm, tail = math.sqrt(energy.sum()), math.sqrt(energy[degree + 1:].sum())
+    # the Legendre coefficients of the envelopes beyond degree D, against
+    # their whole norm, sum w (g^2 + f^2): exact for interpolants of degree 2D
+    energy = np.square(W[degree + 1:] @ np.column_stack([g, f])).sum(axis=1) \
+        / np.arange(degree + 1.5, x.size)
+    norm, tail = math.sqrt(w @ (g * g + f * f)), math.sqrt(energy.sum())
     if not tail <= RESOLVE_TOL * norm:
         raise ValueError(
             f"envelopes not resolved at Legendre degree M={degree} "
             f"(omega={omega:.6g}): the tail beyond it is {tail / norm:.2e} "
             f"of the envelope norm, over {RESOLVE_TOL:g}"
         )
-    rows = (basis.a - 1j * basis.b) @ P[:basis.n_max + 1]
-    return g - 1j * f, rows, w, _filon_weights(basis.freq, x.size)
+    return g, f, P[:basis.n_max + 1], w, _filon_weights(basis.freq, x.size)
 
 
 def project(target: OscTarget, basis: OscBasis) -> Expansion:
@@ -240,8 +249,11 @@ def project(target: OscTarget, basis: OscBasis) -> Expansion:
     reduced: its frequency has to equal the basis frequency to 1e-12
     relative, and its envelopes must be resolved by ENVELOPE_DEGREE.
     """
-    F, rows, w, v = _filon_setup(target, basis)
-    coeffs = 0.5 * ((rows.conj() * w + rows * v) @ F).real
+    g, f, P, w, v = _filon_setup(target, basis)
+    # the real part of w F conj(a - i b) + v F (a - i b) is a yg + b yf
+    yg = (w + v.real) * g + v.imag * f
+    yf = (w - v.real) * f + v.imag * g
+    coeffs = 0.5 * (basis.a @ (P @ yg) + basis.b @ (P @ yf))
     return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs)
 
 
@@ -257,9 +269,13 @@ def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
     """L2 norm of F minus its expansion, by the same Filon quadrature as
     project, on the residual's own values (no Parseval cancellation)."""
     _check_match(exp, basis)
-    F, rows, w, v = _filon_setup(target, basis)
-    r = F - exp.coeffs @ rows
-    r2 = 0.5 * (w @ (r.real ** 2 + r.imag ** 2) + (v @ (r * r)).real)
+    g, f, P, w, v = _filon_setup(target, basis)
+    # the residual's envelopes; the real part of w |r|^2 + v r^2 for
+    # r = rg - i rf
+    rg = g - (exp.coeffs @ basis.a) @ P
+    rf = f - (exp.coeffs @ basis.b) @ P
+    r2 = 0.5 * ((w + v.real) @ (rg * rg) + (w - v.real) @ (rf * rf)
+                + 2.0 * (v.imag @ (rg * rf)))
     return float(np.sqrt(max(r2, 0.0)))
 
 
@@ -269,8 +285,10 @@ def plain_legendre_residuals(target: OscTarget, n_max: int) -> np.ndarray:
 
     The comparison baseline for the frequency-independence claim: expanding
     F itself (oscillations included) in P_0 ... P_n needs n to grow with
-    omega.  Computed in one streaming recurrence pass; accurate while n_max
-    stays below the node budget of the quadrature rule.
+    omega.  Computed in one streaming recurrence pass, on the residual's
+    own values (no Parseval cancellation, which would floor the residuals
+    near 1e-8 of the target's norm); accurate while n_max stays below the
+    node budget of the quadrature rule.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -278,11 +296,9 @@ def plain_legendre_residuals(target: OscTarget, n_max: int) -> np.ndarray:
     x, w = rule.nodes, rule.weights
     F = sample(target.evaluate, x)
     wF = w * F
-    total = float(np.sum(wF * F))
+    r = F.copy()
     residuals = np.empty(n_max + 1)
-    captured = 0.0
     for n, pn in zip(range(n_max + 1), legendre_rows(x)):
-        proj = float(np.sum(wF * pn))
-        captured += proj * proj / legendre_norm_sq(n)
-        residuals[n] = math.sqrt(max(total - captured, 0.0))
+        r -= float(np.sum(wF * pn)) / legendre_norm_sq(n) * pn
+        residuals[n] = math.sqrt(float(np.sum(w * r * r)))
     return residuals

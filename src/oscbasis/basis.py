@@ -54,8 +54,9 @@ class OscBasis:
     norm of member i.  rec, of shape (N, 4), has rows (alpha, beta, gamma,
     delta), the projection quotients of x p_k on q_k and p_{k-1} and of x q_k
     on p_k and q_{k-1} that produced pair k+1 (beta = delta = 0 at k = 0).
-    All of it is read-only, so the content hash is computed once.  A nonzero
-    or NaN coefficient of the wrong parity is refused with ValueError.
+    All of it is read-only, so the content hash is computed once.  Arrays of
+    other shapes, and a nonzero or NaN coefficient of the wrong parity or
+    beyond its member's degree, are refused with ValueError.
     """
 
     freq: Frequency
@@ -66,19 +67,30 @@ class OscBasis:
     rec: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "norms", "rec"):
+        n = self.n_max + 1
+        shapes = {"a": (2 * n, n), "b": (2 * n, n), "norms": (2 * n,),
+                  "rec": (n - 1, 4)}
+        for name, shape in shapes.items():
             arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"basis {name} has shape {arr.shape}, but a "
+                                 f"basis with n_max={self.n_max} has {shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        sine = _sine_slots(*self.a.shape)
-        stray = np.where(sine, self.a, self.b)
-        if np.any(stray):
-            i, j = np.argwhere(stray)[0]
+        # a and b may be nonzero (or NaN) only at degree j <= i // 2 of
+        # member i, and there only in the part of its parity
+        sine = _sine_slots(2 * n, n)
+        low = np.repeat(np.tri(n, dtype=bool), 2, axis=0)
+        stray = [(self.a != 0.0) & ~(low & ~sine), (self.b != 0.0) & ~(low & sine)]
+        if np.any(stray[0]) or np.any(stray[1]):
+            i, j, part = np.argwhere(np.stack(stray, axis=-1))[0]
+            rule = ("where its parity requires 0" if j <= i // 2
+                    else f"beyond its degree {i // 2}")
             raise ValueError(
                 f"basis member {i} ({'pq'[i % 2]}_{i // 2}) has "
-                f"{'cosine' if sine[i, j] else 'sine'} coefficient "
-                f"{float(stray[i, j])!r} at degree {j}, where its parity "
-                f"requires 0; the basis file is corrupted")
+                f"{('cosine', 'sine')[part]} coefficient "
+                f"{float((self.a, self.b)[part][i, j])!r} at degree {j}, "
+                f"{rule}; the basis file is corrupted")
 
     @property
     def rep(self) -> list[LegTrigCoeffs]:
@@ -252,7 +264,7 @@ def _sine_slots(rows: int, degrees: int) -> np.ndarray:
     P_j sin, whose parity j + 1 is that of member i (p_k has parity k, q_k
     k + 1); the other of its two coefficients there is zero."""
     i = np.arange(rows)
-    return ((i // 2 + i % 2) % 2)[:, None] != np.arange(degrees) % 2
+    return ((i // 2 + i % 2) % 2 == 1)[:, None] ^ (np.arange(degrees) % 2 == 1)
 
 
 def class_blocks(basis: OscBasis) -> np.ndarray:

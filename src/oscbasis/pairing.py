@@ -51,14 +51,16 @@ class LegTrigCoeffs:
         """Value of the represented function at x: a float for a scalar or
         0-d x, else an array of x's shape."""
         xa = np.asarray(x, dtype=float)
-        vals = legtrig_values(self.a, self.b, omega, xa.ravel()).reshape(xa.shape)
-        return float(vals) if vals.ndim == 0 else vals
+        if xa.ndim == 0:
+            return float(legtrig_values(self.a, self.b, omega, xa)[0])
+        return legtrig_values(self.a, self.b, omega, xa.ravel()).reshape(xa.shape)
 
 
 def legtrig_values(a, b, omega: float, x: np.ndarray) -> np.ndarray:
     """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
     at the 1-D points x, for one coefficient pair or stacked rows of them:
-    one Legendre table and two matrix products."""
+    one Legendre table and two matrix products.  A 0-d x counts as one
+    point, and its Legendre recurrence runs on floats."""
     P = legendre_table(a.shape[-1] - 1, x)
     return (a @ P) * np.cos(omega * x) + (b @ P) * np.sin(omega * x)
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from functools import partial
 
@@ -21,12 +22,14 @@ from oscbasis import (
     residual_norm,
     save_expansion,
 )
-from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _filon_weights,
+from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _analysis,
+                             _filon_weights, _spherical_bessel,
                              plain_legendre_residuals)
 from oscbasis.basis import member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
+from oscbasis.pairing import LegTrigCoeffs
 
 
 def _target(f_name, g_name, omega):
@@ -153,6 +156,27 @@ def test_evaluators_take_array_like_points(freq20, basis20, x):
             assert np.array_equal(got, evaluate(xa))
 
 
+@pytest.mark.parametrize("point", [0.3, np.float64(-0.77), np.array(0.999)],
+                         ids=["float", "float64", "0d"])
+def test_scalar_point_has_its_bits_alone_in_an_array(freq20, basis20, point):
+    # a scalar runs the Legendre recurrence on floats, an array on arrays,
+    # with the same bits; the matrix-vector product after it sums in an
+    # order that depends on the number of points and on the point's place
+    # among them, so inside a longer array only rounding may differ
+    exp = project(_target("exp", "runge", freq20.omega), basis20)
+    coeffs = LegTrigCoeffs(a=exp.coeffs @ basis20.a, b=exp.coeffs @ basis20.b)
+    x = float(point)
+    xs = np.array([-1.0, 0.25, x, 0.5, 1.0])
+    for evaluate in (partial(evaluate_expansion, exp, basis20),
+                     partial(evaluate_member, basis20, 11),
+                     partial(coeffs.evaluate, freq20.omega)):
+        got = evaluate(point)
+        assert type(got) is float
+        assert got == evaluate(x) == evaluate(np.float64(x)) == evaluate(np.array(x))
+        assert got == evaluate(np.array([x]))[0]
+        assert abs(got - evaluate(xs)[2]) <= 1e-14
+
+
 def test_reduce_project_evaluate_pipeline(tables20, freq20, basis20):
     omega_raw = freq20.omega + 0.3
     t = _target("cos1", "exp", omega_raw)
@@ -224,6 +248,56 @@ def test_filon_weights_integrate_legendre_moments(freq):
     ref = oracle_tables(freq, 60, OracleConfig(6, 32))
     assert np.max(np.abs(got.real - ref["m5"][0])) <= 1e-14
     assert np.max(np.abs(got.imag - ref["m6"][0])) <= 1e-14
+
+
+@pytest.mark.parametrize("freq", [Frequency.exact(1), Frequency.exact(20),
+                                  Frequency.from_omega(200.3),
+                                  Frequency.exact(2000)])
+def test_filon_weights_match_complex_product(freq):
+    # the real and imaginary parts are products over the even and the odd
+    # rows of W; the complex product of the moments with W is the reference
+    points = 2 * ENVELOPE_DEGREE + 1
+    phase = np.array([2.0, 2.0j, -2.0, -2.0j])[np.arange(points) % 4]
+    moments = phase * _spherical_bessel(2.0 * freq.omega, *freq.double_angle(),
+                                        points)
+    v = _filon_weights(freq, points)
+    ref = moments @ _analysis(points)[3]
+    assert np.max(np.abs(v - ref)) <= 1e-15 * np.max(np.abs(v))
+
+
+def _spherical_bessel_on_numpy_scalars(kappa, sin_k, cos_k, count):
+    """The reference for the bits: both recurrences item by item on a numpy
+    array; also says whether the backward one rescaled against overflow."""
+    if kappa >= 2 * count:
+        j = np.empty(count + 1)
+        j[0], j[1] = sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa
+        for n in range(1, count):
+            j[n + 1] = (2 * n + 1) / kappa * j[n] - j[n - 1]
+        return j[:count], False
+    top = int(max(count, kappa)) + 40 + int(4 * kappa ** (1 / 3))
+    j = np.zeros(top + 2)
+    j[top] = 1e-300
+    rescaled = False
+    for n in range(top, 0, -1):
+        j[n - 1] = (2 * n + 1) / kappa * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:
+            j[n - 1:] *= 1e-250
+            rescaled = True
+    if abs(sin_k) >= abs(cos_k):
+        return j[:count] * (sin_k / kappa / j[0]), rescaled
+    return j[:count] * ((sin_k / kappa ** 2 - cos_k / kappa) / j[1]), rescaled
+
+
+@pytest.mark.parametrize("omega", [0.5, TWO_PI, TWO_PI * 20, 200.3,
+                                   TWO_PI * 20.37, TWO_PI * 737, TWO_PI * 2000])
+def test_spherical_bessel_bits_match_numpy_scalar_loop(omega):
+    # 2pi*737 and 2pi*2000 take the forward recurrence, the others the
+    # backward one; at omega = 0.5 it rescales against overflow
+    kappa = 2.0 * omega
+    args = (kappa, math.sin(kappa), math.cos(kappa), 2 * ENVELOPE_DEGREE + 1)
+    want, rescaled = _spherical_bessel_on_numpy_scalars(*args)
+    assert np.array_equal(_spherical_bessel(*args), want)
+    assert rescaled == (omega == 0.5)
 
 
 @pytest.mark.parametrize("freq", [Frequency.exact(1), Frequency.exact(20),

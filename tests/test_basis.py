@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from oscbasis import (
     BasisDegenerationError,
     Frequency,
+    OscBasis,
     StabilityWarning,
     build_basis,
     build_tables,
@@ -199,6 +201,57 @@ def test_rows_are_zero_at_opposite_parity(freq, n_max, reorthogonalize):
     odd = (i // 2 + i % 2 + j) % 2 == 1
     assert np.all(basis.a[odd] == 0.0)
     assert np.all(basis.b[~odd] == 0.0)
+
+
+def _fields(basis, **changes):
+    fields = {"freq": basis.freq, "n_max": basis.n_max, "a": basis.a,
+              "b": basis.b, "norms": basis.norms, "rec": basis.rec}
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize("part, row, degree, value, message", [
+    # row 0 is p_0, of degree 0: evaluate_member would ignore the stray
+    # coefficient, member_values would use it, and the content hash would
+    # not see it
+    ("a", 0, 4, 1.0, r"member 0 \(p_0\) has cosine coefficient 1.0 at degree 4, "
+                     r"beyond its degree 0"),
+    ("b", 9, 5, np.nan, r"member 9 \(q_4\) has sine coefficient nan at degree 5, "
+                        r"beyond its degree 4"),
+    ("a", 17, 8, 1e-300, r"member 17 \(q_8\) has cosine coefficient 1e-300 at "
+                         r"degree 8, where its parity requires 0"),
+], ids=["past-degree", "past-degree-nan", "parity"])
+def test_basis_refuses_coefficient_it_cannot_hold(part, row, degree, value, message):
+    freq = Frequency.exact(20)
+    basis = build_basis(freq, 8, build_tables(freq, 9))
+    arr = getattr(basis, part).copy()
+    arr[row, degree] = value
+    with pytest.raises(ValueError, match=message + "; the basis file is corrupted"):
+        OscBasis(**_fields(basis, **{part: arr}))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("a", (18, 10)), ("a", (16, 9)), ("a", (18 * 9,)),
+    ("b", (18, 8)), ("b", (20, 9)),
+    ("norms", (17,)), ("norms", (18, 1)),
+    ("rec", (9, 4)), ("rec", (8, 3)), ("rec", (32,)),
+])
+def test_basis_refuses_arrays_of_the_wrong_shape(name, shape):
+    freq = Frequency.exact(20)
+    basis = build_basis(freq, 8, build_tables(freq, 9))
+    want = getattr(basis, name).shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"basis {name} has shape {shape}, but a basis with n_max=8 has {want}")):
+        OscBasis(**_fields(basis, **{name: np.zeros(shape)}))
+    assert OscBasis(**_fields(basis)).content_hash() == basis.content_hash()
+
+
+def test_basis_document_refuses_row_past_its_degree(basis20):
+    doc = to_doc(basis20)
+    doc["rows"][0]["a"].append(0.0)
+    doc["rows"][0]["b"].append(0.0)
+    with pytest.raises(ValueError, match="basis row 0 has 2 coefficients, but "
+                       "member 0 reaches only Legendre degree 0"):
+        from_doc(doc)
 
 
 def test_degeneration_raises_with_context():

@@ -34,6 +34,7 @@ def _run(script, args):
     ("stability_sweep.py", ["--periods", "5,20", "--degrees", "4,8"]),
     ("frequency_cost.py", ["--periods", "20,50", "--plain-cap", "400"]),
     ("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"]),
+    ("approx_cost.py", ["--periods", "20.3", "--repeats", "1"]),
 ])
 def test_script_runs(script, args):
     _run(script, args)
@@ -73,3 +74,18 @@ def test_construct_cost_prints_every_layer_and_rho():
     assert 0.0 < float(ok[7]) <= 1e-12
     # at 2pi*3, N = 20 the plain build is refused, so there is no rho
     assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
+
+
+def test_approx_cost_prints_every_layer_and_the_residual():
+    lines = _run("approx_cost.py", ["--periods", "20.3,2000.3", "--repeats", "2"])
+    header, rows = lines[-3].split(), [line.split() for line in lines[-2:]]
+    for name in ("analysis", "filon_w", "project", "residual", "eval_2001",
+                 "eval_scalar"):
+        assert name in header
+    assert [row[0] for row in rows] == ["20.3", "2000.3"]
+    for row in rows:
+        assert len(row) == 8
+        assert all(float(ms) > 0.0 for ms in row[1:7])
+        # exp / runge at N = 12: the residual does not depend on omega
+        assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[7]), row[7]
+        assert 1e-3 < float(row[7]) < 1.0
