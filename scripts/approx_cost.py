@@ -6,16 +6,22 @@ For each target frequency 2pi * periods this reduces an exp/runge target
 there, and times, R times over: the uncached build of the Gauss-Legendre
 analysis rule (`_analysis`), the Filon weights for a new omega
 (`_filon_weights`, uncached), `project` and `residual_norm` (the weights
-cached, as they are after the first call at a frequency), and
-`evaluate_expansion` at 2001 points and at one scalar point.  It prints the
-median of each in milliseconds, and the residual.
+cached, as they are after the first call at a frequency), both together on
+a fresh copy of the basis object (`project_fresh`: nothing cached on the
+basis, as on a first projection onto a new basis), the content hash on a
+fresh copy (`content_hash`: paid only when an expansion is saved or checked
+against a different basis object), and `evaluate_expansion` at 2001 points
+and at one scalar point.  It prints the median of each in milliseconds,
+and the residual.
 
     python scripts/approx_cost.py --periods 20.3,200.3,2000.3 --repeats 21
+    python scripts/approx_cost.py --n 200 --periods 330.3 --repeats 3
 """
 
 import argparse
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,8 +37,12 @@ from oscbasis import (
 )
 from oscbasis.approx import ENVELOPE_DEGREE, _analysis, _filon_weights
 
-LAYERS = ("analysis", "filon_w", "project", "residual", "eval_2001",
-          "eval_scalar")
+LAYERS = ("analysis", "filon_w", "project", "residual", "project_fresh",
+          "content_hash", "eval_2001", "eval_scalar")
+
+
+def project_and_residual(target, basis):
+    return residual_norm(target, project(target, basis), basis)
 
 
 def time_period(periods: float, n: int, repeats: int):
@@ -60,6 +70,9 @@ def time_period(periods: float, n: int, repeats: int):
         timed("filon_w", _filon_weights.__wrapped__, freq, points)
         exp = timed("project", project, reduced, basis)
         resid = timed("residual", residual_norm, reduced, exp, basis)
+        # replace makes a new basis object with the same arrays and no hash
+        timed("project_fresh", project_and_residual, reduced, replace(basis))
+        timed("content_hash", replace(basis).content_hash)
         timed("eval_2001", evaluate_expansion, exp, basis, grid)
         timed("eval_scalar", evaluate_expansion, exp, basis, 0.3)
     return {name: 1e3 * float(np.median(t)) for name, t in times.items()}, resid

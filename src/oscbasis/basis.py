@@ -102,7 +102,10 @@ class OscBasis:
     def content_hash(self) -> str:
         """sha256 over the canonical serialized form, computed on first
         use; identifies the basis so expansions can detect mismatched
-        inputs."""
+        inputs.  It costs about 0.5 ms at N = 12 and 70 ms at N = 200, so an
+        expansion asks for it only when it is saved or checked against a
+        different basis object; an in-memory expansion instead holds, and
+        keeps alive, the basis object it was projected on."""
         return self._hash
 
     @cached_property

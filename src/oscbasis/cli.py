@@ -9,7 +9,8 @@ duration field varies.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or a
 refused input (tables the recursion cannot fill with finite values, a
-degree over the table limit), 3 I/O failure.
+degree over the table limit, a frequency whose tables or basis verify could
+not check within the oracle's node budget), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .basis import BasisDegenerationError, OscBasis, build_basis
 from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
 from .documents import (load, load_basis, load_expansion, save, save_csv,
                         write_json)
-from .frequency import TWO_PI, parse_omega_spec
-from .oracle import cond_estimate, hilbert_limit, member_gram, monomial_gram
+from .frequency import TWO_PI, Frequency, parse_omega_spec
+from .oracle import (OracleConfig, cond_estimate, hilbert_limit, member_gram,
+                     monomial_gram)
 from .pairing import bilinear, gram_matrix
 from .tables import InnerProductTables, build_tables, verify_tables
 
@@ -60,8 +62,16 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
     return write_json(doc, _manifest_path(Path(args.out)))
 
 
+def _verifiable(spec: str) -> Frequency:
+    """The frequency of spec, or ValueError if the oracle rule that verify
+    would check its file on exceeds the node budget."""
+    freq = parse_omega_spec(spec)
+    OracleConfig().panel_count(freq.omega)
+    return freq
+
+
 def cmd_tables(args):
-    freq = parse_omega_spec(args.omega)
+    freq = _verifiable(args.omega)
     tables = build_tables(freq, args.n)
     out = Path(args.out)
     if args.format == "json":
@@ -72,7 +82,7 @@ def cmd_tables(args):
 
 
 def cmd_basis(args):
-    freq = parse_omega_spec(args.omega)
+    freq = _verifiable(args.omega)
     tables = build_tables(freq, args.n + 1)
     basis = build_basis(freq, args.n, tables,
                         reorthogonalize=args.reorthogonalize)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -16,16 +17,18 @@ from oscbasis import (
     build_tables,
     evaluate_expansion,
     evaluate_member,
+    load_basis,
     load_expansion,
     project,
     reduce_frequency,
     residual_norm,
+    save_basis,
     save_expansion,
 )
 from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _analysis,
                              _filon_weights, _spherical_bessel,
                              plain_legendre_residuals)
-from oscbasis.basis import member_values
+from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
@@ -401,3 +404,60 @@ def test_expansion_file_round_trip(freq20, basis20, tmp_path):
     assert evaluate_expansion(loaded, basis20, 0.2) == pytest.approx(
         evaluate_expansion(exp, basis20, 0.2), rel=1e-15
     )
+
+
+def _hashless(self):
+    raise AssertionError("content_hash called on the in-memory path")
+
+
+@pytest.mark.parametrize("x", [np.linspace(-1.0, 1.0, 2001), 0.3],
+                         ids=["grid", "scalar"])
+def test_in_memory_expansion_needs_no_content_hash(freq20, basis20, x,
+                                                   tmp_path, monkeypatch):
+    _, target = reduce_frequency(_target("exp", "runge", TWO_PI * 20.3))
+    with monkeypatch.context() as patch:
+        patch.setattr(OscBasis, "content_hash", _hashless)
+        exp = project(target, basis20)
+        resid = residual_norm(target, exp, basis20)
+        values = evaluate_expansion(exp, basis20, x)
+    # the same coefficients under a ref that carries the hash itself take
+    # the hash comparison path
+    ref = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
+                   basis_hash=basis20.content_hash())
+    named = Expansion(basis_ref=ref, coeffs=project(target, basis20).coeffs)
+    assert np.array_equal(exp.coeffs, named.coeffs)
+    assert np.array_equal(resid, residual_norm(target, named, basis20))
+    assert np.array_equal(values, evaluate_expansion(named, basis20, x))
+    assert exp.basis_ref == named.basis_ref
+    save_expansion(exp, tmp_path / "lazy.json")
+    save_expansion(named, tmp_path / "named.json")
+    assert (tmp_path / "lazy.json").read_bytes() \
+        == (tmp_path / "named.json").read_bytes()
+
+
+def test_expansion_checks_against_a_loaded_copy_of_its_basis(freq20, tables20,
+                                                            tmp_path):
+    basis = build_basis(freq20, 12, tables20)
+    _, target = reduce_frequency(_target("exp", "runge", TWO_PI * 20.3))
+    exp = project(target, basis)
+    save_basis(basis, tmp_path / "basis.json")
+    copy = load_basis(tmp_path / "basis.json")
+    assert copy is not basis
+    grid = np.linspace(-1.0, 1.0, 2001)
+    assert np.array_equal(evaluate_expansion(exp, copy, grid),
+                          evaluate_expansion(exp, basis, grid))
+    assert residual_norm(target, exp, copy) == residual_norm(target, exp, basis)
+
+
+def test_basis_ref_is_read_only_and_equal_by_content(basis20):
+    lazy = BasisRef.from_basis(basis20)
+    named = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
+                     basis_hash=basis20.content_hash())
+    assert lazy == named and hash(lazy) == hash(named)
+    assert repr(lazy) == repr(named)
+    assert lazy != BasisRef(freq=basis20.freq, n_max=basis20.n_max,
+                            basis_hash="0" * 64)
+    with pytest.raises(FrozenInstanceError):
+        lazy.n_max = 3
+    with pytest.raises(FrozenInstanceError):
+        del named.basis_hash

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oscbasis import StabilityWarning, load_basis, save_basis
+from oscbasis import (StabilityWarning, build_tables, load_basis, save_basis,
+                      save_tables)
 from oscbasis.approx import BasisRef, Expansion
 from oscbasis.cli import main
 from oscbasis.documents import save_expansion
-from oscbasis.frequency import TWO_PI
+from oscbasis.frequency import TWO_PI, parse_omega_spec
 
 
 @pytest.fixture(scope="module")
@@ -315,11 +316,30 @@ def test_verify_refuses_expansion_document(workdir, tmp_path, capsys):
 
 
 def test_verify_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    assert _run("tables", "--omega", "1e308", "--n", "2", "--out", path) == 0
-    capsys.readouterr()
+    # the tables command refuses this frequency, so the file is written here
+    path = save_tables(build_tables(parse_omega_spec("1e308"), 2),
+                       tmp_path / "huge.json")
     assert _run("verify", path) == 2
     assert "over the budget of 16777216" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, omega", [
+    ("tables", "1e308"),
+    ("tables", "6e5"),
+    ("basis", "2pi*100000"),
+])
+def test_command_refuses_frequency_its_verify_cannot_check(command, omega,
+                                                           tmp_path, capsys):
+    out = tmp_path / f"{command}.json"
+    assert _run(command, "--omega", omega, "--n", "2", "--out", out) == 2
+    assert "over the budget of 16777216" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tables_accepts_frequency_just_inside_the_node_budget(tmp_path):
+    # 4 * 5.4e5 / pi panels of 24 nodes: 1.65e7 of the 2^24 budget
+    assert _run("tables", "--omega", "5.4e5", "--n", "2",
+                "--out", tmp_path / "t.json") == 0
 
 
 def test_verify_missing_file_is_io_error(tmp_path):
