@@ -6,13 +6,17 @@ For each target frequency 2pi * periods this reduces an exp/runge target
 there, and times, R times over: the uncached build of the Gauss-Legendre
 analysis rule (`_analysis`), the Filon weights for a new omega
 (`_filon_weights`, uncached), `project` and `residual_norm` (the weights
-cached, as they are after the first call at a frequency), both together on
-a fresh copy of the basis object (`project_fresh`: nothing cached on the
-basis, as on a first projection onto a new basis), the content hash on a
-fresh copy (`content_hash`: paid only when an expansion is saved or checked
-against a different basis object), and `evaluate_expansion` at 2001 points
-and at one scalar point.  It prints the median of each in milliseconds,
-and the residual.
+cached, as they are after the first call at a frequency; the residual on
+the expansion and target that `project` just sampled, so it reuses their
+samples), `residual_norm` on a copy of the target that `project` has not
+sampled (`residual_fresh`: it samples the envelopes and checks their
+resolution again), `project` and `residual_norm` together on a fresh copy
+of the basis object (`project_fresh`: nothing cached on the basis, as on a
+first projection onto a new basis), the content hash on a fresh copy
+(`content_hash`: paid only when an expansion is saved or checked against a
+different basis object), and `evaluate_expansion` at 2001 points and at one
+scalar point.  It prints the median of each in milliseconds, and the
+residual.
 
     python scripts/approx_cost.py --periods 20.3,200.3,2000.3 --repeats 21
     python scripts/approx_cost.py --n 200 --periods 330.3 --repeats 3
@@ -37,8 +41,9 @@ from oscbasis import (
 )
 from oscbasis.approx import ENVELOPE_DEGREE, _analysis, _filon_weights
 
-LAYERS = ("analysis", "filon_w", "project", "residual", "project_fresh",
-          "content_hash", "eval_2001", "eval_scalar")
+LAYERS = ("analysis", "filon_w", "project", "residual", "residual_fresh",
+          "project_fresh", "content_hash", "eval_2001", "eval_scalar")
+WIDTH = {name: max(11, len(name)) for name in LAYERS}
 
 
 def project_and_residual(target, basis):
@@ -70,7 +75,9 @@ def time_period(periods: float, n: int, repeats: int):
         timed("filon_w", _filon_weights.__wrapped__, freq, points)
         exp = timed("project", project, reduced, basis)
         resid = timed("residual", residual_norm, reduced, exp, basis)
-        # replace makes a new basis object with the same arrays and no hash
+        timed("residual_fresh", residual_norm, replace(reduced), exp, basis)
+        # replace makes a new basis object with the same arrays and no hash,
+        # or a new target object with the same envelopes
         timed("project_fresh", project_and_residual, reduced, replace(basis))
         timed("content_hash", replace(basis).content_hash)
         timed("eval_2001", evaluate_expansion, exp, basis, grid)
@@ -89,11 +96,11 @@ def main():
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    print(f"{'periods':>10}  " + "  ".join(f"{name:>11}" for name in LAYERS)
+    print(f"{'periods':>10}  " + "  ".join(f"{name:>{WIDTH[name]}}" for name in LAYERS)
           + f"  {'residual':>9}   (median ms of {args.repeats}, N = {args.n})")
     for spec in args.periods.split(","):
         ms, resid = time_period(float(spec), args.n, args.repeats)
-        print(f"{spec:>10}  " + "  ".join(f"{ms[name]:11.4f}" for name in LAYERS)
+        print(f"{spec:>10}  " + "  ".join(f"{ms[name]:{WIDTH[name]}.4f}" for name in LAYERS)
               + f"  {resid:9.2e}")
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import FrozenInstanceError, dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,7 @@ from .frequency import Frequency
 from .legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
                        legendre_table)
 from .oracle import composite_rule, sample
-from .pairing import LegTrigCoeffs
+from .pairing import legtrig_values, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +127,8 @@ class Expansion:
 
     basis_ref: BasisRef
     coeffs: np.ndarray
+    # what project sampled, for residual_norm: see _filon_setup
+    _sampled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -137,6 +140,10 @@ class Expansion:
             )
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
+
+    def __getstate__(self):
+        # the samples hold the target, whose envelopes may not pickle
+        return {**vars(self), "_sampled": None}
 
 
 def reduce_frequency(target: OscTarget) -> tuple[Frequency, OscTarget]:
@@ -208,20 +215,23 @@ def _spherical_bessel(kappa: float, sin_k: float, cos_k: float,
     backward recurrence from well past both count and kappa, rescaled
     against overflow and normalised by j_0 or j_1, whichever is larger.
     """
-    # on Python floats: item-by-item numpy scalars cost several times more,
-    # for the same bits
+    # on local Python floats: item-by-item numpy scalars cost several times
+    # more, and list indexing about half as much again, for the same bits
     if kappa >= 2 * count:
-        j = [sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa]
-        for n in range(1, count):
-            j.append((2 * n + 1) / kappa * j[n] - j[n - 1])
+        prev, cur = j = [sin_k / kappa, sin_k / kappa ** 2 - cos_k / kappa]
+        for n in range(1, count - 1):
+            prev, cur = cur, (2 * n + 1) / kappa * cur - prev
+            j.append(cur)
         return np.array(j[:count])
     top = int(max(count, kappa)) + 40 + int(4 * kappa ** (1 / 3))
-    # filled downwards: j[i] holds degree top + 1 - i
-    j = [0.0, 1e-300]
+    # filled downwards: j[i] holds degree top + 1 - i, cur the last of them
+    prev, cur = j = [0.0, 1e-300]
     for n in range(top, 0, -1):
-        j.append((2 * n + 1) / kappa * j[-1] - j[-2])
-        if abs(j[-1]) > 1e250:
+        prev, cur = cur, (2 * n + 1) / kappa * cur - prev
+        j.append(cur)
+        if abs(cur) > 1e250:
             j = [v * 1e-250 for v in j]
+            prev, cur = j[-2:]
     j = np.array(j[: -count - 1 : -1])
     if abs(sin_k) >= abs(cos_k):
         return j * (sin_k / kappa / j[0])
@@ -245,9 +255,11 @@ def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
     return v
 
 
-def _filon_setup(target: OscTarget, basis: OscBasis):
+def _filon_setup(target: OscTarget, basis: OscBasis, sampled=None):
     """The reduced envelopes g and f on the analysis nodes, the Legendre
-    table there up to the basis degree, and the plain and the Filon weights.
+    table there up to the basis degree, and the plain and the Filon weights,
+    last in the record (target, f_env, g_env, basis, those).  An earlier
+    record of this very target, envelope objects and basis is returned as is.
 
     With F = g - i f and a row a - i b, the integral of (g cos + f sin)(a cos
     + b sin) is half the real part of the sums of w F conj(a - i b) and v F
@@ -262,9 +274,12 @@ def _filon_setup(target: OscTarget, basis: OscBasis):
             f"target frequency {target.freq_raw!r} does not match basis "
             f"frequency {omega!r}; apply reduce_frequency first"
         )
+    f_env, g_env = target.f_env, target.g_env
+    if sampled and all(map(operator.is_, sampled, (target, f_env, g_env, basis))):
+        return sampled
     degree = max(ENVELOPE_DEGREE, basis.n_max)
     x, w, P, W = _analysis(2 * degree + 1)
-    g, f = sample(target.g_env, x), sample(target.f_env, x)
+    g, f = sample(g_env, x), sample(f_env, x)
     # the Legendre coefficients of the envelopes beyond degree D, against
     # their whole norm, sum w (g^2 + f^2): exact for interpolants of degree 2D
     energy = np.square(W[degree + 1:] @ np.column_stack([g, f])).sum(axis=1) \
@@ -276,7 +291,8 @@ def _filon_setup(target: OscTarget, basis: OscBasis):
             f"(omega={omega:.6g}): the tail beyond it is {tail / norm:.2e} "
             f"of the envelope norm, over {RESOLVE_TOL:g}"
         )
-    return g, f, P[:basis.n_max + 1], w, _filon_weights(basis.freq, x.size)
+    return target, f_env, g_env, basis, (g, f, P[:basis.n_max + 1], w,
+                                         _filon_weights(basis.freq, x.size))
 
 
 def project(target: OscTarget, basis: OscBasis) -> Expansion:
@@ -287,27 +303,33 @@ def project(target: OscTarget, basis: OscBasis) -> Expansion:
     reduced: its frequency has to equal the basis frequency to 1e-12
     relative, and its envelopes must be resolved by ENVELOPE_DEGREE.
     """
-    g, f, P, w, v = _filon_setup(target, basis)
+    sampled = _filon_setup(target, basis)
+    g, f, P, w, v = sampled[-1]
     # the real part of w F conj(a - i b) + v F (a - i b) is a yg + b yf
     yg = (w + v.real) * g + v.imag * f
     yf = (w - v.real) * f + v.imag * g
     coeffs = 0.5 * (basis.a @ (P @ yg) + basis.b @ (P @ yf))
-    return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs)
+    return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs,
+                     _sampled=sampled)
 
 
 def evaluate_expansion(exp: Expansion, basis: OscBasis, x):
     """Sum of coeffs[i] * row_i(x), collapsed to one Legendre-trig function:
     a float for a scalar or 0-d x, else an array of x's shape."""
     _check_match(exp, basis)
-    return LegTrigCoeffs(a=exp.coeffs @ basis.a,
-                         b=exp.coeffs @ basis.b).evaluate(basis.freq.omega, x)
+    a, b = exp.coeffs @ basis.a, exp.coeffs @ basis.b
+    require_finite(a, b)
+    return legtrig_values(a, b, basis.freq.omega, x)
 
 
 def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
     """L2 norm of F minus its expansion, by the same Filon quadrature as
-    project, on the residual's own values (no Parseval cancellation)."""
+    project, on the residual's own values (no Parseval cancellation).  On
+    the expansion project returned, for the same target object, f_env, g_env
+    and basis object, it reuses that projection's envelope samples and
+    resolution check; any other call samples the envelopes afresh."""
     _check_match(exp, basis)
-    g, f, P, w, v = _filon_setup(target, basis)
+    g, f, P, w, v = _filon_setup(target, basis, exp._sampled)[-1]
     # the residual's envelopes; the real part of w |r|^2 + v r^2 for
     # r = rg - i rf
     rg = g - (exp.coeffs @ basis.a) @ P

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .pairing import LegTrigCoeffs, legtrig_values
+from .pairing import LegTrigCoeffs, legtrig_values, require_finite
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in
@@ -302,14 +302,14 @@ def evaluate_member(basis: OscBasis, row_index: int, x):
             f"row_index {row_index} out of range for basis with {n_rows} rows"
         )
     length = row_index // 2 + 1
-    return LegTrigCoeffs(a=basis.a[row_index, :length],
-                         b=basis.b[row_index, :length]).evaluate(basis.freq.omega, x)
+    a, b = basis.a[row_index, :length], basis.b[row_index, :length]
+    require_finite(a, b)
+    return legtrig_values(a, b, basis.freq.omega, x)
 
 
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:
-    """All rows evaluated at once: shape (2(N+1), len(x))."""
-    return legtrig_values(basis.a, basis.b, basis.freq.omega,
-                          np.asarray(x, dtype=float))
+    """All rows evaluated at once: shape (2(N+1), len(x)), 0-d x one point."""
+    return legtrig_values(basis.a, basis.b, basis.freq.omega, np.atleast_1d(x))
 
 
 def representation_matrix(basis: OscBasis) -> np.ndarray:

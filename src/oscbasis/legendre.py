@@ -10,48 +10,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
 
-def legendre_rows(x):
-    """Yield P_0(x), P_1(x), P_2(x), ... without end.
+def legendre_rows(x, out=None):
+    """Yield P_0(x), P_1(x), P_2(x), ... without end, or as the rows of out,
+    each filled in place, until out is full.
 
     The one place the forward recurrence (k+1) P_{k+1} = (2k+1) x P_k -
     k P_{k-1} is written; it is stable on [-1, 1] for every degree needed
     here.  Every consumer draws its values from this generator, so a given
-    degree at a given point has the same bits wherever it is computed.
+    degree at a given point has the same bits wherever it is computed.  A
+    0-d x with no out yields Python floats, a fraction of the cost of numpy
+    scalars for the same bits.
     """
     x = np.asarray(x, dtype=float)
-    pm1 = np.ones_like(x)
-    yield pm1
-    p = x.copy()
-    k = 1
-    while True:
-        yield p
-        # ((2k+1) x p - k pm1) / (k+1), in place in one new array (a float
-        # for 0-d x), in that operation order
-        new = (2 * k + 1) * x
-        new *= p
-        new -= k * pm1
-        new /= k + 1
+    if out is None and x.ndim == 0:
+        x = float(x)
+    # P_0 = x ** 0 (1 also at NaN), then ((2k+1) x p - k pm1) / (k+1) in
+    # that operation order from P_{-1} = 0, which gives P_1 = x exactly
+    p = 0.0
+    for k, row in enumerate(repeat(None) if out is None else out, start=-1):
+        if k < 0:
+            new = x ** 0 if row is None else np.power(x, 0, out=row)
+        else:
+            new = (2 * k + 1) * x if row is None \
+                else np.multiply(x, 2 * k + 1, out=row)
+            new *= p
+            new -= k * pm1
+            new /= k + 1
+        yield new
         p, pm1 = new, p
-        k += 1
 
 
 def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """All of P_0 ... P_n_max at once.
 
-    Returns an (n_max+1, x.size) array; row j holds P_j at the sample
-    points, from one recurrence pass.  A 0-d x gives one column, and the
-    recurrence runs on floats, with the same bits as at that point inside
-    an array.
+    Returns an (n_max+1, x.size) array; row j holds P_j at the 1-D sample
+    points x, written in place by one recurrence pass.  A 0-d x gives one
+    column, from the recurrence on Python floats, with the same bits as at
+    that point inside an array.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.fromiter(islice(legendre_rows(x), n_max + 1), float)[:, None]
     table = np.empty((n_max + 1, x.size))
-    for row, p in zip(table, legendre_rows(x)):
-        row[:] = p
+    for _ in legendre_rows(x, out=table):
+        pass
     return table
 
 

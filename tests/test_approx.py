@@ -1,6 +1,7 @@
 import math
+import pickle
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
 import numpy as np
@@ -32,7 +33,7 @@ from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
-from oscbasis.pairing import LegTrigCoeffs
+from oscbasis.pairing import LegTrigCoeffs, legtrig_values
 
 
 def _target(f_name, g_name, omega):
@@ -178,6 +179,114 @@ def test_scalar_point_has_its_bits_alone_in_an_array(freq20, basis20, point):
         assert got == evaluate(x) == evaluate(np.float64(x)) == evaluate(np.array(x))
         assert got == evaluate(np.array([x]))[0]
         assert abs(got - evaluate(xs)[2]) <= 1e-14
+
+
+@pytest.mark.parametrize("point", [0.3, -0.77, 1.0, -1.0, 0.0])
+def test_scalar_evaluators_agree_bit_for_bit(freq20, basis20, point):
+    # the expansion, a member and LegTrigCoeffs all evaluate through
+    # legtrig_values, on the same coefficients the same bits
+    omega = freq20.omega
+    exp = project(_target("exp", "runge", omega), basis20)
+    collapsed = exp.coeffs @ basis20.a, exp.coeffs @ basis20.b
+    got = evaluate_expansion(exp, basis20, point)
+    assert got == LegTrigCoeffs(*collapsed).evaluate(omega, point)
+    assert got == legtrig_values(*collapsed, omega, np.array([point]))[0]
+    for row in (0, 11, 25):
+        member = basis20.a[row, : row // 2 + 1], basis20.b[row, : row // 2 + 1]
+        got = evaluate_member(basis20, row, point)
+        assert got == LegTrigCoeffs(*member).evaluate(omega, point)
+        assert got == legtrig_values(*member, omega, np.array([point]))[0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("x", [0.3, np.linspace(-1.0, 1.0, 5)], ids=["scalar", "array"])
+def test_evaluators_refuse_non_finite_coefficients(freq20, basis20, value, x):
+    # a basis may hold a NaN or an infinity at a slot its parity allows
+    # (the derivative transform then reports a NaN similarity residual),
+    # but no value is evaluated from it
+    row, degree = np.argwhere(basis20.a != 0.0)[-1]
+    a = basis20.a.copy()
+    a[row, degree] = value
+    broken = OscBasis(freq=freq20, n_max=basis20.n_max, a=a, b=basis20.b,
+                      norms=basis20.norms, rec=basis20.rec)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        evaluate_member(broken, int(row), x)
+    exp = Expansion(BasisRef.from_basis(broken),
+                    project(_target("exp", "runge", freq20.omega), basis20).coeffs)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        evaluate_expansion(exp, broken, x)
+    # coefficients assigned after projection are checked as well
+    exp = project(_target("exp", "runge", freq20.omega), basis20)
+    exp.coeffs = np.where(np.arange(exp.coeffs.size) == 3, np.nan, exp.coeffs)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        evaluate_expansion(exp, basis20, x)
+
+
+class _Counted:
+    """A catalog envelope that counts the calls made to it."""
+
+    def __init__(self, name):
+        self.env, self.calls = ENVELOPES[name], 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.env(x)
+
+
+def test_residual_reuses_the_samples_of_its_projection(freq20, basis20):
+    f, g = _Counted("exp"), _Counted("runge")
+    target = OscTarget(f_env=f, g_env=g, freq_raw=freq20.omega)
+    exp = project(target, basis20)
+    assert (f.calls, g.calls) == (1, 1)
+    reused = residual_norm(target, exp, basis20)
+    assert (f.calls, g.calls) == (1, 1)
+    # the same envelopes in a new target object are sampled again, to the
+    # same bits
+    fresh = residual_norm(OscTarget(f_env=f, g_env=g, freq_raw=freq20.omega),
+                          exp, basis20)
+    assert (f.calls, g.calls) == (2, 2)
+    assert np.array_equal(reused, fresh)
+    # a frequency reassigned after projection is still refused
+    target.freq_raw *= 1.5
+    with pytest.raises(ValueError, match="does not match basis frequency"):
+        residual_norm(target, exp, basis20)
+
+
+def test_projected_expansion_pickles_without_its_samples(freq20, basis20):
+    # the reduced envelopes are closures, which do not pickle; the copy
+    # samples the target afresh, to the same residual
+    _, reduced = reduce_frequency(_target("exp", "runge", freq20.omega + 0.3))
+    exp = project(reduced, basis20)
+    copy = pickle.loads(pickle.dumps(exp))
+    assert np.array_equal(copy.coeffs, exp.coeffs) and copy._sampled is None
+    assert residual_norm(reduced, copy, basis20) == residual_norm(reduced, exp, basis20)
+
+
+@pytest.mark.parametrize("change", ["f_env", "g_env", "target", "basis"])
+def test_residual_samples_afresh_on_anything_but_what_was_projected(
+        freq20, basis20, change):
+    omega = freq20.omega
+    target = OscTarget(f_env=_Counted("exp"), g_env=_Counted("runge"),
+                       freq_raw=omega)
+    exp = project(target, basis20)
+    reused = residual_norm(target, exp, basis20)
+    basis = basis20
+    if change == "f_env":
+        target.f_env = _Counted("cos1")
+    elif change == "g_env":
+        target.g_env = _Counted("x")
+    elif change == "target":
+        target = OscTarget(f_env=_Counted("cos1"), g_env=target.g_env,
+                           freq_raw=omega)
+    else:
+        basis = replace(basis20)
+    calls = target.f_env.calls, target.g_env.calls
+    got = residual_norm(target, exp, basis)
+    assert (target.f_env.calls, target.g_env.calls) == (calls[0] + 1, calls[1] + 1)
+    fresh = OscTarget(f_env=target.f_env.env, g_env=target.g_env.env,
+                      freq_raw=omega)
+    assert np.array_equal(got, residual_norm(fresh, exp, basis20))
+    assert (got == reused) == (change == "basis")
 
 
 def test_reduce_project_evaluate_pipeline(tables20, freq20, basis20):

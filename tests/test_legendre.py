@@ -1,9 +1,12 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscbasis.legendre import gauss_legendre_rule, legendre_norm_sq, legendre_table
+from oscbasis.legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
+                               legendre_table)
 
 
 def _p(n, x):
@@ -157,6 +160,25 @@ def test_table_for_0d_point_has_its_bits_inside_an_array(x):
     table = legendre_table(80, np.array(x))
     assert table.shape == (81, 1)
     assert np.array_equal(table[:, 0], legendre_table(80, xs)[:, 1])
+
+
+@pytest.mark.parametrize("size", [None, 1, 5, 2001], ids=["0d", "1", "5", "2001"])
+def test_table_filled_in_place_matches_rows_drawn_one_by_one(size):
+    # legendre_table writes each degree into its row of the table; drawn
+    # from the generator alone, every degree is a new array (a Python float
+    # for a 0-d point)
+    x = np.array(0.3) if size is None else np.concatenate(
+        [[-1.0, 1.0, 0.0], np.random.default_rng(size).uniform(-1.0, 1.0, size)])
+    rows = list(islice(legendre_rows(x), 81))
+    if size is None:
+        assert all(type(p) is float for p in rows)
+    table = legendre_table(80, x)
+    assert table.shape == (81, x.size)
+    assert np.array_equal(table, np.array(rows).reshape(table.shape))
+    out = np.empty_like(table)
+    filled = list(legendre_rows(x, out=out))
+    assert len(filled) == 81 and all(np.shares_memory(p, out) for p in filled)
+    assert np.array_equal(out, table)
 
 
 @pytest.mark.parametrize("n", [321, 401])

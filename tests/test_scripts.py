@@ -80,12 +80,13 @@ def test_approx_cost_prints_every_layer_and_the_residual():
     lines = _run("approx_cost.py", ["--periods", "20.3,2000.3", "--repeats", "2"])
     header, rows = lines[-3].split(), [line.split() for line in lines[-2:]]
     for name in ("analysis", "filon_w", "project", "residual",
-                 "project_fresh", "content_hash", "eval_2001", "eval_scalar"):
+                 "residual_fresh", "project_fresh", "content_hash",
+                 "eval_2001", "eval_scalar"):
         assert name in header
     assert [row[0] for row in rows] == ["20.3", "2000.3"]
     for row in rows:
-        assert len(row) == 10
-        assert all(float(ms) > 0.0 for ms in row[1:9])
+        assert len(row) == 11
+        assert all(float(ms) > 0.0 for ms in row[1:10])
         # exp / runge at N = 12: the residual does not depend on omega
-        assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[9]), row[9]
-        assert 1e-3 < float(row[9]) < 1.0
+        assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[10]), row[10]
+        assert 1e-3 < float(row[10]) < 1.0
