@@ -36,7 +36,7 @@ def sweep_cell(k: int, n: int) -> str:
         except BasisDegenerationError as exc:
             member = str(exc).split("member ")[1].split(":")[0]
             return f"degenerate@{member}"
-    G = member_gram(basis.rep, freq.omega)
+    G = member_gram(basis, freq.omega)
     dev = np.max(np.abs(G - np.eye(G.shape[0])))
     rho = ROUNDOFF * max(np.max(np.abs(basis.a)), np.max(np.abs(basis.b))) ** 2
     return f"{dev:.3e}/{rho:.1e}"

@@ -22,7 +22,7 @@ from .frequency import Frequency, StabilityWarning, parse_omega_spec
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_norm_sq
 from .oracle import (OracleConfig, cond_estimate, hilbert_limit, integrate,
                      monomial_gram)
-from .pairing import LegTrigCoeffs, gram_matrix, inner_product
+from .pairing import gram_matrix
 from .tables import InnerProductTables, VerifyReport, build_tables, verify_tables
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "Expansion",
     "Frequency",
     "InnerProductTables",
-    "LegTrigCoeffs",
     "OracleConfig",
     "OscBasis",
     "OscTarget",
@@ -51,7 +50,6 @@ __all__ = [
     "gauss_legendre_rule",
     "gram_matrix",
     "hilbert_limit",
-    "inner_product",
     "integrate",
     "legendre_norm_sq",
     "load_basis",

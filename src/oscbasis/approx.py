@@ -138,8 +138,7 @@ class Expansion:
                 f"expected {expected} coefficients for n_max="
                 f"{self.basis_ref.n_max}, got {self.coeffs.size}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
+        require_finite(self.coeffs)
 
     def __getstate__(self):
         # the samples hold the target, whose envelopes may not pickle

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .pairing import LegTrigCoeffs, legtrig_values, require_finite
+from .pairing import legtrig_values, require_finite
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in
@@ -93,11 +93,10 @@ class OscBasis:
                 f"{rule}; the basis file is corrupted")
 
     @property
-    def rep(self) -> list[LegTrigCoeffs]:
-        """The members as LegTrigCoeffs, row i trimmed to length i//2 + 1."""
-        return [LegTrigCoeffs(a=self.a[i, : i // 2 + 1],
-                              b=self.b[i, : i // 2 + 1])
-                for i in range(self.a.shape[0])]
+    def rep(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b); kept only because the benchmark under bench/ still
+        passes basis.rep to gram_matrix and member_gram."""
+        return self.a, self.b
 
     def content_hash(self) -> str:
         """sha256 over the canonical serialized form, computed on first

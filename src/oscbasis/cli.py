@@ -33,7 +33,7 @@ from .documents import (load, load_basis, load_expansion, save, save_csv,
 from .frequency import TWO_PI, Frequency, parse_omega_spec
 from .oracle import (OracleConfig, cond_estimate, hilbert_limit, member_gram,
                      monomial_gram)
-from .pairing import bilinear, gram_matrix
+from .pairing import gram_matrix
 from .tables import InnerProductTables, build_tables, verify_tables
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -225,7 +225,7 @@ def cmd_hilbert_demo(args):
         B = np.zeros((2 * n + 2, n + 1))
         A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
         B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
-        cond_l = cond_estimate(bilinear(A, B, A.T, B.T, tables))
+        cond_l = cond_estimate(gram_matrix((A, B), tables))
         lines.append(",".join(
             format(v, ".17g") for v in (freq.omega, dev, cond_m, cond_l)))
         print(f"omega={freq.omega:.6g}: max|H - L|={dev:.3e} "

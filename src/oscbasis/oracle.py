@@ -17,7 +17,7 @@ import numpy as np
 
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
-from .pairing import coefficient_arrays, legtrig_values
+from .pairing import _rows, legtrig_values
 
 # most nodes a composite rule may have; a refined rule (6 panels per period,
 # 32 points per panel) at omega/2pi = 2000 has 768,000
@@ -134,9 +134,9 @@ def oracle_tables(freq: Frequency, n_max: int,
 
 
 def member_gram(members, omega: float) -> np.ndarray:
-    """Gram matrix of Legendre-trig members (as coefficient_arrays takes
-    them) by quadrature, independent of any recursion tables."""
-    A, B = coefficient_arrays(members)
+    """Gram matrix of the rows of a basis or of an (A, B) pair, as
+    gram_matrix takes them, by quadrature, independent of any tables."""
+    A, B = _rows(members)
     return _gram(lambda x: legtrig_values(A, B, omega, x), omega)
 
 

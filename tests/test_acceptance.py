@@ -67,7 +67,7 @@ def test_criterion_02_basis_orthonormal_under_quadrature(capsys):
     freq = Frequency.exact(20)
     tables = build_tables(freq, 13)
     basis = build_basis(freq, 12, tables)
-    G = member_gram(basis.rep, freq.omega)
+    G = member_gram(basis, freq.omega)
     dev = float(np.max(np.abs(G - np.eye(26))))
     elapsed = time.perf_counter() - t0
     ok = dev <= 1e-8 and elapsed <= 30.0
@@ -102,7 +102,7 @@ def test_criterion_04_stability_bracket(capsys):
     # stable side: many periods, moderate degree
     freq_hi = Frequency.exact(50)
     basis_hi = build_basis(freq_hi, 12, build_tables(freq_hi, 13))
-    dev_hi = float(np.max(np.abs(member_gram(basis_hi.rep, freq_hi.omega) - np.eye(26))))
+    dev_hi = float(np.max(np.abs(member_gram(basis_hi, freq_hi.omega) - np.eye(26))))
 
     # unstable side must at least warn; degeneration is the documented outcome
     freq_lo = Frequency.exact(3)
@@ -112,7 +112,7 @@ def test_criterion_04_stability_bracket(capsys):
     with pytest.warns(StabilityWarning):
         try:
             basis_lo = build_basis(freq_lo, 24, tables_lo)
-            G = member_gram(basis_lo.rep, freq_lo.omega)
+            G = member_gram(basis_lo, freq_lo.omega)
             lo_note = f"built with max|G - I| = {np.max(np.abs(G - np.eye(50))):.3e}"
         except BasisDegenerationError as exc:
             lo_note = f"degenerated as documented ({str(exc).split(':')[0]})"
@@ -154,15 +154,11 @@ def test_criterion_05_conditioning_contrast(capsys):
     mono_gap = cond_mono / cond_limit - 1.0
 
     tables = build_tables(freq, 10)
-    from oscbasis.pairing import LegTrigCoeffs
-
-    rows = []
-    for j in range(11):
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        rows.append(LegTrigCoeffs(a=e / np.sqrt(tables.m3[j, j]), b=np.zeros(j + 1)))
-        rows.append(LegTrigCoeffs(a=np.zeros(j + 1), b=e / np.sqrt(tables.m4[j, j])))
-    cond_legtrig = cond_estimate(gram_matrix(rows, tables))
+    # unit-norm single modes P_j cos(omega x), P_j sin(omega x), interleaved
+    A, B = np.zeros((2, 22, 11))
+    A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
+    B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
+    cond_legtrig = cond_estimate(gram_matrix((A, B), tables))
 
     # The finite-omega gap to the limit is O(N / omega^2) (about 4e-3 here);
     # the Gram one degree off misses the reference by a factor of 0.18 or 5.5.

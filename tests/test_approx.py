@@ -33,7 +33,7 @@ from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
-from oscbasis.pairing import LegTrigCoeffs, legtrig_values
+from oscbasis.pairing import legtrig_values
 
 
 def _target(f_name, g_name, omega):
@@ -168,12 +168,12 @@ def test_scalar_point_has_its_bits_alone_in_an_array(freq20, basis20, point):
     # order that depends on the number of points and on the point's place
     # among them, so inside a longer array only rounding may differ
     exp = project(_target("exp", "runge", freq20.omega), basis20)
-    coeffs = LegTrigCoeffs(a=exp.coeffs @ basis20.a, b=exp.coeffs @ basis20.b)
     x = float(point)
     xs = np.array([-1.0, 0.25, x, 0.5, 1.0])
     for evaluate in (partial(evaluate_expansion, exp, basis20),
                      partial(evaluate_member, basis20, 11),
-                     partial(coeffs.evaluate, freq20.omega)):
+                     partial(legtrig_values, exp.coeffs @ basis20.a,
+                             exp.coeffs @ basis20.b, freq20.omega)):
         got = evaluate(point)
         assert type(got) is float
         assert got == evaluate(x) == evaluate(np.float64(x)) == evaluate(np.array(x))
@@ -183,18 +183,18 @@ def test_scalar_point_has_its_bits_alone_in_an_array(freq20, basis20, point):
 
 @pytest.mark.parametrize("point", [0.3, -0.77, 1.0, -1.0, 0.0])
 def test_scalar_evaluators_agree_bit_for_bit(freq20, basis20, point):
-    # the expansion, a member and LegTrigCoeffs all evaluate through
-    # legtrig_values, on the same coefficients the same bits
+    # the expansion and a member both evaluate through legtrig_values, on
+    # the same coefficients the same bits, at a scalar as at a 1-point array
     omega = freq20.omega
     exp = project(_target("exp", "runge", omega), basis20)
     collapsed = exp.coeffs @ basis20.a, exp.coeffs @ basis20.b
     got = evaluate_expansion(exp, basis20, point)
-    assert got == LegTrigCoeffs(*collapsed).evaluate(omega, point)
+    assert got == legtrig_values(*collapsed, omega, point)
     assert got == legtrig_values(*collapsed, omega, np.array([point]))[0]
     for row in (0, 11, 25):
         member = basis20.a[row, : row // 2 + 1], basis20.b[row, : row // 2 + 1]
         got = evaluate_member(basis20, row, point)
-        assert got == LegTrigCoeffs(*member).evaluate(omega, point)
+        assert got == legtrig_values(*member, omega, point)
         assert got == legtrig_values(*member, omega, np.array([point]))[0]
 
 

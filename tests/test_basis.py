@@ -23,7 +23,7 @@ from oscbasis.basis import member_values, representation_matrix
 from oscbasis.documents import from_doc, save_basis_csv, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram
-from oscbasis.pairing import LegTrigCoeffs, gram_matrix, inner_product
+from oscbasis.pairing import gram_matrix, legtrig_values
 
 
 def _build_quiet(freq, n_max, tables, **kw):
@@ -32,13 +32,17 @@ def _build_quiet(freq, n_max, tables, **kw):
         return build_basis(freq, n_max, tables, **kw)
 
 
+def _member(basis, i):
+    """Member i's cosine and sine parts, trimmed to its degree i // 2."""
+    return basis.a[i, : i // 2 + 1], basis.b[i, : i // 2 + 1]
+
+
 def test_seed_pair_is_normalized_trig(freq20, tables20, basis20):
-    p0, q0 = basis20.rep[0], basis20.rep[1]
     # at an exact multiple ||cos|| = ||sin|| = 1 already
     assert basis20.norms[0] == 1.0
     assert basis20.norms[1] == 1.0
-    assert p0.a[0] == 1.0 and p0.b[0] == 0.0
-    assert q0.a[0] == 0.0 and q0.b[0] == 1.0
+    assert basis20.a[0, 0] == 1.0 and basis20.b[0, 0] == 0.0
+    assert basis20.a[1, 0] == 0.0 and basis20.b[1, 0] == 1.0
 
 
 def test_first_quotient_has_closed_form(freq20, basis20):
@@ -50,7 +54,7 @@ def test_first_quotient_has_closed_form(freq20, basis20):
 
 
 def test_monic_p1_picks_up_sine_correction(freq20, basis20):
-    monic_b0 = basis20.norms[2] * basis20.rep[2].b[0]
+    monic_b0 = basis20.norms[2] * basis20.b[2, 0]
     assert monic_b0 == pytest.approx(1.0 / (2.0 * freq20.omega), rel=1e-12)
 
 
@@ -58,14 +62,14 @@ def test_seed_orthogonality_at_general_frequency():
     freq = Frequency.from_omega(12.0)
     tables = build_tables(freq, 1)
     basis = build_basis(freq, 0, tables)
-    assert inner_product(basis.rep[0], basis.rep[1], tables) == 0.0
+    G = gram_matrix(basis, tables)
+    assert G[0, 1] == 0.0
     for i in (0, 1):
-        nsq = inner_product(basis.rep[i], basis.rep[i], tables)
-        assert nsq == pytest.approx(1.0, rel=1e-14)
+        assert G[i, i] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gram_is_identity_under_table_form(basis20, tables20):
-    G = gram_matrix(basis20.rep, tables20)
+    G = gram_matrix(basis20, tables20)
     assert np.max(np.abs(G - np.eye(26))) <= 1e-10
 
 
@@ -74,7 +78,7 @@ def test_orthonormality_against_quadrature(k):
     freq = Frequency.exact(k)
     tables = build_tables(freq, 13)
     basis = _build_quiet(freq, 12, tables)
-    G = member_gram(basis.rep, freq.omega)
+    G = member_gram(basis, freq.omega)
     assert np.max(np.abs(G - np.eye(26))) <= 1e-8
 
 
@@ -97,14 +101,14 @@ def test_polynomial_trig_products_lie_in_span(freq20, tables20):
 def test_rows_have_strict_trig_parity(basis20):
     # at an exact multiple the recurrence never mixes the two parity classes
     for k in range(basis20.n_max + 1):
-        p, q = basis20.rep[2 * k], basis20.rep[2 * k + 1]
-        for j in range(p.a.size):
+        (pa, pb), (qa, qb) = _member(basis20, 2 * k), _member(basis20, 2 * k + 1)
+        for j in range(pa.size):
             if j % 2 != k % 2:
-                assert p.a[j] == 0.0
-                assert q.b[j] == 0.0
+                assert pa[j] == 0.0
+                assert qb[j] == 0.0
             else:
-                assert p.b[j] == 0.0
-                assert q.a[j] == 0.0
+                assert pb[j] == 0.0
+                assert qa[j] == 0.0
 
 
 def _times_x(c):
@@ -121,34 +125,37 @@ def _times_x(c):
 def test_recurrence_steps_reproduce_stored_rows(basis20, tables20):
     for k in range(1, basis20.n_max):
         alpha, beta, gamma, delta = basis20.rec[k]
-        p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
+        p_prev, q_prev, p_k, q_k = (_member(basis20, i) for i in range(2 * k - 2, 2 * k + 2))
         # x p_k - alpha q_k - beta p_{k-1} and x q_k - gamma p_k - delta q_{k-1}
         for row, own, other, prev, (near, back) in (
                 (2 * k + 2, p_k, q_k, p_prev, (alpha, beta)),
                 (2 * k + 3, q_k, p_k, q_prev, (gamma, delta))):
             want = basis20.norms[row]
-            got = basis20.rep[row]
-            for part in ("a", "b"):
-                raw = _times_x(getattr(own, part))
-                raw[: k + 1] -= near * getattr(other, part)
-                raw[:k] -= back * getattr(prev, part)
-                assert raw.size == getattr(got, part).size
-                assert np.max(np.abs(raw - want * getattr(got, part))) <= 1e-12
+            got = _member(basis20, row)
+            for part in (0, 1):
+                raw = _times_x(own[part])
+                raw[: k + 1] -= near * other[part]
+                raw[:k] -= back * prev[part]
+                assert raw.size == got[part].size
+                assert np.max(np.abs(raw - want * got[part])) <= 1e-12
 
 
 def test_recurrence_quotients_are_table_inner_products(basis20, tables20):
-    def quotient(f, g):
-        return inner_product(f, g, tables20) / inner_product(g, g, tables20)
-
     for k in range(1, basis20.n_max):
         alpha, beta, gamma, delta = basis20.rec[k]
-        p_prev, q_prev, p_k, q_k = (basis20.rep[i] for i in range(2 * k - 2, 2 * k + 2))
-        xp = LegTrigCoeffs(_times_x(p_k.a), _times_x(p_k.b))
-        xq = LegTrigCoeffs(_times_x(q_k.a), _times_x(q_k.b))
-        for got, want in ((alpha, quotient(xp, q_k)),
-                          (beta, quotient(xp, p_prev)),
-                          (gamma, quotient(xq, p_k)),
-                          (delta, quotient(xq, q_prev))):
+        # rows x p_k, x q_k, then q_k, p_{k-1}, p_k, q_{k-1}, all k + 2 long
+        pair = np.zeros((2, 6, k + 2))
+        for part, rows in zip(pair, (basis20.a, basis20.b)):
+            part[0] = _times_x(rows[2 * k, : k + 1])
+            part[1] = _times_x(rows[2 * k + 1, : k + 1])
+            part[2:, : k + 1] = rows[[2 * k + 1, 2 * k - 2, 2 * k, 2 * k - 1], : k + 1]
+        G = gram_matrix(tuple(pair), tables20)
+        # <f, g> / <g, g> for f = x p_k, x q_k and g the other four rows
+        quotient = G[:2, 2:] / np.diag(G)[2:]
+        for got, want in ((alpha, quotient[0, 0]),
+                          (beta, quotient[0, 1]),
+                          (gamma, quotient[1, 2]),
+                          (delta, quotient[1, 3])):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -157,8 +164,8 @@ def test_reorthogonalization_tightens_marginal_gram():
     tables = build_tables(freq, 13)
     plain = _build_quiet(freq, 12, tables)
     tight = _build_quiet(freq, 12, tables, reorthogonalize=True)
-    G_plain = gram_matrix(plain.rep, tables)
-    G_tight = gram_matrix(tight.rep, tables)
+    G_plain = gram_matrix(plain, tables)
+    G_tight = gram_matrix(tight, tables)
     dev_plain = np.max(np.abs(G_plain - np.eye(26)))
     dev_tight = np.max(np.abs(G_tight - np.eye(26)))
     assert dev_tight <= dev_plain + 1e-14
@@ -283,7 +290,7 @@ def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
     dev = {}
     for reorth in (False, True):
         basis = build_basis(freq, n_max, tables, reorthogonalize=reorth)
-        G = member_gram(basis.rep, freq.omega)
+        G = member_gram(basis, freq.omega)
         dev[reorth] = np.max(np.abs(G - np.eye(G.shape[0])))
     assert dev[True] <= 1e-10
     assert dev[True] <= dev[False] + 1e-14
@@ -311,7 +318,7 @@ def test_boundary_build_warns_but_succeeds():
     tables = build_tables(freq, 25)
     with pytest.warns(StabilityWarning):
         basis = build_basis(freq, 24, tables)
-    assert len(basis.rep) == 50
+    assert basis.a.shape[0] == 50
 
 
 def test_no_warning_when_frequency_dominates_degree(freq20, tables20):
@@ -354,9 +361,11 @@ def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
                           gram_matrix(basis20.rep, tables20))
     assert np.array_equal(member_gram(basis20, omega), member_gram(basis20.rep, omega))
     x = np.linspace(-1.0, 1.0, 7)
-    for i, member in enumerate(basis20.rep):
-        assert np.array_equal(evaluate_member(basis20, i, x), member.evaluate(omega, x))
-        assert evaluate_member(basis20, i, 0.3) == member.evaluate(omega, 0.3)
+    for i in range(basis20.a.shape[0]):
+        member = _member(basis20, i)
+        assert np.array_equal(evaluate_member(basis20, i, x),
+                              legtrig_values(*member, omega, x))
+        assert evaluate_member(basis20, i, 0.3) == legtrig_values(*member, omega, 0.3)
 
 
 def test_monic_norms_decrease(freq20, tables20):
@@ -393,9 +402,8 @@ def test_serialization_round_trip(basis20, tmp_path):
     assert loaded.freq == basis20.freq
     assert loaded.n_max == basis20.n_max
     assert np.array_equal(loaded.norms, basis20.norms)
-    for got, want in zip(loaded.rep, basis20.rep):
-        assert np.array_equal(got.a, want.a)
-        assert np.array_equal(got.b, want.b)
+    assert np.array_equal(loaded.a, basis20.a)
+    assert np.array_equal(loaded.b, basis20.b)
     assert np.array_equal(loaded.rec, basis20.rec)
     assert loaded.content_hash() == basis20.content_hash()
 
@@ -416,10 +424,10 @@ def test_content_hash_tracks_content(basis20):
 def test_representation_matrix_layout(basis20):
     B = representation_matrix(basis20)
     assert B.shape == (26, 26)
-    assert B[0, 0] == basis20.rep[0].a[0]
-    assert B[1, 1] == basis20.rep[1].b[0]
+    assert B[0, 0] == basis20.a[0, 0]
+    assert B[1, 1] == basis20.b[1, 0]
     # degree bound: pair k only reaches Legendre degree k
-    for i, row in enumerate(basis20.rep):
+    for i in range(B.shape[0]):
         k = i // 2
         assert np.all(B[i, 2 * (k + 1):] == 0.0)
 

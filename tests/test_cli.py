@@ -138,7 +138,7 @@ def test_basis_reports_self_check(tmp_path, capsys):
     assert dev <= 1e-10
     basis = load_basis(out)
     assert basis.n_max == 6
-    assert len(basis.rep) == 14
+    assert basis.a.shape[0] == 14
 
 
 def test_basis_csv_format(tmp_path):

@@ -16,6 +16,7 @@ from oscbasis.oracle import (
     monomial_gram,
     oracle_tables,
 )
+from oscbasis.pairing import legtrig_values
 
 
 def test_config_validation_and_panel_count():
@@ -52,9 +53,11 @@ def test_member_gram_matches_per_member_quadrature():
     freq = Frequency.exact(50)
     basis = build_basis(freq, 10, build_tables(freq, 11))
     rule = composite_rule(freq.omega)
-    E = np.array([m.evaluate(freq.omega, rule.nodes) for m in basis.rep])
+    E = np.array([legtrig_values(basis.a[i, : i // 2 + 1], basis.b[i, : i // 2 + 1],
+                                 freq.omega, rule.nodes)
+                  for i in range(basis.a.shape[0])])
     want = (E * rule.weights) @ E.T
-    got = member_gram(basis.rep, freq.omega)
+    got = member_gram(basis, freq.omega)
     assert rule.nodes.size > 4096
     assert np.max(np.abs(got - 0.5 * (want + want.T))) <= 1e-14
     assert np.array_equal(got, got.T)
@@ -240,17 +243,12 @@ def test_cond_estimate_rejects_bad_input():
 def test_legtrig_units_stay_well_conditioned():
     # normalized single-mode rows at a frequency well above the degree
     from oscbasis import build_tables
-    from oscbasis.pairing import LegTrigCoeffs, gram_matrix
+    from oscbasis.pairing import gram_matrix
 
     freq = Frequency.exact(50)
     tables = build_tables(freq, 10)
-    rows = []
-    for j in range(11):
-        a = np.zeros(11)
-        b = np.zeros(11)
-        a[j] = 1.0 / np.sqrt(tables.m3[j, j])
-        rows.append(LegTrigCoeffs(a=a, b=np.zeros(11)))
-        b[j] = 1.0 / np.sqrt(tables.m4[j, j])
-        rows.append(LegTrigCoeffs(a=np.zeros(11), b=b))
-    G = gram_matrix(rows, tables)
+    A, B = np.zeros((2, 22, 11))
+    A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
+    B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
+    G = gram_matrix((A, B), tables)
     assert cond_estimate(G) <= 10.0
