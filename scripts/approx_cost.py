@@ -11,10 +11,10 @@ the expansion and target that `project` just sampled, so it reuses their
 samples), `residual_norm` on a copy of the target that `project` has not
 sampled (`residual_fresh`: it samples the envelopes and checks their
 resolution again), `project` and `residual_norm` together on a fresh copy
-of the basis object (`project_fresh`: nothing cached on the basis, as on a
-first projection onto a new basis), the content hash on a fresh copy
-(`content_hash`: paid only when an expansion is saved or checked against a
-different basis object), and `evaluate_expansion` at 2001 points and at one
+of the basis object (`project_fresh`: nothing cached on the basis, so it
+includes the basis's first content hash, as on a first projection onto a
+new basis), the content hash alone on a fresh copy (`content_hash`: paid
+once per basis object), and `evaluate_expansion` at 2001 points and at one
 scalar point.  It prints the median of each in milliseconds, and the
 residual.
 

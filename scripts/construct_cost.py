@@ -3,7 +3,9 @@
 
 For each cell 2pi*k : N this times, R times over, `build_tables`, the
 plain and the reorthogonalized `build_basis`, `derivative_matrix_legtrig`
-and `to_orthogonal_basis`, and prints the median of each in milliseconds.
+and `to_orthogonal_basis`, then `save_basis` and `load_basis` of the plain
+basis's JSON document and its content hash on a fresh copy of the basis
+object (nothing cached), and prints the median of each in milliseconds.
 Next to them it prints rho = u * max|c|^2 over the plain basis's
 coefficients (u the unit roundoff), the size of the Gram error that
 rounding alone can cause, and the plain basis's quadrature-oracle max|G - I|
@@ -14,8 +16,11 @@ has.
 """
 
 import argparse
+import tempfile
 import time
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -26,15 +31,18 @@ from oscbasis import (
     build_basis,
     build_tables,
     derivative_matrix_legtrig,
+    load_basis,
+    save_basis,
     to_orthogonal_basis,
 )
 from oscbasis.basis import ROUNDOFF
 from oscbasis.oracle import member_gram
 
-LAYERS = ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth")
+LAYERS = ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth", "save",
+          "load", "hash")
 
 
-def time_cell(k: int, n: int, repeats: int):
+def time_cell(k: int, n: int, repeats: int, path: Path):
     """Median milliseconds per layer, rho and the oracle max|G - I|, or
     None where a build is refused."""
     freq = Frequency.exact(k)
@@ -61,6 +69,11 @@ def time_cell(k: int, n: int, repeats: int):
         op = timed("d_legtrig", derivative_matrix_legtrig, freq, n)
         if basis is not None:
             timed("to_orth", to_orthogonal_basis, op, basis)
+            timed("save", save_basis, basis, path)
+            timed("load", load_basis, path)
+            # replace makes a new basis object with the same arrays and no
+            # hash yet
+            timed("hash", replace(basis).content_hash)
     ms = {name: 1e3 * float(np.median(t)) if t else None
           for name, t in times.items()}
     if basis is None:
@@ -85,9 +98,10 @@ def main():
           + f"  {'rho':>9}  {'max|G-I|':>9}   (median ms of {args.repeats})")
     for spec in args.cells.split(","):
         k, n = (int(part) for part in spec.split(":"))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("ignore", StabilityWarning)
-            ms, rho, dev = time_cell(k, n, args.repeats)
+            ms, rho, dev = time_cell(k, n, args.repeats,
+                                     Path(tmp) / "basis.json")
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
         print(f"{f'2pi*{k}:{n}':>12}  " + "  ".join(cols) + "  "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -72,53 +72,18 @@ class OscTarget:
         return float(vals) if vals.ndim == 0 else vals
 
 
+@dataclass(frozen=True)
 class BasisRef:
     """Identity of the basis an expansion belongs to: its frequency, its N
-    and its content hash.  Read-only; equal when all three are.
+    and its content hash (OscBasis.content_hash, over the basis's arrays)."""
 
-    A ref made by from_basis holds the basis object itself, so an in-memory
-    expansion keeps its basis alive, and asks it for its hash only when
-    basis_hash is read: when the expansion is saved, compared with another
-    ref, or checked against a different basis object (OscBasis.content_hash,
-    about 0.5 ms at N = 12 and 70 ms at N = 200, once per basis object).
-    OscBasis is frozen and its arrays read-only, so that is the hash the
-    object had when the ref was made.
-    """
-
-    def __init__(self, freq: Frequency, n_max: int, basis_hash: str):
-        vars(self).update(freq=freq, n_max=n_max, _hash=basis_hash, _basis=None)
+    freq: Frequency
+    n_max: int
+    basis_hash: str
 
     @classmethod
     def from_basis(cls, basis: OscBasis) -> "BasisRef":
-        ref = cls.__new__(cls)
-        vars(ref).update(freq=basis.freq, n_max=basis.n_max, _hash=None,
-                         _basis=basis)
-        return ref
-
-    @property
-    def basis_hash(self) -> str:
-        return self._hash if self._basis is None else self._basis.content_hash()
-
-    def _key(self):
-        return self.freq, self.n_max, self.basis_hash
-
-    def __eq__(self, other):
-        if not isinstance(other, BasisRef):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return (f"BasisRef(freq={self.freq!r}, n_max={self.n_max!r}, "
-                f"basis_hash={self.basis_hash!r})")
+        return cls(basis.freq, basis.n_max, basis.content_hash())
 
 
 @dataclass
@@ -182,9 +147,6 @@ def reduce_frequency(target: OscTarget) -> tuple[Frequency, OscTarget]:
 
 
 def _check_match(exp: Expansion, basis: OscBasis):
-    # the very basis object the expansion was projected on needs no hash
-    if exp.basis_ref._basis is basis:
-        return
     want = exp.basis_ref.basis_hash
     have = basis.content_hash()
     if want != have:

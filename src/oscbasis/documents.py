@@ -23,7 +23,7 @@ from .calculus import DerivativeOperator
 from .frequency import Frequency
 from .tables import InnerProductTables
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MATRICES = ("m1", "m2", "m3", "m4", "m5", "m6")
 _STEP = ("alpha", "beta", "gamma", "delta")
@@ -157,9 +157,10 @@ def from_doc(doc):
 
 
 def write_json(doc: dict, path) -> Path:
-    """doc as indented, newline-terminated JSON at path."""
+    """doc as one line of newline-terminated JSON at path, written by the
+    C encoder of the json module (indent would select its Python one)."""
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc) + "\n")
     return path
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -50,6 +51,9 @@ class Frequency:
     def __post_init__(self):
         if not math.isfinite(self.omega) or self.omega <= 0.0:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        # k is hashed as an int64 with the basis (OscBasis.content_hash)
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if abs(self.epsilon) > math.pi:

@@ -33,7 +33,7 @@ from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, integrate, oracle_tables
-from oscbasis.pairing import legtrig_values
+from oscbasis.pairing import gram_matrix, legtrig_values
 
 
 def _target(f_name, g_name, omega):
@@ -200,21 +200,19 @@ def test_scalar_evaluators_agree_bit_for_bit(freq20, basis20, point):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("x", [0.3, np.linspace(-1.0, 1.0, 5)], ids=["scalar", "array"])
-def test_evaluators_refuse_non_finite_coefficients(freq20, basis20, value, x):
-    # a basis may hold a NaN or an infinity at a slot its parity allows
-    # (the derivative transform then reports a NaN similarity residual),
-    # but no value is evaluated from it
+def test_evaluators_refuse_non_finite_coefficients(freq20, tables20, basis20,
+                                                   value, x):
+    # a basis refuses a NaN or an infinity even at a slot its parity allows,
+    # so no evaluator or Gram ever sees one; the same arrays as an (A, B)
+    # pair are refused by gram_matrix
     row, degree = np.argwhere(basis20.a != 0.0)[-1]
     a = basis20.a.copy()
     a[row, degree] = value
-    broken = OscBasis(freq=freq20, n_max=basis20.n_max, a=a, b=basis20.b,
-                      norms=basis20.norms, rec=basis20.rec)
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        evaluate_member(broken, int(row), x)
-    exp = Expansion(BasisRef.from_basis(broken),
-                    project(_target("exp", "runge", freq20.omega), basis20).coeffs)
+        OscBasis(freq=freq20, n_max=basis20.n_max, a=a, b=basis20.b,
+                 norms=basis20.norms, rec=basis20.rec)
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        evaluate_expansion(exp, broken, x)
+        gram_matrix((a, basis20.b), tables20)
     # coefficients assigned after projection are checked as well
     exp = project(_target("exp", "runge", freq20.omega), basis20)
     exp.coeffs = np.where(np.arange(exp.coeffs.size) == 3, np.nan, exp.coeffs)
@@ -515,22 +513,15 @@ def test_expansion_file_round_trip(freq20, basis20, tmp_path):
     )
 
 
-def _hashless(self):
-    raise AssertionError("content_hash called on the in-memory path")
-
-
 @pytest.mark.parametrize("x", [np.linspace(-1.0, 1.0, 2001), 0.3],
                          ids=["grid", "scalar"])
-def test_in_memory_expansion_needs_no_content_hash(freq20, basis20, x,
-                                                   tmp_path, monkeypatch):
+def test_projected_and_explicit_refs_give_identical_results(freq20, basis20, x,
+                                                            tmp_path):
     _, target = reduce_frequency(_target("exp", "runge", TWO_PI * 20.3))
-    with monkeypatch.context() as patch:
-        patch.setattr(OscBasis, "content_hash", _hashless)
-        exp = project(target, basis20)
-        resid = residual_norm(target, exp, basis20)
-        values = evaluate_expansion(exp, basis20, x)
-    # the same coefficients under a ref that carries the hash itself take
-    # the hash comparison path
+    exp = project(target, basis20)
+    resid = residual_norm(target, exp, basis20)
+    values = evaluate_expansion(exp, basis20, x)
+    # the same coefficients under a ref spelled out from the hash
     ref = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
                    basis_hash=basis20.content_hash())
     named = Expansion(basis_ref=ref, coeffs=project(target, basis20).coeffs)
@@ -538,9 +529,9 @@ def test_in_memory_expansion_needs_no_content_hash(freq20, basis20, x,
     assert np.array_equal(resid, residual_norm(target, named, basis20))
     assert np.array_equal(values, evaluate_expansion(named, basis20, x))
     assert exp.basis_ref == named.basis_ref
-    save_expansion(exp, tmp_path / "lazy.json")
+    save_expansion(exp, tmp_path / "projected.json")
     save_expansion(named, tmp_path / "named.json")
-    assert (tmp_path / "lazy.json").read_bytes() \
+    assert (tmp_path / "projected.json").read_bytes() \
         == (tmp_path / "named.json").read_bytes()
 
 
@@ -559,14 +550,14 @@ def test_expansion_checks_against_a_loaded_copy_of_its_basis(freq20, tables20,
 
 
 def test_basis_ref_is_read_only_and_equal_by_content(basis20):
-    lazy = BasisRef.from_basis(basis20)
+    derived = BasisRef.from_basis(basis20)
     named = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
                      basis_hash=basis20.content_hash())
-    assert lazy == named and hash(lazy) == hash(named)
-    assert repr(lazy) == repr(named)
-    assert lazy != BasisRef(freq=basis20.freq, n_max=basis20.n_max,
-                            basis_hash="0" * 64)
+    assert derived == named and hash(derived) == hash(named)
+    assert repr(derived) == repr(named)
+    assert derived != BasisRef(freq=basis20.freq, n_max=basis20.n_max,
+                               basis_hash="0" * 64)
     with pytest.raises(FrozenInstanceError):
-        lazy.n_max = 3
+        derived.n_max = 3
     with pytest.raises(FrozenInstanceError):
         del named.basis_hash

@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -250,6 +252,42 @@ def test_basis_refuses_arrays_of_the_wrong_shape(name, shape):
             f"basis {name} has shape {shape}, but a basis with n_max=8 has {want}")):
         OscBasis(**_fields(basis, **{name: np.zeros(shape)}))
     assert OscBasis(**_fields(basis)).content_hash() == basis.content_hash()
+
+
+@pytest.mark.parametrize("name, index", [("b", (1, 0)), ("norms", (3,)),
+                                         ("rec", (2, 1))],
+                         ids=["b", "norms", "rec"])
+def test_basis_refuses_non_finite_entries(basis20, name, index):
+    arr = getattr(basis20, name).copy()
+    arr[index] = np.inf
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        OscBasis(**_fields(basis20, **{name: arr}))
+
+
+# a hand-written basis at 2 pi 3, N = 1, every coefficient at a slot its
+# parity and degree allow, and its pinned content hash
+_GOLDEN = {"a": [[1.0, 0.0], [0.0, 0.0], [0.0, 2.5], [-0.75, 0.0]],
+           "b": [[0.0, 0.0], [1.5, 0.0], [0.125, 0.0], [0.0, -3.0]],
+           "norms": [1.0, 0.5, 0.25, 2.0], "rec": [[0.1, 0.0, -0.2, 0.0]]}
+_GOLDEN_HASH = "29963c137b0429be1763ef7da56b31911d5d82326103189c2ef9913164b85e85"
+
+
+def test_content_hash_is_pinned_and_independent_of_layout(tmp_path):
+    freq = Frequency.exact(3)
+    basis = OscBasis(freq=freq, n_max=1, **_GOLDEN)
+    assert basis.content_hash() == _GOLDEN_HASH
+    # the documented byte form: omega, epsilon, k, N, then a, b, norms and
+    # rec in C order, all little-endian
+    values = [v for name in ("a", "b", "norms", "rec")
+              for v in np.ravel(_GOLDEN[name]).tolist()]
+    payload = struct.pack(f"<2d2q{len(values)}d", freq.omega, 0.0, 3, 1, *values)
+    assert hashlib.sha256(payload).hexdigest() == _GOLDEN_HASH
+    fortran = OscBasis(freq=freq, n_max=1, **{
+        name: np.asfortranarray(value) for name, value in _GOLDEN.items()})
+    assert not fortran.a.flags.c_contiguous
+    assert fortran.content_hash() == _GOLDEN_HASH
+    loaded = load_basis(save_basis(basis, tmp_path / "golden.json"))
+    assert loaded.content_hash() == _GOLDEN_HASH
 
 
 def test_basis_document_refuses_row_past_its_degree(basis20):

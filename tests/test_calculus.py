@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,13 +179,16 @@ def test_derivative_couples_only_opposite_classes(freq, n_max):
 @pytest.mark.parametrize("row, degree", [(0, 0), (140, 70)])
 def test_similarity_residual_propagates_nan(row, degree):
     # N = 70 gives two 64-row panels per class; the NaN sits on a
-    # coefficient of the right parity in the first or in the last one
+    # coefficient of the right parity in the first or in the last one.
+    # OscBasis refuses it, so the transform is handed the arrays unchecked
     freq = Frequency.exact(147)
     basis = build_basis(freq, 70, build_tables(freq, 71))
     a = basis.a.copy()
     a[row, degree] = np.nan
-    broken = OscBasis(freq=freq, n_max=70, a=a, b=basis.b, norms=basis.norms,
-                      rec=basis.rec)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        OscBasis(freq=freq, n_max=70, a=a, b=basis.b, norms=basis.norms,
+                 rec=basis.rec)
+    broken = SimpleNamespace(freq=freq, n_max=70, a=a, b=basis.b)
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 70), broken)
     assert np.isnan(op.similarity_residual)
 

@@ -256,6 +256,10 @@ def _future_schema(doc):
     doc["schema_version"] = 99
 
 
+def _old_schema(doc):
+    doc["schema_version"] = 1
+
+
 def _drop_row(doc):
     doc["rows"].pop()
 
@@ -286,6 +290,8 @@ def _string_alpha(doc):
     ("basis", _drop_row_b, "row 3"),
     ("tables", _future_schema, "schema_version 99"),
     ("basis", _future_schema, "schema_version 99"),
+    ("tables", _old_schema, "schema_version 1, expected 2"),
+    ("basis", _old_schema, "schema_version 1, expected 2"),
     ("basis", _drop_row, "18 rows"),
     ("basis", _lengthen_row, "row 2 has 3 coefficients"),
     ("tables", _empty_m3, "m3 is not a numeric array"),

@@ -80,6 +80,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         # decomposition does not add up
         Frequency(omega=TWO_PI * 5, k=5, epsilon=1.0)
+    for k in (5.0, 5.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            Frequency(omega=TWO_PI * 5, k=k, epsilon=0.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6, allow_nan=False))

@@ -63,15 +63,15 @@ def test_construct_cost_prints_every_layer_and_rho():
     lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"])
     header, ok, refused = lines[-3].split(), lines[-2].split(), lines[-1].split()
     for name in ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth",
-                 "rho", "max|G-I|"):
+                 "save", "load", "hash", "rho", "max|G-I|"):
         assert name in header
-    assert ok[0] == "2pi*20:12" and len(ok) == 8
-    assert all(float(ms) > 0.0 for ms in ok[1:6])
+    assert ok[0] == "2pi*20:12" and len(ok) == 11
+    assert all(float(ms) > 0.0 for ms in ok[1:9])
     # rho and the oracle deviation, each in 9.2e format; at 2pi*20, N = 12
     # the plain basis is orthonormal to about 1e-15
-    for cell in ok[6:]:
+    for cell in ok[9:]:
         assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", cell), cell
-    assert 0.0 < float(ok[7]) <= 1e-12
+    assert 0.0 < float(ok[10]) <= 1e-12
     # at 2pi*3, N = 20 the plain build is refused, so there is no rho
     assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
 

@@ -13,7 +13,7 @@ from oscbasis import (
     save_tables,
     verify_tables,
 )
-from oscbasis.documents import from_doc, save_tables_csv, to_doc
+from oscbasis.documents import SCHEMA_VERSION, from_doc, save_tables_csv, to_doc
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import composite_rule, oracle_tables
 from oscbasis.tables import MAX_DEGREE
@@ -283,7 +283,7 @@ def test_json_round_trip_is_bit_exact(tables20, tmp_path):
 
 def test_doc_round_trip(tables20):
     doc = to_doc(tables20)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["omega"] == tables20.freq.omega
     back = from_doc(doc)
     assert np.array_equal(back.m6, tables20.m6)
