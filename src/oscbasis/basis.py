@@ -184,9 +184,10 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # (M3) or sin with sin (M4)
     G = np.zeros((2, n + 2, n + 2))
     G[:, : n + 1, : n + 1] = tables.m2[: n + 1, : n + 1]
+    m3_m4 = tables.m3, tables.m4
     for c, i in np.ndindex(2, 2):
-        G[c, i : n + 1 : 2, i : n + 1 : 2] = (tables.m3, tables.m4)[
-            (c + i) % 2][i : n + 1 : 2, i : n + 1 : 2]
+        G[c, i : n + 1 : 2, i : n + 1 : 2] = m3_m4[(c + i) % 2][
+            i : n + 1 : 2, i : n + 1 : 2]
     rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
     ip, norms = np.empty((2, 2, n))
     # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so degree j of x f takes

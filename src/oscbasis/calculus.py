@@ -15,7 +15,7 @@ upper triangular (N+1)-square block of class c's members.  D B_c needs no
 dense product: row m is omega times row m of B_c, negated for a cosine row
 (the trig swap), plus 2m+1 times the stride-2 suffix sum of rows m+1, m+3,
 ....  Each block then takes one panel back-substitution and no explicit
-inverse.
+inverse.  D is exact in (omega, N): an operator stores only d_orth.
 """
 
 from __future__ import annotations
@@ -30,29 +30,32 @@ from .frequency import Frequency
 
 @dataclass
 class DerivativeOperator:
-    """D over interleaved Legendre-trig coefficients, optionally with its
-    orthonormal-basis counterpart d_orth = B^-1 D B."""
+    """D over interleaved Legendre-trig coefficients at (freq, n_max),
+    optionally with its orthonormal-basis counterpart d_orth = B^-1 D B."""
 
     freq: Frequency
     n_max: int
-    d_legtrig: np.ndarray
     d_orth: np.ndarray | None = None
     similarity_residual: float | None = None
 
+    @property
+    def d_legtrig(self) -> np.ndarray:
+        """The exact sparse block matrix D, formed densely on each read."""
+        n, omega = self.n_max + 1, self.freq.omega
+        D = np.zeros((2 * n, 2 * n))
+        j = np.arange(n)
+        D[2 * j, 2 * j + 1], D[2 * j + 1, 2 * j] = omega, -omega
+        m, j = np.triu_indices(n, 1)
+        m, j = m[(j - m) % 2 == 1], j[(j - m) % 2 == 1]
+        D[2 * m, 2 * j] = D[2 * m + 1, 2 * j + 1] = 2 * m + 1
+        return D
+
 
 def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator:
-    """Assemble the exact sparse block matrix D for degrees 0 ... n_max."""
+    """The operator D for degrees 0 ... n_max, without d_orth."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    size = 2 * (n_max + 1)
-    D = np.zeros((size, size))
-    j = np.arange(n_max + 1)
-    D[2 * j, 2 * j + 1] = freq.omega
-    D[2 * j + 1, 2 * j] = -freq.omega
-    m, j = np.triu_indices(n_max + 1, 1)
-    m, j = m[(j - m) % 2 == 1], j[(j - m) % 2 == 1]
-    D[2 * m, 2 * j] = D[2 * m + 1, 2 * j + 1] = 2 * m + 1
-    return DerivativeOperator(freq=freq, n_max=n_max, d_legtrig=D)
+    return DerivativeOperator(freq=freq, n_max=n_max)
 
 
 # rows per back-substitution panel

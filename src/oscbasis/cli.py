@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import (ENVELOPES, Expansion, OscTarget, evaluate_expansion,
-                     project, reduce_frequency, residual_norm)
+from .approx import (ENVELOPES, Expansion, OscTarget, _check_match,
+                     evaluate_expansion, project, reduce_frequency,
+                     residual_norm)
 from .basis import BasisDegenerationError, OscBasis, build_basis
 from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
 from .documents import (load, load_basis, load_expansion, save, save_csv,
@@ -106,33 +107,19 @@ def cmd_verify(args):
     if isinstance(loaded, OscBasis):
         G = member_gram(loaded, loaded.freq.omega)
         diff = np.abs(G - np.eye(G.shape[0]))
-        flagged = [
-            {"i": int(i), "j": int(j), "deviation": float(diff[i, j])}
-            for i, j in zip(*np.nonzero(~(diff <= tol)))
-        ]
-        passed = not flagged
-        max_dev = float(np.max(diff))
-        report = {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "kind": "basis",
-            "input": in_path.name,
-            "tolerance": tol,
-            "max_gram_deviation": max_dev,
-            "flagged_entries": flagged,
-            "passed": passed,
-        }
-        summary = f"max |G - I| = {max_dev:.3e}"
+        flagged = [{"i": int(i), "j": int(j), "deviation": float(diff[i, j])}
+                   for i, j in zip(*np.nonzero(~(diff <= tol)))]
+        worst = float(np.max(diff))
+        kind, body = "basis", {"tolerance": tol, "max_gram_deviation": worst,
+                               "flagged_entries": flagged, "passed": not flagged}
+        summary = f"max |G - I| = {worst:.3e}"
     else:
         result = verify_tables(loaded, tol)
-        passed = result.passed
-        report = {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "kind": "tables",
-            "input": in_path.name,
-            **result.as_dict(),
-        }
-        worst = max(result.deviations.values())
-        summary = f"max table deviation = {worst:.3e}"
+        kind, body = "tables", result.as_dict()
+        summary = f"max table deviation = {max(result.deviations.values()):.3e}"
+    report = {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": kind,
+              "input": in_path.name, **body}
+    passed = body["passed"]
     out = Path(args.out) if args.out else in_path.with_suffix(".verify.json")
     args.out = str(out)
     outputs = [write_json(report, out)]
@@ -173,12 +160,7 @@ def cmd_diff(args):
     exp_path = Path(args.expansion)
     basis = load_basis(basis_path)
     exp = load_expansion(exp_path)
-    have = basis.content_hash()
-    if exp.basis_ref.basis_hash != have:
-        raise ValueError(
-            f"expansion references basis {exp.basis_ref.basis_hash[:12]}... "
-            f"but {basis_path.name} has hash {have[:12]}..."
-        )
+    _check_match(exp, basis)
     op = to_orthogonal_basis(
         derivative_matrix_legtrig(basis.freq, basis.n_max), basis)
     d_exp = Expansion(basis_ref=exp.basis_ref, coeffs=op.d_orth @ exp.coeffs)

@@ -2,10 +2,12 @@
 
 A document is a JSON object: the header schema_version, omega, k, epsilon,
 n_max, then its kind's payload, floats in repr form for bit-exact round
-trips.  Loading checks the header, each payload array (numeric, exact shape,
-finite) and the kind's structure: symmetric tables, 2(N+1)-square operator
-matrices, basis rows no longer than their degree and, by OscBasis itself,
-no coefficient of the wrong parity.  Faults are ValueErrors.
+trips.  Tables hold m5 and m6, an operator d_orth (or null); the m1 ... m4
+and d_legtrig of older documents are ignored.  Loading checks the header,
+each payload array (numeric, exact shape, finite) and the kind's structure:
+symmetric tables, a 2(N+1)-square d_orth, basis rows no longer than their
+degree and, by OscBasis itself, no coefficient of the wrong parity.  Faults
+are ValueErrors.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from .tables import InnerProductTables
 SCHEMA_VERSION = 2
 
 _MATRICES = ("m1", "m2", "m3", "m4", "m5", "m6")
+_TABLES = ("m5", "m6")
 _STEP = ("alpha", "beta", "gamma", "delta")
 
 # the key that tells each kind apart -> the kind and its payload keys
 _KINDS = {
-    "m1": (InnerProductTables, _MATRICES),
+    "m5": (InnerProductTables, _TABLES),
     "rows": (OscBasis, ("rows", "norms", "rec")),
     "coeffs": (Expansion, ("basis_hash", "coeffs")),
-    "d_legtrig": (DerivativeOperator, ("d_legtrig", "d_orth")),
+    "d_orth": (DerivativeOperator, ("d_orth",)),
 }
 
 
@@ -46,7 +49,7 @@ def to_doc(obj) -> dict:
     """The JSON-ready document of a tables, basis, expansion or operator."""
     if isinstance(obj, InnerProductTables):
         return {**_header(obj.freq, obj.n_max),
-                **{name: getattr(obj, name).tolist() for name in _MATRICES}}
+                **{name: getattr(obj, name).tolist() for name in _TABLES}}
     if isinstance(obj, OscBasis):
         rows = [{"a": a[: i // 2 + 1].tolist(), "b": b[: i // 2 + 1].tolist()}
                 for i, (a, b) in enumerate(zip(obj.a, obj.b))]
@@ -59,7 +62,6 @@ def to_doc(obj) -> dict:
                 "coeffs": obj.coeffs.tolist()}
     if isinstance(obj, DerivativeOperator):
         return {**_header(obj.freq, obj.n_max),
-                "d_legtrig": obj.d_legtrig.tolist(),
                 "d_orth": None if obj.d_orth is None else obj.d_orth.tolist()}
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
@@ -139,7 +141,7 @@ def from_doc(doc):
                         rec=_array(flat, "rec", (4 * n_max,)).reshape(n_max, 4))
     if cls is InnerProductTables:
         mats = {name: _array(doc[name], name, (n_max + 1, n_max + 1))
-                for name in _MATRICES}
+                for name in _TABLES}
         for name, mat in mats.items():
             if not np.array_equal(mat, mat.T):
                 raise ValueError(f"{name} is not symmetric")
@@ -152,7 +154,6 @@ def from_doc(doc):
     d_orth = doc["d_orth"]
     return DerivativeOperator(
         freq=freq, n_max=n_max,
-        d_legtrig=_array(doc["d_legtrig"], "d_legtrig", (size, size)),
         d_orth=None if d_orth is None else _array(d_orth, "d_orth", (size, size)))
 
 

@@ -56,5 +56,5 @@ def gram_matrix(rows, tables: "InnerProductTables") -> np.ndarray:
             f"for n_max={tables.n_max}; rebuild tables with n_max >= {A.shape[1] - 1}")
     pad = ((0, 0), (0, tables.n_max + 1 - A.shape[1]))
     A, B = np.pad(A, pad), np.pad(B, pad)
-    return A @ tables.m2 @ B.T + A @ tables.m3 @ A.T \
-        + B @ tables.m2 @ A.T + B @ tables.m4 @ B.T
+    m2 = tables.m2
+    return A @ m2 @ B.T + A @ tables.m3 @ A.T + B @ m2 @ A.T + B @ tables.m4 @ B.T

@@ -1,4 +1,5 @@
-"""Inner-product tables M1 ... M6 for the Legendre-trig family.
+"""Inner-product tables M1 ... M6 for the Legendre-trig family; only M5 and
+M6 are computed and stored, and M1 ... M4 are formed from them on each read:
 
 M1[j][k] = <P_j, P_k>                    (diagonal, known norms)
 M2[j][k] = <P_j cos(wx), P_k sin(wx)>    = M6/2
@@ -37,20 +38,32 @@ MAX_DEGREE = math.isqrt(NODE_BUDGET) // 2 - 1
 
 @dataclass
 class InnerProductTables:
-    """The six (N+1) x (N+1) matrices for one frequency."""
+    """M5 and M6, (N+1) x (N+1), at one frequency; M1 ... M4 read off them."""
 
     freq: Frequency
     n_max: int
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-    m4: np.ndarray
     m5: np.ndarray
     m6: np.ndarray
 
+    @property
+    def m1(self) -> np.ndarray:
+        return np.diag([legendre_norm_sq(k) for k in range(self.n_max + 1)])
+
+    @property
+    def m2(self) -> np.ndarray:
+        return self.m6 / 2.0
+
+    @property
+    def m3(self) -> np.ndarray:
+        return (self.m1 + self.m5) / 2.0
+
+    @property
+    def m4(self) -> np.ndarray:
+        return (self.m1 - self.m5) / 2.0
+
 
 def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
-    """Populate M1 ... M6 at the given frequency by the stable recursion.
+    """Populate M5 and M6 at the given frequency by the stable recursion.
 
     Parameters
     ----------
@@ -109,14 +122,8 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
             f"the table recursion overflows at omega={omega:.6g}, "
             f"n_max={n_max}: M5 or M6 holds a value that is not finite"
         )
-    m5, m6 = m5.reshape(n, n), m6.reshape(n, n)
-
-    m1 = np.diag([legendre_norm_sq(k) for k in range(n)])
-    m2 = m6 / 2.0
-    m3 = (m1 + m5) / 2.0
-    m4 = (m1 - m5) / 2.0
     return InnerProductTables(freq=freq, n_max=n_max,
-                              m1=m1, m2=m2, m3=m3, m4=m4, m5=m5, m6=m6)
+                              m5=m5.reshape(n, n), m6=m6.reshape(n, n))
 
 
 @dataclass
@@ -126,7 +133,10 @@ class VerifyReport:
     tolerance: float
     deviations: dict
     flagged: list
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.flagged
 
     def as_dict(self) -> dict:
         return {
@@ -159,9 +169,5 @@ def verify_tables(tables: InnerProductTables, oracle_tolerance: float) -> Verify
         deviations[name] = float(np.max(diff)) if diff.size else 0.0
         for j, k in zip(*np.nonzero(~(diff <= oracle_tolerance))):
             flagged.append((name, int(j), int(k), float(diff[j, k])))
-    return VerifyReport(
-        tolerance=oracle_tolerance,
-        deviations=deviations,
-        flagged=flagged,
-        passed=not flagged,
-    )
+    return VerifyReport(tolerance=oracle_tolerance, deviations=deviations,
+                        flagged=flagged)

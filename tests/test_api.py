@@ -2,6 +2,8 @@
 oscbasis, so that a cleanup cannot break the harness without a failing
 test."""
 
+import json
+
 import numpy as np
 
 import oscbasis
@@ -11,7 +13,7 @@ from oscbasis import (ENVELOPES, BasisDegenerationError, Frequency, OscTarget,
                       load_expansion, load_tables, project, reduce_frequency,
                       residual_norm, save_basis, save_expansion, save_tables,
                       to_orthogonal_basis, verify_tables)
-from oscbasis.basis import member_values
+from oscbasis.basis import member_values, representation_matrix
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, member_gram
 
@@ -29,6 +31,8 @@ def test_bench_names_and_call_forms(tmp_path):
     assert member_values(basis, nodes).shape == (18, nodes.size)
     assert verify_tables(load_tables(save_tables(tables, tmp_path / "t.json")),
                          1e-10).passed
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert doc["n_max"] == 9 and np.asarray(doc["m5"]).shape == (10, 10)
     loaded = load_basis(save_basis(basis, tmp_path / "b.json"))
     assert loaded.content_hash() == basis.content_hash()
     target = OscTarget(f_env=ENVELOPES["zero"], g_env=ENVELOPES["one"],
@@ -40,6 +44,9 @@ def test_bench_names_and_call_forms(tmp_path):
     assert np.isfinite(evaluate_expansion(exp, loaded, 0.3))
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 8), loaded)
     assert op.similarity_residual <= 1e-9
+    M = representation_matrix(loaded).T
+    DB = op.d_legtrig @ M
+    assert np.max(np.abs(M @ op.d_orth - DB)) <= 1e-9 * np.max(np.abs(DB))
 
 
 def test_every_exported_name_resolves():

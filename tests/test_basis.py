@@ -1,9 +1,9 @@
-import copy
 import hashlib
 import math
 import re
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from oscbasis import (
     BasisDegenerationError,
     Frequency,
+    InnerProductTables,
     OscBasis,
     StabilityWarning,
     build_basis,
@@ -335,17 +336,26 @@ def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
 
 
 def test_degeneration_check_refuses_nan_norm(freq20, tables20):
-    tables = copy.deepcopy(tables20)
-    tables.m3[2, 2] = np.nan
+    m5 = tables20.m5.copy()
+    m5[2, 2] = np.nan
     with pytest.raises(BasisDegenerationError, match="norm\\^2 = nan"):
-        build_basis(freq20, 4, tables)
+        build_basis(freq20, 4, replace(tables20, m5=m5))
+
+
+class _NanM4Tables(InnerProductTables):
+    """Tables whose M4 reads NaN at [1, 1], with M3 and M5 left finite."""
+
+    @property
+    def m4(self):
+        m4 = super().m4
+        m4[1, 1] = np.nan
+        return m4
 
 
 def test_degeneration_check_refuses_nan_in_q_row_only(freq20, tables20):
     # M4[1, 1] enters only the sine part of q_1; p_1 of the same pair stays
     # finite, and the pair is still refused
-    tables = copy.deepcopy(tables20)
-    tables.m4[1, 1] = np.nan
+    tables = _NanM4Tables(freq20, tables20.n_max, tables20.m5, tables20.m6)
     with pytest.raises(BasisDegenerationError,
                        match=r"member 1: pre-normalization norm\^2 = nan"):
         build_basis(freq20, 12, tables)

@@ -268,7 +268,7 @@ def _nan_entry(doc):
 
 
 def _wrong_shape(doc):
-    doc["d_legtrig"] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+    doc["d_orth"] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
 
 
 def _n_max_off_by_one(doc):
@@ -277,8 +277,8 @@ def _n_max_off_by_one(doc):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_nan_entry, "d_orth has non-finite entries"),
-    (_wrong_shape, r"d_legtrig has shape \(2, 3\), expected \(26, 26\)"),
-    (_n_max_off_by_one, r"d_legtrig has shape \(26, 26\), expected \(28, 28\)"),
+    (_wrong_shape, r"d_orth has shape \(2, 3\), expected \(26, 26\)"),
+    (_n_max_off_by_one, r"d_orth has shape \(26, 26\), expected \(28, 28\)"),
 ])
 def test_loader_refuses_malformed_operator(freq20, basis20, corrupt, message):
     doc = to_doc(to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20))

@@ -244,8 +244,8 @@ def test_verify_refuses_nan_tables(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def _drop_m4(doc):
-    del doc["m4"]
+def _drop_m6(doc):
+    del doc["m6"]
 
 
 def _drop_row_b(doc):
@@ -269,8 +269,8 @@ def _lengthen_row(doc):
     doc["rows"][2]["b"].append(0.0)
 
 
-def _empty_m3(doc):
-    doc["m3"] = {}
+def _empty_m6(doc):
+    doc["m6"] = {}
 
 
 def _asymmetric_m5(doc):
@@ -286,7 +286,7 @@ def _string_alpha(doc):
 
 
 @pytest.mark.parametrize("kind, corrupt, message", [
-    ("tables", _drop_m4, "m4"),
+    ("tables", _drop_m6, "m6"),
     ("basis", _drop_row_b, "row 3"),
     ("tables", _future_schema, "schema_version 99"),
     ("basis", _future_schema, "schema_version 99"),
@@ -294,7 +294,7 @@ def _string_alpha(doc):
     ("basis", _old_schema, "schema_version 1, expected 2"),
     ("basis", _drop_row, "18 rows"),
     ("basis", _lengthen_row, "row 2 has 3 coefficients"),
-    ("tables", _empty_m3, "m3 is not a numeric array"),
+    ("tables", _empty_m6, "m6 is not a numeric array"),
     ("tables", _asymmetric_m5, "m5 is not symmetric"),
     ("basis", _nan_norm, "basis norms has non-finite entries"),
     ("basis", _string_alpha, "rec is not a numeric array"),
@@ -420,14 +420,19 @@ def test_diff_differentiates_first_member(workdir, tmp_path, capsys):
     assert "deviation" in capsys.readouterr().out
 
 
-def test_diff_rejects_mismatched_expansion(workdir, tmp_path):
+def test_diff_rejects_mismatched_expansion(workdir, tmp_path, capsys):
     basis = load_basis(workdir / "basis.json")
     ref = BasisRef(freq=basis.freq, n_max=basis.n_max, basis_hash="0" * 64)
     exp_path = tmp_path / "stale.json"
     save_expansion(Expansion(basis_ref=ref, coeffs=np.zeros(18)), exp_path)
+    capsys.readouterr()
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
     assert rc == 2
+    want = (f"error: expansion was computed against basis {'0' * 12}..., "
+            f"got basis {basis.content_hash()[:12]}...\n")
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "d.json").exists()
 
 
 def _wrong_parity_basis(workdir, path, value):
