@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Median time of each layer of the projection path.
 
-For each target frequency 2pi * periods this reduces an exp/runge target
-(f = exp, g = runge) onto the nearest 2pi * k, builds the N-pair basis
-there, and times, R times over: the uncached build of the Gauss-Legendre
-analysis rule (`_analysis`), the Filon weights for a new omega
+For each target frequency 2pi * periods this builds the N-pair basis at
+the nearest 2pi * k (`reduce_frequency`), projects an exp/runge target
+(f = exp, g = runge) at the raw frequency onto it, and times, R times
+over: the uncached build of the Gauss-Legendre analysis rule
+(`_analysis`), the Filon weights for a new omega
 (`_filon_weights`, uncached), `project` and `residual_norm` (the weights
 cached, as they are after the first call at a frequency; the residual on
 the expansion and target that `project` just sampled, so it reuses their
@@ -54,7 +55,7 @@ def time_period(periods: float, n: int, repeats: int):
     """Median milliseconds per layer and the residual at 2pi * periods."""
     target = OscTarget(f_env=ENVELOPES["exp"], g_env=ENVELOPES["runge"],
                        freq_raw=2 * math.pi * periods)
-    freq, reduced = reduce_frequency(target)
+    freq, _ = reduce_frequency(target)
     basis = build_basis(freq, n, build_tables(freq, n + 1))
     points = 2 * max(ENVELOPE_DEGREE, n) + 1
     grid = np.linspace(-1.0, 1.0, 2001)
@@ -73,12 +74,12 @@ def time_period(periods: float, n: int, repeats: int):
                 values.clear()
         timed("analysis", _analysis.__wrapped__, points)
         timed("filon_w", _filon_weights.__wrapped__, freq, points)
-        exp = timed("project", project, reduced, basis)
-        resid = timed("residual", residual_norm, reduced, exp, basis)
-        timed("residual_fresh", residual_norm, replace(reduced), exp, basis)
+        exp = timed("project", project, target, basis)
+        resid = timed("residual", residual_norm, target, exp, basis)
+        timed("residual_fresh", residual_norm, replace(target), exp, basis)
         # replace makes a new basis object with the same arrays and no hash,
         # or a new target object with the same envelopes
-        timed("project_fresh", project_and_residual, reduced, replace(basis))
+        timed("project_fresh", project_and_residual, target, replace(basis))
         timed("content_hash", replace(basis).content_hash)
         timed("eval_2001", evaluate_expansion, exp, basis, grid)
         timed("eval_scalar", evaluate_expansion, exp, basis, 0.3)

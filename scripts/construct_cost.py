@@ -2,9 +2,10 @@
 """Median time of each construction layer, with rho and the Gram error.
 
 For each cell 2pi*k : N this times, R times over, `build_tables`, the
-plain and the reorthogonalized `build_basis`, `derivative_matrix_legtrig`
-and `to_orthogonal_basis`, then `save_basis` and `load_basis` of the plain
-basis's JSON document and its content hash on a fresh copy of the basis
+plain and the reorthogonalized `build_basis` and `to_orthogonal_basis`
+(on the operator of `derivative_matrix_legtrig`, which forms no matrix and
+is not timed), then `save_basis` and `load_basis` of the plain basis's
+JSON document and its content hash on a fresh copy of the basis
 object (nothing cached), and prints the median of each in milliseconds.
 Next to them it prints rho = u * max|c|^2 over the plain basis's
 coefficients (u the unit roundoff), the size of the Gram error that
@@ -38,8 +39,8 @@ from oscbasis import (
 from oscbasis.basis import ROUNDOFF
 from oscbasis.oracle import member_gram
 
-LAYERS = ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth", "save",
-          "load", "hash")
+LAYERS = ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
+          "hash")
 
 
 def time_cell(k: int, n: int, repeats: int, path: Path):
@@ -66,9 +67,9 @@ def time_cell(k: int, n: int, repeats: int, path: Path):
         basis = timed("basis", build_basis, freq, n, tables)
         timed("basis_reorth", build_basis, freq, n, tables,
               reorthogonalize=True)
-        op = timed("d_legtrig", derivative_matrix_legtrig, freq, n)
         if basis is not None:
-            timed("to_orth", to_orthogonal_basis, op, basis)
+            timed("to_orth", to_orthogonal_basis,
+                  derivative_matrix_legtrig(freq, n), basis)
             timed("save", save_basis, basis, path)
             timed("load", load_basis, path)
             # replace makes a new basis object with the same arrays and no

@@ -3,18 +3,22 @@
 Legendre, across frequencies.
 
 The oscillatory count stays flat as omega grows while the plain count
-scales linearly, which is the point of the construction.
+scales linearly, which is the point of the construction.  A period count
+off the integers is projected at its raw frequency onto the basis at the
+nearest 2pi * k (`reduce_frequency`).
 
     python scripts/frequency_cost.py --tol 1e-6 --periods 20,50,100,200
+    python scripts/frequency_cost.py --periods 20.3,200.3,2000.3 --plain-cap 400
 """
 
 import argparse
 
 import numpy as np
 
-from oscbasis import (ENVELOPES, Expansion, Frequency, OscTarget, build_basis,
-                      build_tables, project, residual_norm)
+from oscbasis import (ENVELOPES, Expansion, OscTarget, build_basis,
+                      build_tables, project, reduce_frequency, residual_norm)
 from oscbasis.approx import plain_legendre_residuals
+from oscbasis.frequency import TWO_PI
 
 
 def smallest_osc_degree(freq, target, tol, n_cap=12):
@@ -26,7 +30,8 @@ def smallest_osc_degree(freq, target, tol, n_cap=12):
     for n in range(n_cap + 1):
         coeffs = exp.coeffs.copy()
         coeffs[2 * (n + 1):] = 0.0
-        if residual_norm(target, Expansion(exp.basis_ref, coeffs), basis) <= tol:
+        trimmed = Expansion(exp.freq, exp.n_max, exp.basis_hash, coeffs)
+        if residual_norm(target, trimmed, basis) <= tol:
             return n
     return None
 
@@ -43,9 +48,9 @@ def main():
     print(f"target: {args.f} * sin + {args.g} * cos, tolerance {args.tol:g}")
     print(f"{'omega':>10}  {'N_osc':>6}  {'N_plain':>8}")
     for spec in args.periods.split(","):
-        freq = Frequency.exact(int(spec))
         target = OscTarget(f_env=ENVELOPES[args.f], g_env=ENVELOPES[args.g],
-                           freq_raw=freq.omega)
+                           freq_raw=TWO_PI * float(spec))
+        freq, _ = reduce_frequency(target)
         n_osc = smallest_osc_degree(freq, target, args.tol)
         res = plain_legendre_residuals(target, args.plain_cap)
         hits = np.nonzero(res <= args.tol)[0]

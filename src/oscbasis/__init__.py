@@ -7,9 +7,9 @@ projection of oscillatory targets, all checked against an independent
 quadrature oracle.
 """
 
-from .approx import (ENVELOPES, BasisRef, Expansion, OscTarget,
-                     evaluate_expansion, plain_legendre_residuals, project,
-                     reduce_frequency, residual_norm)
+from .approx import (ENVELOPES, Expansion, OscTarget, evaluate_expansion,
+                     plain_legendre_residuals, project, reduce_frequency,
+                     residual_norm)
 from .basis import (BasisDegenerationError, OscBasis, build_basis,
                     evaluate_member, monic_norm_profile)
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ENVELOPES",
     "BasisDegenerationError",
-    "BasisRef",
     "DerivativeOperator",
     "Expansion",
     "Frequency",

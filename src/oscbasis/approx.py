@@ -1,17 +1,19 @@
-"""Approximation workflow: reduce the frequency, project, reconstruct.
+"""Approximation workflow: project, reconstruct, measure the residual.
 
-A target F(x) = f(x) sin(w x) + g(x) cos(w x) at arbitrary w > pi is first
-rewritten at the nearest exact multiple 2 pi k using the trig addition
-formulas; the new envelopes absorb the remainder epsilon and stay
-non-oscillatory because |epsilon| <= pi.  Projection onto the orthonormal
-basis is then a plain inner product per row, and the residual the L2 norm
-of what is left.  Both are Filon quadrature (Iserles & Norsett, 2005): the
+A target F(x) = f(x) sin(w x) + g(x) cos(w x) is projected onto a basis at
+any frequency w_b within pi of w; reduce_frequency names the nearest 2 pi k.
+With eps = w - w_b the trig addition formulas give F the envelopes f cos(eps
+x) - g sin(eps x) and f sin(eps x) + g cos(eps x) at w_b, non-oscillatory
+because |eps| <= pi; project rotates its samples of f and g that way, and
+the target itself is never rewritten.  Projection onto the orthonormal
+basis is a plain inner product per row, and the residual the L2 norm of
+what is left.  Both are Filon quadrature (Iserles & Norsett, 2005): the
 envelopes and the rows are sampled on one fixed Gauss-Legendre rule, and
-the oscillatory factor cos(2 w x) + i sin(2 w x) their products carry is
-integrated exactly through the moments of the Legendre polynomials, so the
-cost does not depend on w.  The quadrature oracle is left to checking and
-to the plain-Legendre baseline.  Expansions are evaluated through the basis
-coefficient arrays, one Legendre table and two matrix-vector products.
+the oscillatory factor cos(2 w_b x) + i sin(2 w_b x) their products carry
+is integrated exactly through the moments of the Legendre polynomials, so
+the cost does not depend on w.  The quadrature oracle is left to checking
+and to the plain-Legendre baseline.  Expansions are evaluated through the
+basis coefficient arrays, one Legendre table and two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -72,36 +74,26 @@ class OscTarget:
         return float(vals) if vals.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
-class BasisRef:
-    """Identity of the basis an expansion belongs to: its frequency, its N
-    and its content hash (OscBasis.content_hash, over the basis's arrays)."""
+@dataclass
+class Expansion:
+    """Coefficients over the orthonormal rows, interleaved [p0, q0, p1, ...],
+    of the basis named by its frequency, its N and its content hash
+    (OscBasis.content_hash, over the basis's arrays)."""
 
     freq: Frequency
     n_max: int
     basis_hash: str
-
-    @classmethod
-    def from_basis(cls, basis: OscBasis) -> "BasisRef":
-        return cls(basis.freq, basis.n_max, basis.content_hash())
-
-
-@dataclass
-class Expansion:
-    """Coefficients over the orthonormal rows, interleaved [p0, q0, p1, ...]."""
-
-    basis_ref: BasisRef
     coeffs: np.ndarray
     # what project sampled, for residual_norm: see _filon_setup
     _sampled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        expected = 2 * (self.basis_ref.n_max + 1)
+        expected = 2 * (self.n_max + 1)
         if self.coeffs.shape != (expected,):
             raise ValueError(
-                f"expected {expected} coefficients for n_max="
-                f"{self.basis_ref.n_max}, got {self.coeffs.size}"
+                f"expected {expected} coefficients for n_max={self.n_max}, "
+                f"got {self.coeffs.size}"
             )
         require_finite(self.coeffs)
 
@@ -111,12 +103,12 @@ class Expansion:
 
 
 def reduce_frequency(target: OscTarget) -> tuple[Frequency, OscTarget]:
-    """Rewrite the target at the nearest exact multiple of 2 pi.
+    """The exact multiple 2 pi k nearest the target's frequency, the basis
+    frequency to project it on, and the target itself, unchanged.
 
-    Returns the reduced Frequency (epsilon = 0) and a target with new
-    envelopes f_hat = f cos(eps x) - g sin(eps x), g_hat = f sin(eps x)
-    + g cos(eps x); pointwise identical to the original.  Targets already
-    within 1e-12 of a 2 pi k pass through unchanged.
+    A frequency within 1e-12 of a 2 pi k is returned as that promoted
+    Frequency (Frequency.from_omega), any other as Frequency.exact(k);
+    project absorbs the remainder epsilon into the envelopes.
     """
     omega_raw = target.freq_raw
     if omega_raw <= math.pi:
@@ -124,30 +116,11 @@ def reduce_frequency(target: OscTarget) -> tuple[Frequency, OscTarget]:
             f"freq_raw={omega_raw!r} <= pi: no integer k gives |epsilon| < pi"
         )
     decomp = Frequency.from_omega(omega_raw)
-    if decomp.exact_multiple:
-        return decomp, target
-    eps = decomp.epsilon
-    reduced = Frequency.exact(decomp.k)
-    f, g = target.f_env, target.g_env
-
-    def f_hat(x):
-        xa = np.asarray(x, dtype=float)
-        return np.asarray(f(xa), dtype=float) * np.cos(eps * xa) \
-            - np.asarray(g(xa), dtype=float) * np.sin(eps * xa)
-
-    def g_hat(x):
-        xa = np.asarray(x, dtype=float)
-        return np.asarray(f(xa), dtype=float) * np.sin(eps * xa) \
-            + np.asarray(g(xa), dtype=float) * np.cos(eps * xa)
-
-    logger.info("reduced omega_raw=%.17g to k=%d, epsilon=%.17g",
-                omega_raw, decomp.k, eps)
-    return reduced, OscTarget(f_env=f_hat, g_env=g_hat,
-                              freq_raw=reduced.omega)
+    return decomp if decomp.exact_multiple else Frequency.exact(decomp.k), target
 
 
 def _check_match(exp: Expansion, basis: OscBasis):
-    want = exp.basis_ref.basis_hash
+    want = exp.basis_hash
     have = basis.content_hash()
     if want != have:
         raise ValueError(
@@ -217,30 +190,38 @@ def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
 
 
 def _filon_setup(target: OscTarget, basis: OscBasis, sampled=None):
-    """The reduced envelopes g and f on the analysis nodes, the Legendre
-    table there up to the basis degree, and the plain and the Filon weights,
-    last in the record (target, f_env, g_env, basis, those).  An earlier
-    record of this very target, envelope objects and basis is returned as is.
+    """The envelopes g and f on the analysis nodes, rotated onto the basis
+    frequency, the Legendre table there up to the basis degree, and the
+    plain and the Filon weights, last in the record (target, f_env, g_env,
+    basis, freq_raw, those).  An earlier record of this very target,
+    envelope objects, basis and freq_raw is returned as is.
 
-    With F = g - i f and a row a - i b, the integral of (g cos + f sin)(a cos
-    + b sin) is half the real part of the sums of w F conj(a - i b) and v F
-    (a - i b), and that of (g cos + f sin)^2 half the real part of those of
-    w |F|^2 and v F^2.  So with envelopes resolved by degree D and rows of
+    The rotation by eps = freq_raw - omega is that of the module docstring;
+    it is skipped within 1e-12 relative of 0 and refused past pi.  With F =
+    g - i f and a row a - i b, the integral of (g cos + f sin)(a cos + b
+    sin) is half the real part of the sums of w F conj(a - i b) and v F (a -
+    i b), and that of (g cos + f sin)^2 half the real part of those of w
+    |F|^2 and v F^2.  So with envelopes resolved by degree D and rows of
     degree at most D, a rule of 2D + 1 points makes every integral exact up
     to the envelopes' tail, whatever omega.
     """
-    omega = basis.freq.omega
-    if abs(target.freq_raw - omega) > 1e-12 * max(1.0, omega):
-        raise ValueError(
-            f"target frequency {target.freq_raw!r} does not match basis "
-            f"frequency {omega!r}; apply reduce_frequency first"
-        )
+    omega, omega_raw = basis.freq.omega, target.freq_raw
     f_env, g_env = target.f_env, target.g_env
-    if sampled and all(map(operator.is_, sampled, (target, f_env, g_env, basis))):
+    key = target, f_env, g_env, basis
+    if sampled and all(map(operator.is_, sampled, key)) and sampled[4] == omega_raw:
         return sampled
+    eps = omega_raw - omega
+    if not abs(eps) <= math.pi:
+        raise ValueError(f"target frequency {omega_raw!r} is more than pi "
+                         f"from basis frequency {omega!r}")
     degree = max(ENVELOPE_DEGREE, basis.n_max)
     x, w, P, W = _analysis(2 * degree + 1)
     g, f = sample(g_env, x), sample(f_env, x)
+    if abs(eps) > 1e-12 * max(1.0, omega):
+        logger.info("reduced omega_raw=%.17g onto basis omega=%.17g (k=%d), "
+                    "epsilon=%.17g", omega_raw, omega, basis.freq.k, eps)
+        cos, sin = np.cos(eps * x), np.sin(eps * x)
+        g, f = f * sin + g * cos, f * cos - g * sin
     # the Legendre coefficients of the envelopes beyond degree D, against
     # their whole norm, sum w (g^2 + f^2): exact for interpolants of degree 2D
     energy = np.square(W[degree + 1:] @ np.column_stack([g, f])).sum(axis=1) \
@@ -252,17 +233,17 @@ def _filon_setup(target: OscTarget, basis: OscBasis, sampled=None):
             f"(omega={omega:.6g}): the tail beyond it is {tail / norm:.2e} "
             f"of the envelope norm, over {RESOLVE_TOL:g}"
         )
-    return target, f_env, g_env, basis, (g, f, P[:basis.n_max + 1], w,
-                                         _filon_weights(basis.freq, x.size))
+    return *key, omega_raw, (g, f, P[:basis.n_max + 1], w,
+                             _filon_weights(basis.freq, x.size))
 
 
 def project(target: OscTarget, basis: OscBasis) -> Expansion:
     """Coefficients <F, row_i> by Filon quadrature on the analysis rule.
 
     The cost does not depend on omega.  The rows are orthonormal, so no
-    normal-equations solve is involved.  The target must already be
-    reduced: its frequency has to equal the basis frequency to 1e-12
-    relative, and its envelopes must be resolved by ENVELOPE_DEGREE.
+    normal-equations solve is involved.  The target may be at any
+    frequency within pi of the basis's, with envelopes resolved by
+    ENVELOPE_DEGREE (see _filon_setup).
     """
     sampled = _filon_setup(target, basis)
     g, f, P, w, v = sampled[-1]
@@ -270,7 +251,7 @@ def project(target: OscTarget, basis: OscBasis) -> Expansion:
     yg = (w + v.real) * g + v.imag * f
     yf = (w - v.real) * f + v.imag * g
     coeffs = 0.5 * (basis.a @ (P @ yg) + basis.b @ (P @ yf))
-    return Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs,
+    return Expansion(basis.freq, basis.n_max, basis.content_hash(), coeffs,
                      _sampled=sampled)
 
 
@@ -286,9 +267,9 @@ def evaluate_expansion(exp: Expansion, basis: OscBasis, x):
 def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
     """L2 norm of F minus its expansion, by the same Filon quadrature as
     project, on the residual's own values (no Parseval cancellation).  On
-    the expansion project returned, for the same target object, f_env, g_env
-    and basis object, it reuses that projection's envelope samples and
-    resolution check; any other call samples the envelopes afresh."""
+    the expansion project returned, for the same target object, f_env, g_env,
+    freq_raw and basis object, it reuses that projection's envelope samples
+    and resolution check; any other call samples the envelopes afresh."""
     _check_match(exp, basis)
     g, f, P, w, v = _filon_setup(target, basis, exp._sampled)[-1]
     # the residual's envelopes; the real part of w |r|^2 + v r^2 for

@@ -25,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .approx import (ENVELOPES, Expansion, OscTarget, _check_match,
-                     evaluate_expansion, project, reduce_frequency,
-                     residual_norm)
+                     evaluate_expansion, project, residual_norm)
 from .basis import BasisDegenerationError, OscBasis, build_basis
 from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
 from .documents import (load, load_basis, load_expansion, save, save_csv,
                         write_json)
-from .frequency import TWO_PI, Frequency, parse_omega_spec
+from .frequency import Frequency, parse_omega_spec
 from .oracle import (OracleConfig, cond_estimate, hilbert_limit, member_gram,
                      monomial_gram)
 from .pairing import gram_matrix
@@ -85,8 +84,7 @@ def cmd_tables(args):
 def cmd_basis(args):
     freq = _verifiable(args.omega)
     tables = build_tables(freq, args.n + 1)
-    basis = build_basis(freq, args.n, tables,
-                        reorthogonalize=args.reorthogonalize)
+    basis = build_basis(freq, args.n, tables)
     G = gram_matrix(basis, tables)
     dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
     print(f"self-check max|G - I| = {dev:.3e} against the table-based Gram")
@@ -134,16 +132,15 @@ def cmd_project(args):
     omega_raw = parse_omega_spec(args.omega_raw).omega
     target = OscTarget(f_env=ENVELOPES[args.f], g_env=ENVELOPES[args.g],
                        freq_raw=omega_raw)
-    freq_red, reduced = reduce_frequency(target)
-    exp = project(reduced, basis)
-    resid = residual_norm(reduced, exp, basis)
+    exp = project(target, basis)
+    resid = residual_norm(target, exp, basis)
     out = Path(args.out)
     outputs = [save(exp, out)]
     report = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "omega_raw": omega_raw,
-        "reduced_k": freq_red.k,
-        "epsilon": omega_raw - TWO_PI * freq_red.k,
+        "reduced_k": basis.freq.k,
+        "epsilon": omega_raw - basis.freq.omega,
         "residual_norm": resid,
         "coefficient_decay": [
             {"index": i, "abs_coeff": float(abs(c))}
@@ -163,7 +160,8 @@ def cmd_diff(args):
     _check_match(exp, basis)
     op = to_orthogonal_basis(
         derivative_matrix_legtrig(basis.freq, basis.n_max), basis)
-    d_exp = Expansion(basis_ref=exp.basis_ref, coeffs=op.d_orth @ exp.coeffs)
+    d_exp = Expansion(exp.freq, exp.n_max, exp.basis_hash,
+                      op.d_orth @ exp.coeffs)
     out = Path(args.out)
     outputs = [save(d_exp, out)]
 
@@ -237,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--omega", required=True,
                    help="frequency: a real number or the exact form '2pi*k'")
     b.add_argument("--n", required=True, type=int, help="largest pair index N")
-    b.add_argument("--reorthogonalize", action="store_true",
-                   help="extra orthogonalization pass per new row")
     b.add_argument("--out", default="basis.json", help="output path")
     b.add_argument("--format", choices=("json", "csv"), default="json")
     b.set_defaults(func=cmd_basis)
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, choices=sorted(ENVELOPES),
                    help="cosine-part envelope")
     p.add_argument("--omega-raw", required=True,
-                   help="raw target frequency (reduction applied automatically)")
+                   help="raw target frequency, within pi of the basis's")
     p.add_argument("--out", default="expansion.json", help="output path")
     p.set_defaults(func=cmd_project)
 

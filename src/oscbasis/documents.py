@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import BasisRef, Expansion
+from .approx import Expansion
 from .basis import OscBasis, representation_matrix
 from .calculus import DerivativeOperator
 from .frequency import Frequency
@@ -57,8 +57,7 @@ def to_doc(obj) -> dict:
                 "norms": obj.norms.tolist(),
                 "rec": [dict(zip(_STEP, r)) for r in obj.rec.tolist()]}
     if isinstance(obj, Expansion):
-        ref = obj.basis_ref
-        return {**_header(ref.freq, ref.n_max), "basis_hash": ref.basis_hash,
+        return {**_header(obj.freq, obj.n_max), "basis_hash": obj.basis_hash,
                 "coeffs": obj.coeffs.tolist()}
     if isinstance(obj, DerivativeOperator):
         return {**_header(obj.freq, obj.n_max),
@@ -149,8 +148,8 @@ def from_doc(doc):
     if cls is Expansion:
         if not isinstance(doc["basis_hash"], str):
             raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
-        ref = BasisRef(freq=freq, n_max=n_max, basis_hash=doc["basis_hash"])
-        return Expansion(ref, _array(doc["coeffs"], "coeffs", (size,)))
+        return Expansion(freq, n_max, doc["basis_hash"],
+                         _array(doc["coeffs"], "coeffs", (size,)))
     d_orth = doc["d_orth"]
     return DerivativeOperator(
         freq=freq, n_max=n_max,

@@ -71,10 +71,15 @@ def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureR
 
 
 def sample(F, nodes: np.ndarray) -> np.ndarray:
-    """F at the nodes, or ValueError at the first non-finite value."""
+    """F at the nodes by one call, broadcast to their shape; ValueError if
+    it does not broadcast, or at the first non-finite value."""
     values = np.asarray(F(nodes), dtype=float)
     if values.shape != nodes.shape:
-        values = np.array([float(F(t)) for t in nodes])
+        try:
+            values = np.broadcast_to(values, nodes.shape)
+        except ValueError:
+            raise ValueError(f"integrand returned shape {values.shape}, which "
+                             f"does not broadcast to {nodes.shape}") from None
     bad = ~np.isfinite(values)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])

@@ -1,8 +1,8 @@
 import math
 import pickle
 import warnings
-from dataclasses import FrozenInstanceError, replace
-from functools import partial
+from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -26,9 +26,8 @@ from oscbasis import (
     save_basis,
     save_expansion,
 )
-from oscbasis.approx import (ENVELOPE_DEGREE, BasisRef, _analysis,
-                             _filon_weights, _spherical_bessel,
-                             plain_legendre_residuals)
+from oscbasis.approx import (ENVELOPE_DEGREE, _analysis, _filon_weights,
+                             _spherical_bessel, plain_legendre_residuals)
 from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
@@ -76,27 +75,53 @@ def test_reduction_decomposes_toward_nearest_multiple():
     freq, reduced = reduce_frequency(t)
     assert freq.k == 10
     assert freq.epsilon == 0.0
-    assert reduced.freq_raw == freq.omega
+    assert reduced is t
 
 
-def test_reduction_is_pointwise_identity():
-    omega_raw = TWO_PI * 3 + 0.5
-    t = _target("exp", "cos1", omega_raw)
-    freq, reduced = reduce_frequency(t)
-    assert freq.k == 3
-    xs = np.linspace(-1.0, 1.0, 101)
-    assert np.max(np.abs(reduced.evaluate(xs) - t.evaluate(xs))) <= 1e-13
+def _closure_reduced(target):
+    """The target rewritten at the nearest 2 pi k by two closures over its
+    envelopes, each evaluating f, g, cos(eps x) and sin(eps x): what project
+    must agree with bit for bit when it rotates its own samples instead."""
+    decomp = Frequency.from_omega(target.freq_raw)
+    if decomp.exact_multiple:
+        return target
+    eps, f, g = decomp.epsilon, target.f_env, target.g_env
+
+    def f_hat(x):
+        xa = np.asarray(x, dtype=float)
+        return np.asarray(f(xa), dtype=float) * np.cos(eps * xa) \
+            - np.asarray(g(xa), dtype=float) * np.sin(eps * xa)
+
+    def g_hat(x):
+        xa = np.asarray(x, dtype=float)
+        return np.asarray(f(xa), dtype=float) * np.sin(eps * xa) \
+            + np.asarray(g(xa), dtype=float) * np.cos(eps * xa)
+
+    return OscTarget(f_env=f_hat, g_env=g_hat, freq_raw=TWO_PI * decomp.k)
+
+
+@lru_cache(maxsize=None)
+def _small_basis(k):
+    freq = Frequency.exact(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        return build_basis(freq, 4, build_tables(freq, 5))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=3.2, max_value=400.0, allow_nan=False))
-def test_reduction_identity_property(omega_raw):
-    # desk-scale frequencies; phase rounding grows linearly with omega
+def test_raw_target_projects_with_the_bits_of_closure_reduction(omega_raw):
+    # desk-scale frequencies, on the basis at the k reduce_frequency names
     t = _target("exp", "cos1", omega_raw)
-    _, reduced = reduce_frequency(t)
-    xs = np.linspace(-1.0, 1.0, 41)
-    scale = np.max(np.abs(t.evaluate(xs))) + 1.0
-    assert np.max(np.abs(reduced.evaluate(xs) - t.evaluate(xs))) <= 1e-13 * scale
+    freq, _ = reduce_frequency(t)
+    basis = _small_basis(freq.k)
+    closure = _closure_reduced(t)
+    exp, want = project(t, basis), project(closure, basis)
+    assert np.array_equal(exp.coeffs, want.coeffs)
+    assert residual_norm(t, exp, basis) == residual_norm(closure, want, basis)
+    # fresh samples, not the reused ones, agree as well
+    assert residual_norm(replace(t), exp, basis) \
+        == residual_norm(replace(closure), want, basis)
 
 
 def test_projection_of_pure_cosine_hits_first_row(freq20, basis20):
@@ -110,9 +135,31 @@ def test_projection_of_zero_target_is_zero(freq20, basis20):
     assert np.all(exp.coeffs == 0.0)
 
 
-def test_projection_requires_reduced_frequency(basis20):
-    with pytest.raises(ValueError, match="reduce_frequency"):
-        project(_target("one", "one", TWO_PI * 20 + 0.3), basis20)
+def test_projection_accepts_offsets_within_pi_and_refuses_beyond(basis20):
+    for offset in (3.0, -3.0, 0.3):
+        t = _target("exp", "runge", TWO_PI * 20 + offset)
+        assert np.array_equal(project(t, basis20).coeffs,
+                              project(_closure_reduced(t), basis20).coeffs)
+    for offset in (3.2, -3.2, TWO_PI):
+        with pytest.raises(ValueError, match="is more than pi from basis "
+                                             "frequency"):
+            project(_target("one", "one", TWO_PI * 20 + offset), basis20)
+
+
+def test_scalar_envelope_is_sampled_once_and_broadcast(freq20, basis20):
+    calls = []
+
+    def two(x):
+        calls.append(x)
+        return 2.0
+
+    omega = freq20.omega + 0.3
+    exp = project(OscTarget(f_env=two, g_env=ENVELOPES["exp"], freq_raw=omega),
+                  basis20)
+    assert len(calls) == 1
+    full = OscTarget(f_env=lambda x: np.full_like(x, 2.0),
+                     g_env=ENVELOPES["exp"], freq_raw=omega)
+    assert np.array_equal(exp.coeffs, project(full, basis20).coeffs)
 
 
 def test_in_span_targets_reproduce_exactly(freq20, basis20):
@@ -244,14 +291,21 @@ def test_residual_reuses_the_samples_of_its_projection(freq20, basis20):
                           exp, basis20)
     assert (f.calls, g.calls) == (2, 2)
     assert np.array_equal(reused, fresh)
-    # a frequency reassigned after projection is still refused
+    # a frequency reassigned after projection is sampled afresh: by less
+    # than pi it gives a fresh target's residual, by more it is refused
+    target.freq_raw = freq20.omega + 0.3
+    moved = residual_norm(target, exp, basis20)
+    assert (f.calls, g.calls) == (3, 3)
+    assert moved != reused
+    assert np.array_equal(moved, residual_norm(
+        OscTarget(f_env=f, g_env=g, freq_raw=target.freq_raw), exp, basis20))
     target.freq_raw *= 1.5
-    with pytest.raises(ValueError, match="does not match basis frequency"):
+    with pytest.raises(ValueError, match="is more than pi from basis frequency"):
         residual_norm(target, exp, basis20)
 
 
 def test_projected_expansion_pickles_without_its_samples(freq20, basis20):
-    # the reduced envelopes are closures, which do not pickle; the copy
+    # the catalog envelopes are lambdas, which do not pickle; the copy
     # samples the target afresh, to the same residual
     _, reduced = reduce_frequency(_target("exp", "runge", freq20.omega + 0.3))
     exp = project(reduced, basis20)
@@ -482,11 +536,11 @@ def test_plain_residuals_reject_negative_degree(freq20):
 
 
 def test_expansion_validation(basis20):
-    ref = BasisRef.from_basis(basis20)
+    fields = basis20.freq, basis20.n_max, basis20.content_hash()
     with pytest.raises(ValueError, match="expected 26"):
-        Expansion(basis_ref=ref, coeffs=np.zeros(4))
+        Expansion(*fields, coeffs=np.zeros(4))
     with pytest.raises(ValueError, match="finite"):
-        Expansion(basis_ref=ref, coeffs=np.full(26, np.nan))
+        Expansion(*fields, coeffs=np.full(26, np.nan))
 
 
 def test_mismatched_basis_is_detected(freq20, tables20, basis20):
@@ -505,7 +559,8 @@ def test_expansion_file_round_trip(freq20, basis20, tmp_path):
     path = tmp_path / "exp.json"
     save_expansion(exp, path)
     loaded = load_expansion(path)
-    assert loaded.basis_ref == exp.basis_ref
+    assert (loaded.freq, loaded.n_max, loaded.basis_hash) \
+        == (exp.freq, exp.n_max, exp.basis_hash)
     assert np.array_equal(loaded.coeffs, exp.coeffs)
     # reconstruction still works after the round trip
     assert evaluate_expansion(loaded, basis20, 0.2) == pytest.approx(
@@ -521,14 +576,15 @@ def test_projected_and_explicit_refs_give_identical_results(freq20, basis20, x,
     exp = project(target, basis20)
     resid = residual_norm(target, exp, basis20)
     values = evaluate_expansion(exp, basis20, x)
-    # the same coefficients under a ref spelled out from the hash
-    ref = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
-                   basis_hash=basis20.content_hash())
-    named = Expansion(basis_ref=ref, coeffs=project(target, basis20).coeffs)
+    # the same coefficients under basis fields spelled out from the hash
+    named = Expansion(freq=basis20.freq, n_max=basis20.n_max,
+                      basis_hash=basis20.content_hash(),
+                      coeffs=project(target, basis20).coeffs)
     assert np.array_equal(exp.coeffs, named.coeffs)
     assert np.array_equal(resid, residual_norm(target, named, basis20))
     assert np.array_equal(values, evaluate_expansion(named, basis20, x))
-    assert exp.basis_ref == named.basis_ref
+    assert (exp.freq, exp.n_max, exp.basis_hash) \
+        == (named.freq, named.n_max, named.basis_hash)
     save_expansion(exp, tmp_path / "projected.json")
     save_expansion(named, tmp_path / "named.json")
     assert (tmp_path / "projected.json").read_bytes() \
@@ -547,17 +603,3 @@ def test_expansion_checks_against_a_loaded_copy_of_its_basis(freq20, tables20,
     assert np.array_equal(evaluate_expansion(exp, copy, grid),
                           evaluate_expansion(exp, basis, grid))
     assert residual_norm(target, exp, copy) == residual_norm(target, exp, basis)
-
-
-def test_basis_ref_is_read_only_and_equal_by_content(basis20):
-    derived = BasisRef.from_basis(basis20)
-    named = BasisRef(freq=basis20.freq, n_max=basis20.n_max,
-                     basis_hash=basis20.content_hash())
-    assert derived == named and hash(derived) == hash(named)
-    assert repr(derived) == repr(named)
-    assert derived != BasisRef(freq=basis20.freq, n_max=basis20.n_max,
-                               basis_hash="0" * 64)
-    with pytest.raises(FrozenInstanceError):
-        derived.n_max = 3
-    with pytest.raises(FrozenInstanceError):
-        del named.basis_hash

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oscbasis import (StabilityWarning, build_tables, load_basis, save_basis,
-                      save_tables)
-from oscbasis.approx import BasisRef, Expansion
+from oscbasis import (ENVELOPES, OscTarget, StabilityWarning, build_tables,
+                      load_basis, save_basis, save_tables)
+from oscbasis.approx import Expansion
+from oscbasis.basis import member_values
 from oscbasis.cli import main
 from oscbasis.documents import save_expansion
 from oscbasis.frequency import TWO_PI, parse_omega_spec
+from oscbasis.oracle import OracleConfig, composite_rule
 
 
 @pytest.fixture(scope="module")
@@ -401,12 +403,40 @@ def test_project_frequency_must_match_basis(workdir, tmp_path):
     assert rc == 2
 
 
+def test_project_onto_basis_off_the_2pi_grid(tmp_path):
+    # a basis at omega = 12.0 (k = 2, epsilon = -0.57) takes targets at its
+    # own frequency and within pi of it, and its expansions differentiate
+    basis_path = tmp_path / "basis.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        assert _run("basis", "--omega", "12.0", "--n", "9", "--out", basis_path) == 0
+    assert _run("verify", basis_path) == 0
+    basis = load_basis(basis_path)
+    rule = composite_rule(12.0, OracleConfig(6, 32))
+    E = member_values(basis, rule.nodes)
+    for omega_raw in ("12.0", "12.3"):
+        out = tmp_path / f"exp_{omega_raw}.json"
+        assert _run("project", "--basis", basis_path, "--f", "exp", "--g", "runge",
+                    "--omega-raw", omega_raw, "--out", out) == 0
+        report = json.loads(out.with_suffix(".report.json").read_text())
+        assert report["reduced_k"] == 2
+        assert report["epsilon"] == float(omega_raw) - 12.0
+        target = OscTarget(f_env=ENVELOPES["exp"], g_env=ENVELOPES["runge"],
+                           freq_raw=float(omega_raw))
+        want = E @ (rule.weights * target.evaluate(rule.nodes))
+        got = np.array(json.loads(out.read_text())["coeffs"])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert _run("diff", "--basis", basis_path, "--expansion", out,
+                    "--out", tmp_path / f"d_{omega_raw}.json") == 0
+
+
 def test_diff_differentiates_first_member(workdir, tmp_path, capsys):
     basis = load_basis(workdir / "basis.json")
     coeffs = np.zeros(18)
     coeffs[0] = 1.0
     exp_path = tmp_path / "e0.json"
-    save_expansion(Expansion(basis_ref=BasisRef.from_basis(basis), coeffs=coeffs), exp_path)
+    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(), coeffs),
+                   exp_path)
     out = tmp_path / "d.json"
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path, "--out", out)
     assert rc == 0
@@ -422,9 +452,9 @@ def test_diff_differentiates_first_member(workdir, tmp_path, capsys):
 
 def test_diff_rejects_mismatched_expansion(workdir, tmp_path, capsys):
     basis = load_basis(workdir / "basis.json")
-    ref = BasisRef(freq=basis.freq, n_max=basis.n_max, basis_hash="0" * 64)
     exp_path = tmp_path / "stale.json"
-    save_expansion(Expansion(basis_ref=ref, coeffs=np.zeros(18)), exp_path)
+    save_expansion(Expansion(basis.freq, basis.n_max, "0" * 64, np.zeros(18)),
+                   exp_path)
     capsys.readouterr()
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
@@ -446,8 +476,8 @@ def _wrong_parity_basis(workdir, path, value):
 
 def _expansion_file(workdir, path):
     basis = load_basis(workdir / "basis.json")
-    save_expansion(Expansion(basis_ref=BasisRef.from_basis(basis),
-                             coeffs=np.ones(18)), path)
+    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                             np.ones(18)), path)
     return path
 
 
@@ -492,8 +522,8 @@ def test_diff_refuses_wrong_parity_nan(workdir, tmp_path, capsys):
     (tmp_path / "nan.json").write_text(json.dumps(doc))
     basis = load_basis(workdir / "basis.json")
     exp_path = tmp_path / "e.json"
-    save_expansion(Expansion(basis_ref=BasisRef.from_basis(basis),
-                             coeffs=np.ones(18)), exp_path)
+    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                             np.ones(18)), exp_path)
     rc = _run("diff", "--basis", tmp_path / "nan.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
     assert rc == 2

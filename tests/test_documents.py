@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oscbasis import (DerivativeOperator, Expansion, Frequency,
                       InnerProductTables, OscBasis, build_basis, build_tables,
                       derivative_matrix_legtrig, to_orthogonal_basis)
-from oscbasis.approx import BasisRef
 from oscbasis.documents import SCHEMA_VERSION, from_doc, to_doc
 
 JUNK = [None, True, False, "junk", "1.5", {}, [], [[1.0], [1.0, 2.0]],
@@ -19,7 +18,8 @@ def _valid_docs():
     freq = Frequency.exact(5)
     tables = build_tables(freq, 3)
     basis = build_basis(freq, 2, tables)
-    exp = Expansion(BasisRef.from_basis(basis), np.linspace(-1.0, 1.0, 6))
+    exp = Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                    np.linspace(-1.0, 1.0, 6))
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 2), basis)
     return {"tables": to_doc(tables), "basis": to_doc(basis),
             "expansion": to_doc(exp), "operator": to_doc(op)}

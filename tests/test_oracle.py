@@ -95,6 +95,15 @@ def test_integrate_rejects_non_finite_samples():
         integrate(lambda x: np.where(np.abs(x) < 0.5, np.nan, 1.0), freq)
 
 
+def test_integrate_broadcasts_a_scalar_and_refuses_a_wrong_shape():
+    freq = Frequency.exact(2)
+    assert integrate(lambda x: 2.0, freq) == integrate(
+        lambda x: np.full_like(x, 2.0), freq)
+    with pytest.raises(ValueError, match=r"returned shape \(3,\), which does "
+                                         r"not broadcast"):
+        integrate(lambda x: np.ones(3), freq)
+
+
 def test_oracle_entry_known_values():
     freq = Frequency.exact(10)
     t = oracle_tables(freq, 1)

@@ -62,16 +62,17 @@ def test_frequency_cost_degree_is_flat_at_a_tight_tolerance():
 def test_construct_cost_prints_every_layer_and_rho():
     lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"])
     header, ok, refused = lines[-3].split(), lines[-2].split(), lines[-1].split()
-    for name in ("tables", "basis", "basis_reorth", "d_legtrig", "to_orth",
-                 "save", "load", "hash", "rho", "max|G-I|"):
+    for name in ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
+                 "hash", "rho", "max|G-I|"):
         assert name in header
-    assert ok[0] == "2pi*20:12" and len(ok) == 11
-    assert all(float(ms) > 0.0 for ms in ok[1:9])
+    assert "d_legtrig" not in header
+    assert ok[0] == "2pi*20:12" and len(ok) == 10
+    assert all(float(ms) > 0.0 for ms in ok[1:8])
     # rho and the oracle deviation, each in 9.2e format; at 2pi*20, N = 12
     # the plain basis is orthonormal to about 1e-15
-    for cell in ok[9:]:
+    for cell in ok[8:]:
         assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", cell), cell
-    assert 0.0 < float(ok[10]) <= 1e-12
+    assert 0.0 < float(ok[9]) <= 1e-12
     # at 2pi*3, N = 20 the plain build is refused, so there is no rho
     assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
 
