@@ -100,6 +100,31 @@ def _closure_reduced(target):
     return OscTarget(f_env=f_hat, g_env=g_hat, freq_raw=TWO_PI * decomp.k)
 
 
+def test_reduction_is_pointwise_identity():
+    # the returned target is the raw one; the rotation project applies to
+    # its samples reproduces it at the nearest 2 pi k
+    omega_raw = TWO_PI * 3 + 0.5
+    t = _target("exp", "cos1", omega_raw)
+    freq, reduced = reduce_frequency(t)
+    assert freq.k == 3
+    xs = np.linspace(-1.0, 1.0, 101)
+    for rewritten in (reduced, _closure_reduced(t)):
+        assert np.max(np.abs(rewritten.evaluate(xs) - t.evaluate(xs))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=3.2, max_value=400.0, allow_nan=False))
+def test_reduction_identity_property(omega_raw):
+    # desk-scale frequencies; phase rounding grows linearly with omega
+    t = _target("exp", "cos1", omega_raw)
+    _, reduced = reduce_frequency(t)
+    xs = np.linspace(-1.0, 1.0, 41)
+    scale = np.max(np.abs(t.evaluate(xs))) + 1.0
+    for rewritten in (reduced, _closure_reduced(t)):
+        assert np.max(np.abs(rewritten.evaluate(xs) - t.evaluate(xs))) \
+            <= 1e-13 * scale
+
+
 @lru_cache(maxsize=None)
 def _small_basis(k):
     freq = Frequency.exact(k)
