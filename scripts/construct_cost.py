@@ -7,6 +7,8 @@ plain and the reorthogonalized `build_basis` and `to_orthogonal_basis`
 is not timed), then `save_basis` and `load_basis` of the plain basis's
 JSON document and its content hash on a fresh copy of the basis
 object (nothing cached), and prints the median of each in milliseconds.
+`us/pair` is the plain basis median over its N recurrence steps, in
+microseconds (a refused build's time to its refusal; `-` at N = 0).
 Next to them it prints rho = u * max|c|^2 over the plain basis's
 coefficients (u the unit roundoff), the size of the Gram error that
 rounding alone can cause, and the plain basis's quadrature-oracle max|G - I|
@@ -96,7 +98,8 @@ def main():
         ap.error("--repeats must be at least 1")
 
     print(f"{'cell':>12}  " + "  ".join(f"{name:>12}" for name in LAYERS)
-          + f"  {'rho':>9}  {'max|G-I|':>9}   (median ms of {args.repeats})")
+          + f"  {'us/pair':>9}  {'rho':>9}  {'max|G-I|':>9}   "
+          f"(median ms of {args.repeats})")
     for spec in args.cells.split(","):
         k, n = (int(part) for part in spec.split(":"))
         with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +108,7 @@ def main():
                                      Path(tmp) / "basis.json")
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
+        cols.append(f"{1e3 * ms['basis'] / n:9.2f}" if n else f"{'-':>9}")
         print(f"{f'2pi*{k}:{n}':>12}  " + "  ".join(cols) + "  "
               + (f"{rho:9.2e}  {dev:9.2e}" if rho is not None
                  else f"{'refused':>9}"))

@@ -12,26 +12,27 @@ nearest 2pi * k (`reduce_frequency`).
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
-from oscbasis import (ENVELOPES, Expansion, OscTarget, build_basis,
-                      build_tables, project, reduce_frequency, residual_norm)
+from oscbasis import (ENVELOPES, OscTarget, build_basis, build_tables, project,
+                      reduce_frequency, residual_norm)
 from oscbasis.approx import plain_legendre_residuals
 from oscbasis.frequency import TWO_PI
 
 
 def smallest_osc_degree(freq, target, tol, n_cap=12):
     """Smallest n whose expansion in pairs 0 ... n has residual norm <= tol,
-    by `residual_norm` on the projection with its tail zeroed."""
+    by `residual_norm` on the projection with its tail zeroed.  The trimmed
+    copies keep the projection's samples, so the envelopes are sampled once."""
     tables = build_tables(freq, n_cap + 1)
     basis = build_basis(freq, n_cap, tables)
     exp = project(target, basis)
     for n in range(n_cap + 1):
         coeffs = exp.coeffs.copy()
         coeffs[2 * (n + 1):] = 0.0
-        trimmed = Expansion(exp.freq, exp.n_max, exp.basis_hash, coeffs)
-        if residual_norm(target, trimmed, basis) <= tol:
+        if residual_norm(target, replace(exp, coeffs=coeffs), basis) <= tol:
             return n
     return None
 

@@ -74,11 +74,12 @@ class OscTarget:
         return float(vals) if vals.ndim == 0 else vals
 
 
-@dataclass
+@dataclass(eq=False)
 class Expansion:
     """Coefficients over the orthonormal rows, interleaved [p0, q0, p1, ...],
     of the basis named by its frequency, its N and its content hash
-    (OscBasis.content_hash, over the basis's arrays)."""
+    (OscBasis.content_hash, over the basis's arrays).  Equality is identity,
+    as for OscBasis: compare the coefficient arrays directly."""
 
     freq: Frequency
     n_max: int

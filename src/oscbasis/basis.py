@@ -24,7 +24,7 @@ import hashlib
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .tables import InnerProductTables
 DEGENERATION_THRESHOLD = 1e-13
 # unit roundoff of 64-bit arithmetic
 ROUNDOFF = np.finfo(float).eps / 2
+# pairs whose roundoff guard build_basis checks at once
+GUARD_BLOCK = 32
 
 
 class BasisDegenerationError(RuntimeError):
@@ -80,9 +82,8 @@ class OscBasis:
             object.__setattr__(self, name, arr)
         # a and b may be nonzero (or NaN) only at degree j <= i // 2 of
         # member i, and there only in the part of its parity
-        sine = _sine_slots(2 * n, n)
-        low = np.repeat(np.tri(n, dtype=bool), 2, axis=0)
-        stray = [(self.a != 0.0) & ~(low & ~sine), (self.b != 0.0) & ~(low & sine)]
+        stray = [(arr != 0.0) & mask
+                 for arr, mask in zip((self.a, self.b), _stray_slots(n))]
         if np.any(stray[0]) or np.any(stray[1]):
             i, j, part = np.argwhere(np.stack(stray, axis=-1))[0]
             rule = ("where its parity requires 0" if j <= i // 2
@@ -143,8 +144,11 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     pre-normalization norm drops below 1e-13 or is NaN, or when a
     normalized row's largest coefficient c makes u c^2 >= 1 (u the unit
     roundoff), so that rounding alone perturbs the Gram by as much as the
-    Gram itself.  Warns with StabilityWarning when the oscillation period
-    count omega / (2 pi) does not exceed n_max.
+    Gram itself.  The norm is checked at every pair, before it divides; the
+    roundoff guard runs after every GUARD_BLOCK pairs, after the last pair
+    and at a norm failure, and names the member, and the value, that a
+    check after every pair would.  Warns with StabilityWarning when the
+    oscillation period count omega / (2 pi) does not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
         raise ValueError(
@@ -178,7 +182,8 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # entries that quotients read and ip[c, k] = <rows[c, k], x_ck>, so
     # <f, rows[c, k]> / <rows[c, k], rows[c, k]> = f . applied[c, k] /
     # ip[c, k].  A zero degree N + 2 in G_c gives each pair's products the
-    # same shapes, and bits, at any N.
+    # same shapes, and bits, at any N.  A step writes every product into
+    # these arrays, so it allocates nothing.
     n = n_max + 1
     # mixed degree parities pair cos with sin (M2), the others cos with cos
     # (M3) or sin with sin (M4)
@@ -190,96 +195,136 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
             i : n + 1 : 2, i : n + 1 : 2]
     rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
     ip, norms = np.empty((2, 2, n))
-    # x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1), so degree j of x f takes
-    # j/(2j-1) of degree j-1 (up) and (j+1)/(2j+3) of degree j+1 (down)
-    deg = np.arange(n + 1)
-    up = deg / (2.0 * deg - 1.0)
-    down = (deg + 1) / (2.0 * deg + 3.0)
+    # x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1), so degree m of f gives
+    # updown[0, m] of it to degree m + 1 of x f and updown[1, m] to m - 1
+    m = np.arange(n + 1)
+    updown = np.stack([(m + 1) / (2.0 * m + 1.0), m / (2.0 * m + 1.0)])
     # quotients of each class's new member against its pairs k-1 and k
     quot = np.zeros((n_max, 2, 2))
+    # the new pair, its x-shift terms and the terms subtracted from it
+    X, scratch = np.zeros((2, 2, n + 1))
+    shift = np.zeros((2, 2, n + 2))
+    floor = DEGENERATION_THRESHOLD ** 2
 
-    def check(k, values, ok, why):
-        # refuse pair k at its first member, in (p_k, q_k) order, whose
-        # value is not ok
-        for v in values.tolist()[:: -1 if k % 2 else 1]:
-            if not ok(v):
-                raise BasisDegenerationError(
-                    f"basis degenerated at member {k}: {why.format(v)} (omega="
-                    f"{freq.omega:.6g}, n_max={n_max}; the recurrence is "
-                    f"reliable only for omega/2pi > n_max)")
+    def check(first, values, ok, why):
+        # refuse the first member whose value is not ok, pair by pair from
+        # pair first on, each in (p_k, q_k) order; pair k has values[:, k - first]
+        for k, pair in enumerate(values.T.tolist(), first):
+            for v in pair[:: -1 if k % 2 else 1]:
+                if not ok(v):
+                    raise BasisDegenerationError(
+                        f"basis degenerated at member {k}: {why.format(v)} (omega="
+                        f"{freq.omega:.6g}, n_max={n_max}; the recurrence is "
+                        f"reliable only for omega/2pi > n_max)")
 
-    def store(k, X):
-        # normalize and store pair k, X[c] its class-c member; G_c X[c] is a
-        # 1-row product per class (a 2-row product sums in longer chains,
-        # and its bases are less orthogonal near k = 1.6 N)
-        w = k + 1
-        GX = applied[:, k, : w + 2]
-        np.matmul(X[:, None], G[:, :w, : w + 2], out=GX[:, None])
-        nsq = (X[:, None] @ GX[:, :w, None])[:, 0, 0]
-        check(k, nsq, lambda v: v >= DEGENERATION_THRESHOLD ** 2,
-              "pre-normalization norm^2 = {:.3e} is below "
-              f"{DEGENERATION_THRESHOLD}^2")
-        norms[:, k] = np.sqrt(nsq)
-        R = np.divide(X, norms[:, k, None], out=rows[:, k, :w])
-        check(k, ROUNDOFF * np.abs(R).max(axis=1) ** 2, lambda v: v < 1.0,
-              "u*max|c|^2 = {:.3e} >= 1, so rounding alone perturbs the "
-              "Gram as much as the Gram itself")
-        ip[:, k] = (R[:, None] @ GX[:, :w, None])[:, 0, 0]
+    def guard(stop):
+        # the roundoff guard on pairs lo ... stop - 1, the stored pairs of
+        # pair stop - 1's block
+        lo = max(stop - 1, 0) // GUARD_BLOCK * GUARD_BLOCK
+        check(lo, ROUNDOFF * np.abs(rows[:, lo:stop]).max(axis=2) ** 2,
+              lambda v: v < 1.0, "u*max|c|^2 = {:.3e} >= 1, so rounding alone "
+              "perturbs the Gram as much as the Gram itself")
 
-    store(0, np.ones((2, 1)))
-    for k in range(n_max):
-        X = np.zeros((2, k + 2))
-        other = rows[::-1, k, : k + 1]
-        np.multiply(other, up[1 : k + 2], out=X[:, 1:])
-        X[:, :k] += other[:, 1:] * down[:k]
-        lo = max(k - 1, 0)  # pairs lo ... k: k - 1 and k, or 0 at first
-        Q = quot[k, :, lo - k + 1 :]
-        Q[:] = (applied[:, lo : k + 1, : k + 2] @ X[:, :, None])[:, :, 0]
-        Q /= ip[:, lo : k + 1]
-        X -= (Q[:, None] @ rows[:, lo : k + 1, : k + 2])[:, 0]
-        if reorthogonalize:
-            # one classical Gram-Schmidt pass on all earlier members of the
-            # class (twice is enough); <X, rows[c, m]> = rows[c, m].G_c X,
-            # <rows[c, m], rows[c, m]> = ip / norm
-            coef = ((X[:, None] @ G[:, : k + 2, : k + 1])
-                    @ rows[:, : k + 1, : k + 1].transpose(0, 2, 1)
-                    * (norms[:, None, : k + 1] / ip[:, None, : k + 1]))
-            X -= (coef @ rows[:, : k + 1, : k + 2])[:, 0]
-        store(k + 1, X)
+    def store(k):
+        # normalize and store pair k, X[c, :k + 1] its class-c member; G_c
+        # X[c] is a 1-row product per class (a 2-row product sums in longer
+        # chains, and its bases are less orthogonal near k = 1.6 N)
+        x, GX, nk = X[:, None, : k + 1], applied[:, k, None, : k + 3], norms[:, k]
+        np.matmul(x, G[:, : k + 1, : k + 3], out=GX)
+        GX = GX[:, 0, : k + 1, None]
+        # nk holds the norms squared until the check has passed
+        np.matmul(x, GX, out=nk[:, None, None])
+        p, q = nk.tolist()
+        if not (p >= floor and q >= floor):
+            guard(k)
+            check(k, nk[:, None], lambda v: v >= floor,
+                  "pre-normalization norm^2 = {:.3e} is below "
+                  f"{DEGENERATION_THRESHOLD}^2")
+        np.sqrt(nk, out=nk)
+        R = np.divide(x, nk[:, None, None], out=rows[:, k, None, : k + 1])
+        np.matmul(R, GX, out=ip[:, k, None, None])
+
+    # past a collapsed member the recurrence may overflow for up to
+    # GUARD_BLOCK - 1 pairs, until the guard refuses that member
+    X[:, 0] = 1.0
+    with np.errstate(all="ignore"):
+        store(0)
+        for k in range(n_max):
+            # x times class 1 - c's member f of pair k, from one product:
+            # degree j takes shift[c, 0, j] from degree j - 1 of f (0 at
+            # j = 0) and shift[c, 1, j + 2] from degree j + 1 (j < k only)
+            x = X[:, : k + 2]
+            np.multiply(rows[::-1, k, None, : k + 1], updown[:, : k + 1],
+                        out=shift[:, :, 1 : k + 2])
+            np.add(shift[:, 0, :k], shift[:, 1, 2 : k + 2], out=x[:, :k])
+            x[:, k:] = shift[:, 0, k : k + 2]
+            lo = max(k - 1, 0)  # pairs lo ... k: k - 1 and k, or 0 at first
+            Q = quot[k, :, lo - k + 1 :]
+            np.matmul(applied[:, lo : k + 1, : k + 2], x[:, :, None],
+                      out=Q[:, :, None])
+            np.divide(Q, ip[:, lo : k + 1], out=Q)
+            np.matmul(Q[:, None], rows[:, lo : k + 1, : k + 2],
+                      out=scratch[:, None, : k + 2])
+            np.subtract(x, scratch[:, : k + 2], out=x)
+            if reorthogonalize:
+                # one classical Gram-Schmidt pass on all earlier members of
+                # the class (twice is enough); <x, rows[c, m]> = rows[c, m].G_c
+                # x, <rows[c, m], rows[c, m]> = ip / norm
+                coef = ((x[:, None] @ G[:, : k + 2, : k + 1])
+                        @ rows[:, : k + 1, : k + 1].transpose(0, 2, 1)
+                        * (norms[:, None, : k + 1] / ip[:, None, : k + 1]))
+                x -= (coef @ rows[:, : k + 1, : k + 2])[:, 0]
+            store(k + 1)
+            if (k + 2) % GUARD_BLOCK == 0:
+                guard(k + 2)
+        guard(n)
 
     # class (k+1) % 2 holds p_{k+1}: its quotients are alpha (against q_k)
     # and beta (p_{k-1}); class k % 2 holds q_{k+1}: gamma and delta
     k = np.arange(n_max)
     p, q = quot[k, (k + 1) % 2], quot[k, k % 2]
     rec = np.stack([p[:, 1], p[:, 0], q[:, 1], q[:, 0]], axis=1)
-    member = class_rows(n_max)
-    full, flat = np.empty((2 * n, n)), np.empty(2 * n)
-    full[member], flat[member] = rows, norms
-    sine = _sine_slots(2 * n, n)
-    return OscBasis(freq=freq, n_max=n_max, a=np.where(sine, 0.0, full),
-                    b=np.where(sine, full, 0.0), norms=flat, rec=rec)
+    a_b, flat = _member_order(rows, norms)
+    return OscBasis(freq=freq, n_max=n_max, a=a_b[0], b=a_b[1], norms=flat, rec=rec)
 
 
-def class_rows(n_max: int) -> np.ndarray:
-    """[c, k]: the row of class c's member of pair k, 2k (p_k) or 2k + 1
-    (q_k); its parity is 1 where class c's coordinate k is P_k sin."""
-    k = np.arange(n_max + 1)
-    return 2 * k + (k + np.arange(2)[:, None]) % 2
+def member_slice(c: int, h: int) -> slice:
+    """The member rows of class c's members of the pairs k = h, h + 2, ...
+    at any N: pair k's is row 2k + (k + c) % 2.  Their cosine degrees are
+    j = c, c + 2, ... and their sine degrees the others."""
+    return slice(2 * h + (h + c) % 2, None, 4)
 
 
-def _sine_slots(rows: int, degrees: int) -> np.ndarray:
-    """[i, j]: True where member i's coefficient at degree j belongs to
-    P_j sin, whose parity j + 1 is that of member i (p_k has parity k, q_k
-    k + 1); the other of its two coefficients there is zero."""
-    i = np.arange(rows)
-    return ((i // 2 + i % 2) % 2 == 1)[:, None] ^ (np.arange(degrees) % 2 == 1)
+def _member_order(rows: np.ndarray, norms: np.ndarray):
+    """(a, b) stacked and norms in member order, from class-ordered rows[c,
+    k] and norms[c, k]; the part that a parity excludes is exactly zero."""
+    n = rows.shape[1]
+    a_b, flat = np.zeros((2, 2 * n, n)), np.empty(2 * n)
+    for c, h, e in np.ndindex(2, 2, 2):
+        a_b[(c + e) % 2, member_slice(c, h), e::2] = rows[c, h::2, e::2]
+        flat[member_slice(c, h)] = norms[c, h::2]
+    return a_b, flat
+
+
+@lru_cache(maxsize=16)
+def _stray_slots(n: int) -> np.ndarray:
+    """[part, i, j]: True where member i's cosine (part 0) or sine (part 1)
+    coefficient at degree j must be zero in a basis of n pairs, the slots that
+    build_basis does not fill; read-only, as every such basis shares it."""
+    filled = _member_order(np.broadcast_to(np.tri(n), (2, n, n)), np.ones((2, n)))[0]
+    mask = filled == 0.0
+    mask.flags.writeable = False
+    return mask
 
 
 def class_blocks(basis: OscBasis) -> np.ndarray:
     """B_c for classes c = 0, 1, stacked: column k is class c's member of
     pair k in class-c coordinates, so B_c is upper triangular."""
-    kept = np.where(_sine_slots(*basis.a.shape), basis.b, basis.a)
-    return np.ascontiguousarray(kept[class_rows(basis.n_max)].transpose(0, 2, 1))
+    n, a_b = basis.n_max + 1, (basis.a, basis.b)
+    B = np.empty((2, n, n))
+    for c, h, e in np.ndindex(2, 2, 2):
+        B[c, e::2, h::2] = a_b[(c + e) % 2][member_slice(c, h), e::2].T
+    return B
 
 
 def monic_norm_profile(freq: Frequency, n_max: int,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import OscBasis, class_blocks, class_rows
+from .basis import OscBasis, class_blocks, member_slice
 from .frequency import Frequency
 
 
@@ -73,7 +73,8 @@ def _times_d(omega: float, B: np.ndarray) -> np.ndarray:
                   out=Y[:, parity::2][:, : later.shape[1]][:, ::-1])
     Y *= (2.0 * np.arange(B.shape[1]) + 1.0)[:, None]
     # D(P_m cos) has -omega P_m sin and D(P_m sin) has +omega P_m cos
-    Y += np.where(class_rows(B.shape[1] - 1) % 2, omega, -omega)[:, :, None] * B
+    Y += np.where((np.arange(2)[:, None] + np.arange(B.shape[1])) % 2,
+                  omega, -omega)[:, :, None] * B
     return Y
 
 
@@ -118,7 +119,7 @@ def to_orthogonal_basis(op: DerivativeOperator,
     residual = float(np.max([np.max(np.abs(
         B[::-1, lo : lo + PANEL, lo:] @ X[:, lo:, lo:]
         - Y[:, lo : lo + PANEL, lo:])) for lo in range(0, B.shape[1], PANEL)]))
-    member = class_rows(basis.n_max)
-    d_orth = np.zeros((member.size, member.size))
-    d_orth[member[::-1, :, None], member[:, None]] = X
+    d_orth = np.zeros((2 * X.shape[1],) * 2)
+    for c, h, g in np.ndindex(2, 2, 2):
+        d_orth[member_slice(1 - c, h), member_slice(c, g)] = X[c, h::2, g::2]
     return replace(op, d_orth=d_orth, similarity_residual=residual)

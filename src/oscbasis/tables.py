@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
-from .legendre import legendre_norm_sq
 from .oracle import NODE_BUDGET, oracle_tables
 
 # largest table degree N: the Gram of the 2(N+1) unit modes P_j cos(wx) and
@@ -47,7 +46,7 @@ class InnerProductTables:
 
     @property
     def m1(self) -> np.ndarray:
-        return np.diag([legendre_norm_sq(k) for k in range(self.n_max + 1)])
+        return np.diag(2.0 / (2.0 * np.arange(self.n_max + 1) + 1.0))
 
     @property
     def m2(self) -> np.ndarray:
@@ -108,15 +107,20 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
     pad5, pad6 = np.zeros((n + 1) * n), np.zeros((n + 1) * n)
     R_jk, m5, m6 = R[2 * n:], pad5[n:], pad6[n:]
     odd = 2.0 * np.arange(n) - 1.0
+    # by diagonal parity: the table filled in place, the one summed into R,
+    # the boundary term e and the factor f of R; e + (-f) t rounds as e - f t
+    fills = (m5, pad6, sin_2w / omega, -inv_2w), (m6, pad5, -cos_2w / omega, inv_2w)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(2 * n_max + 1):
             j0, j1 = max(0, s - n_max), min(s, n_max)
             d = slice(j0 * n + s - j0, j1 * n + s - j1 + 1, max(n - 1, 1))
-            R_jk[d] = r = R[d] + odd[j0:j1 + 1] * (pad6 if s % 2 == 0 else pad5)[d]
-            if s % 2 == 0:
-                m5[d] = sin_2w / omega - inv_2w * (r + r[::-1])
-            else:
-                m6[d] = -cos_2w / omega + inv_2w * (r + r[::-1])
+            table, other, edge, factor = fills[s % 2]
+            r, m = R_jk[d], table[d]
+            np.multiply(odd[j0:j1 + 1], other[d], out=r)
+            np.add(r, R[d], out=r)
+            np.add(r, r[::-1], out=m)
+            np.multiply(m, factor, out=m)
+            np.add(m, edge, out=m)
     if not (np.all(np.isfinite(m5)) and np.all(np.isfinite(m6))):
         raise ValueError(
             f"the table recursion overflows at omega={omega:.6g}, "

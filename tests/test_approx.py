@@ -339,6 +339,15 @@ def test_projected_expansion_pickles_without_its_samples(freq20, basis20):
     assert residual_norm(reduced, copy, basis20) == residual_norm(reduced, exp, basis20)
 
 
+def test_projections_compare_without_raising(freq20, basis20):
+    # the dataclass default equality compared the coefficient arrays inside
+    # a tuple and raised ValueError when they differed
+    one = project(_target("exp", "runge", freq20.omega), basis20)
+    two = project(_target("cos1", "x", freq20.omega), basis20)
+    assert one == one and one != two and one != replace(one)
+    assert pickle.loads(pickle.dumps(two))._sampled is None
+
+
 @pytest.mark.parametrize("change", ["f_env", "g_env", "target", "basis"])
 def test_residual_samples_afresh_on_anything_but_what_was_projected(
         freq20, basis20, change):

@@ -335,6 +335,53 @@ def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
     assert dev[True] <= dev[False] + 1e-14
 
 
+@pytest.mark.parametrize("k, n_max, member, rho", [
+    (3, 20, 20, "4.054e+00"), (3, 60, 20, "4.054e+00"), (600, 400, 397, "2.012e+00")])
+def test_collapse_refusal_names_the_member_a_per_pair_check_names(k, n_max, member, rho):
+    # the roundoff guard runs once per block of GUARD_BLOCK pairs and at a
+    # norm failure, so at 2pi*3, N = 60 the loop runs on past member 20 to a
+    # negative norm^2 at member 21; the refusal is still member 20's, with
+    # the value and the message of a check after every pair
+    freq = Frequency.exact(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        tables = build_tables(freq, n_max + 1)
+    with pytest.raises(BasisDegenerationError) as info:
+        _build_quiet(freq, n_max, tables)
+    assert str(info.value) == (
+        f"basis degenerated at member {member}: u*max|c|^2 = {rho} >= 1, so "
+        f"rounding alone perturbs the Gram as much as the Gram itself (omega="
+        f"{freq.omega:.6g}, n_max={n_max}; the recurrence is reliable only for "
+        f"omega/2pi > n_max)")
+
+
+class _HugeM4Tables(InnerProductTables):
+    """Tables whose M4 reads the largest float at [21, 23] and [23, 21]: a
+    product with a member of pair 21 or later overflows, while pairs 0 ... 20
+    never read those entries."""
+
+    @property
+    def m4(self):
+        m4 = super().m4
+        m4[21, 23] = m4[23, 21] = np.finfo(float).max
+        return m4
+
+
+@pytest.mark.parametrize("n_max", [31, 60])
+def test_build_runs_past_a_collapsed_member_without_warnings(n_max):
+    # 2pi*3 collapses at member 20, and the guard next runs after pair 31;
+    # the pairs in between overflow on these tables, and no RuntimeWarning
+    # escapes (pytest turns one into an error)
+    freq = Frequency.exact(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        tables = build_tables(freq, n_max + 1)
+    huge = _HugeM4Tables(freq, tables.n_max, tables.m5, tables.m6)
+    with pytest.raises(BasisDegenerationError,
+                       match=r"member 20: u\*max\|c\|\^2 = 4\.054e\+00 >= 1"):
+        _build_quiet(freq, n_max, huge)
+
+
 def test_degeneration_check_refuses_nan_norm(freq20, tables20):
     m5 = tables20.m5.copy()
     m5[2, 2] = np.nan

@@ -14,8 +14,9 @@ from oscbasis import (
 )
 from oscbasis.basis import (
     OscBasis,
+    _member_order,
+    _stray_slots,
     class_blocks,
-    class_rows,
     evaluate_member,
     representation_matrix,
 )
@@ -99,6 +100,13 @@ def test_similarity_transform_small_residual(freq20, basis20):
     assert op.d_orth.shape == (26, 26)
 
 
+def class_rows(n_max):
+    """[c, k]: the member row of class c's member of pair k, 2k (p_k) or
+    2k + 1 (q_k); the fancy-index form of the strided maps in the package."""
+    k = np.arange(n_max + 1)
+    return 2 * k + (k + np.arange(2)[:, None]) % 2
+
+
 def _blocks(M, index, from_class):
     """The class blocks of an interleaved matrix M: block c has rows in
     class from_class[c] and columns in class c, and index = class_rows(N)
@@ -153,6 +161,33 @@ def test_structured_transform_matches_dense_products(n_max):
     assert abs(result.similarity_residual - residual) <= 1e-12 * scale
     blocks = np.arange(B.shape[0]) // 2
     assert np.all(result.d_orth[blocks[:, None] > blocks[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 40, 41])
+def test_strided_maps_match_fancy_indexing(n_max):
+    # the class order <-> member order maps, as the fancy-index scatters and
+    # gathers over class_rows that they replace
+    n, member = n_max + 1, class_rows(n_max)
+    i = np.arange(2 * n)
+    sine = ((i // 2 + i % 2) % 2 == 1)[:, None] ^ (np.arange(n) % 2 == 1)
+    rng = np.random.default_rng(n_max)
+    rows, norms = np.tril(rng.uniform(1.0, 2.0, (2, n, n))), rng.uniform(1.0, 2.0, (2, n))
+    full, flat = np.empty((2 * n, n)), np.empty(2 * n)
+    full[member], flat[member] = rows, norms
+    a_b, got = _member_order(rows, norms)
+    assert np.array_equal(a_b, [np.where(sine, 0.0, full), np.where(sine, full, 0.0)])
+    assert np.array_equal(got, flat)
+    low = np.repeat(np.tri(n, dtype=bool), 2, axis=0)
+    assert np.array_equal(_stray_slots(n), [~(low & ~sine), ~(low & sine)])
+    freq = Frequency.exact(2 * n_max + 1)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    B = class_blocks(basis)
+    assert np.array_equal(B, np.where(sine, basis.b, basis.a)[member].transpose(0, 2, 1))
+    d_orth = np.zeros((2 * n, 2 * n))
+    d_orth[member[::-1, :, None], member[:, None]] = _solve_upper(
+        B[::-1], _times_d(freq.omega, B))
+    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis)
+    assert np.array_equal(op.d_orth, d_orth)
 
 
 PARITY_CELLS = [(Frequency.exact(50), n) for n in (0, 1, 2, 63, 64)] + [

@@ -1,14 +1,18 @@
 """Smoke runs of the experiment scripts at desk size."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import oscbasis
+from oscbasis import ENVELOPES, OscTarget, reduce_frequency
+from oscbasis.frequency import TWO_PI
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -59,22 +63,51 @@ def test_frequency_cost_degree_is_flat_at_a_tight_tolerance():
     assert rows[0][1] == rows[1][1]
 
 
+def test_frequency_cost_samples_each_target_once():
+    # the trimmed expansions keep the projection's samples, so residual_norm
+    # does not sample the envelopes again for each trial degree (up to 13
+    # samplings per row when each trim was a new Expansion)
+    spec = importlib.util.spec_from_file_location(
+        "frequency_cost", SCRIPTS / "frequency_cost.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = Counter()
+
+    def counted(name):
+        def env(x):
+            calls[name] += 1
+            return ENVELOPES[name](x)
+        return env
+
+    for periods in (20.3, 200.3, 2000.3):
+        calls.clear()
+        target = OscTarget(f_env=counted("exp"), g_env=counted("one"),
+                           freq_raw=TWO_PI * periods)
+        freq, _ = reduce_frequency(target)
+        assert script.smallest_osc_degree(freq, target, 1e-6) == 9
+        assert calls == {"exp": 1, "one": 1}
+
+
 def test_construct_cost_prints_every_layer_and_rho():
     lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"])
     header, ok, refused = lines[-3].split(), lines[-2].split(), lines[-1].split()
     for name in ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
-                 "hash", "rho", "max|G-I|"):
+                 "hash", "us/pair", "rho", "max|G-I|"):
         assert name in header
     assert "d_legtrig" not in header
-    assert ok[0] == "2pi*20:12" and len(ok) == 10
-    assert all(float(ms) > 0.0 for ms in ok[1:8])
+    assert ok[0] == "2pi*20:12" and len(ok) == 11
+    assert all(float(ms) > 0.0 for ms in ok[1:9])
+    # us/pair is the basis median over the N = 12 recurrence steps
+    assert float(ok[8]) == pytest.approx(1e3 * float(ok[2]) / 12, rel=1e-2, abs=0.01)
     # rho and the oracle deviation, each in 9.2e format; at 2pi*20, N = 12
     # the plain basis is orthonormal to about 1e-15
-    for cell in ok[8:]:
+    for cell in ok[9:]:
         assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", cell), cell
-    assert 0.0 < float(ok[9]) <= 1e-12
-    # at 2pi*3, N = 20 the plain build is refused, so there is no rho
+    assert 0.0 < float(ok[10]) <= 1e-12
+    # at 2pi*3, N = 20 the plain build is refused, so there is no rho; the
+    # refused build is still timed, per pair as well
     assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
+    assert float(refused[8]) > 0.0
 
 
 def test_approx_cost_prints_every_layer_and_the_residual():
