@@ -24,7 +24,7 @@ import hashlib
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .tables import InnerProductTables
 DEGENERATION_THRESHOLD = 1e-13
 # unit roundoff of 64-bit arithmetic
 ROUNDOFF = np.finfo(float).eps / 2
-# pairs whose roundoff guard build_basis checks at once
-GUARD_BLOCK = 32
 
 
 class BasisDegenerationError(RuntimeError):
@@ -81,9 +79,11 @@ class OscBasis:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # a and b may be nonzero (or NaN) only at degree j <= i // 2 of
-        # member i, and there only in the part of its parity
-        stray = [(arr != 0.0) & mask
-                 for arr, mask in zip((self.a, self.b), _stray_slots(n))]
+        # member i, and there only in the part of its parity: the sine part
+        # where j + 1 has member i's parity i // 2 + i % 2
+        i, j = np.arange(2 * n)[:, None], np.arange(n)
+        low, sine = j <= i // 2, ((i // 2 + i) % 2 == 1) ^ (j % 2 == 1)
+        stray = [(self.a != 0.0) & ~(low & ~sine), (self.b != 0.0) & ~(low & sine)]
         if np.any(stray[0]) or np.any(stray[1]):
             i, j, part = np.argwhere(np.stack(stray, axis=-1))[0]
             rule = ("where its parity requires 0" if j <= i // 2
@@ -145,10 +145,10 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     normalized row's largest coefficient c makes u c^2 >= 1 (u the unit
     roundoff), so that rounding alone perturbs the Gram by as much as the
     Gram itself.  The norm is checked at every pair, before it divides; the
-    roundoff guard runs after every GUARD_BLOCK pairs, after the last pair
-    and at a norm failure, and names the member, and the value, that a
-    check after every pair would.  Warns with StabilityWarning when the
-    oscillation period count omega / (2 pi) does not exceed n_max.
+    roundoff guard runs on all stored pairs after the last pair or at a norm
+    failure, and names the member, and the value, that a check after every
+    pair would.  Warns with StabilityWarning when the oscillation period
+    count omega / (2 pi) does not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
         raise ValueError(
@@ -218,10 +218,8 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
                         f"reliable only for omega/2pi > n_max)")
 
     def guard(stop):
-        # the roundoff guard on pairs lo ... stop - 1, the stored pairs of
-        # pair stop - 1's block
-        lo = max(stop - 1, 0) // GUARD_BLOCK * GUARD_BLOCK
-        check(lo, ROUNDOFF * np.abs(rows[:, lo:stop]).max(axis=2) ** 2,
+        # the roundoff guard on the stored pairs 0 ... stop - 1
+        check(0, ROUNDOFF * np.abs(rows[:, :stop]).max(axis=2) ** 2,
               lambda v: v < 1.0, "u*max|c|^2 = {:.3e} >= 1, so rounding alone "
               "perturbs the Gram as much as the Gram itself")
 
@@ -244,8 +242,8 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         R = np.divide(x, nk[:, None, None], out=rows[:, k, None, : k + 1])
         np.matmul(R, GX, out=ip[:, k, None, None])
 
-    # past a collapsed member the recurrence may overflow for up to
-    # GUARD_BLOCK - 1 pairs, until the guard refuses that member
+    # past a collapsed member the recurrence may overflow, until a norm
+    # fails or the last pair is stored and the guard refuses that member
     X[:, 0] = 1.0
     with np.errstate(all="ignore"):
         store(0)
@@ -275,8 +273,6 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
                         * (norms[:, None, : k + 1] / ip[:, None, : k + 1]))
                 x -= (coef @ rows[:, : k + 1, : k + 2])[:, 0]
             store(k + 1)
-            if (k + 2) % GUARD_BLOCK == 0:
-                guard(k + 2)
         guard(n)
 
     # class (k+1) % 2 holds p_{k+1}: its quotients are alpha (against q_k)
@@ -304,17 +300,6 @@ def _member_order(rows: np.ndarray, norms: np.ndarray):
         a_b[(c + e) % 2, member_slice(c, h), e::2] = rows[c, h::2, e::2]
         flat[member_slice(c, h)] = norms[c, h::2]
     return a_b, flat
-
-
-@lru_cache(maxsize=16)
-def _stray_slots(n: int) -> np.ndarray:
-    """[part, i, j]: True where member i's cosine (part 0) or sine (part 1)
-    coefficient at degree j must be zero in a basis of n pairs, the slots that
-    build_basis does not fill; read-only, as every such basis shares it."""
-    filled = _member_order(np.broadcast_to(np.tri(n), (2, n, n)), np.ones((2, n)))[0]
-    mask = filled == 0.0
-    mask.flags.writeable = False
-    return mask
 
 
 def class_blocks(basis: OscBasis) -> np.ndarray:

@@ -338,10 +338,10 @@ def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
 @pytest.mark.parametrize("k, n_max, member, rho", [
     (3, 20, 20, "4.054e+00"), (3, 60, 20, "4.054e+00"), (600, 400, 397, "2.012e+00")])
 def test_collapse_refusal_names_the_member_a_per_pair_check_names(k, n_max, member, rho):
-    # the roundoff guard runs once per block of GUARD_BLOCK pairs and at a
-    # norm failure, so at 2pi*3, N = 60 the loop runs on past member 20 to a
-    # negative norm^2 at member 21; the refusal is still member 20's, with
-    # the value and the message of a check after every pair
+    # the roundoff guard runs after the last pair and at a norm failure, so
+    # at 2pi*3, N = 60 the loop runs on past member 20 to a negative norm^2
+    # at member 21; the refusal is still member 20's, with the value and the
+    # message of a check after every pair
     freq = Frequency.exact(k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
@@ -369,9 +369,9 @@ class _HugeM4Tables(InnerProductTables):
 
 @pytest.mark.parametrize("n_max", [31, 60])
 def test_build_runs_past_a_collapsed_member_without_warnings(n_max):
-    # 2pi*3 collapses at member 20, and the guard next runs after pair 31;
-    # the pairs in between overflow on these tables, and no RuntimeWarning
-    # escapes (pytest turns one into an error)
+    # 2pi*3 collapses at member 20, and the guard runs after the last pair
+    # or at a norm failure; the pairs in between overflow on these tables,
+    # and no RuntimeWarning escapes (pytest turns one into an error)
     freq = Frequency.exact(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)

@@ -15,7 +15,6 @@ from oscbasis import (
 from oscbasis.basis import (
     OscBasis,
     _member_order,
-    _stray_slots,
     class_blocks,
     evaluate_member,
     representation_matrix,
@@ -177,8 +176,6 @@ def test_strided_maps_match_fancy_indexing(n_max):
     a_b, got = _member_order(rows, norms)
     assert np.array_equal(a_b, [np.where(sine, 0.0, full), np.where(sine, full, 0.0)])
     assert np.array_equal(got, flat)
-    low = np.repeat(np.tri(n, dtype=bool), 2, axis=0)
-    assert np.array_equal(_stray_slots(n), [~(low & ~sine), ~(low & sine)])
     freq = Frequency.exact(2 * n_max + 1)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     B = class_blocks(basis)
