@@ -8,7 +8,8 @@ is not timed), then `save_basis` and `load_basis` of the plain basis's
 JSON document and its content hash on a fresh copy of the basis
 object (nothing cached), and prints the median of each in milliseconds.
 `us/pair` is the plain basis median over its N recurrence steps, in
-microseconds (a refused build's time to its refusal; `-` at N = 0).
+microseconds (a refused build's time to its refusal, which comes after its
+last step; `-` at N = 0).
 Next to them it prints rho = u * max|c|^2 over the plain basis's
 coefficients (u the unit roundoff), the size of the Gram error that
 rounding alone can cause, and the plain basis's quadrature-oracle max|G - I|

@@ -4,12 +4,14 @@
 For each combination this builds the basis and reports, as dev/rho, the
 worst Gram deviation max|<row_i, row_j> - delta_ij| measured by quadrature
 next to rho = u * max|c|^2 over the basis coefficients c (u the unit
-roundoff), the Gram error that rounding alone can cause; or the member
-index where the recurrence degenerated.  CSV goes to --out, a readable
-table to stdout.
+roundoff), the Gram error that rounding alone can cause; or, as
+degenerate@40(p_20), the row and pair of the member where the recurrence
+degenerated; or refused@tables where the table recursion overflows.  CSV
+goes to --out, a readable table to stdout.
 """
 
 import argparse
+import re
 import sys
 import warnings
 
@@ -30,12 +32,15 @@ def sweep_cell(k: int, n: int) -> str:
     freq = Frequency.exact(k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
-        tables = build_tables(freq, n + 1)
+        try:
+            tables = build_tables(freq, n + 1)
+        except ValueError:
+            return "refused@tables"
         try:
             basis = build_basis(freq, n, tables)
         except BasisDegenerationError as exc:
-            member = str(exc).split("member ")[1].split(":")[0]
-            return f"degenerate@{member}"
+            row, pair = re.search(r"member (\d+) \((\w+)\)", str(exc)).groups()
+            return f"degenerate@{row}({pair})"
     G = member_gram(basis, freq.omega)
     dev = np.max(np.abs(G - np.eye(G.shape[0])))
     rho = ROUNDOFF * max(np.max(np.abs(basis.a)), np.max(np.abs(basis.b))) ** 2
@@ -57,11 +62,11 @@ def main():
     rows = []
     header = ["omega"] + [f"N={n}" for n in ns]
     print("cells: oracle max|G - I| / rho = u*max|c|^2")
-    print("  ".join(f"{h:>17}" for h in header))
+    print("  ".join(f"{h:>19}" for h in header))
     for k in ks:
         cells = [sweep_cell(k, n) for n in ns]
         rows.append([f"2pi*{k}"] + cells)
-        print("  ".join(f"{c:>17}" for c in rows[-1]))
+        print("  ".join(f"{c:>19}" for c in rows[-1]))
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -40,8 +40,9 @@ ROUNDOFF = np.finfo(float).eps / 2
 
 
 class BasisDegenerationError(RuntimeError):
-    """Recurrence produced a direction with norm below the degeneration
-    threshold (orthogonality has collapsed, typically omega/2pi <= n_max)."""
+    """A basis member lost orthogonality: its pre-normalization norm fell
+    below the degeneration threshold, or rounding alone perturbs the Gram
+    as much as the Gram itself."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +139,19 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         times the plain build for no better basis; kept for bench/ alone.
 
     Pair k+1 depends only on pairs k and k-1, so (x p_k, x q_k) is
-    projected, normalized and checked as one block: one step per pair.
+    projected and normalized as one block: one step per pair.  The steps
+    do arithmetic only and run to the last pair, also past a collapsed
+    member, where the numbers may overflow or turn NaN.
 
-    Raises BasisDegenerationError, naming the first such member, when a
-    pre-normalization norm drops below 1e-13 or is NaN, or when a
-    normalized row's largest coefficient c makes u c^2 >= 1 (u the unit
-    roundoff), so that rounding alone perturbs the Gram by as much as the
-    Gram itself.  The norm is checked at every pair, before it divides; the
-    roundoff guard runs on all stored pairs after the last pair or at a norm
-    failure, and names the member, and the value, that a check after every
-    pair would.  Warns with StabilityWarning when the oscillation period
-    count omega / (2 pi) does not exceed n_max.
+    One pass after the last pair raises BasisDegenerationError, naming
+    member i as row i and its pair, as OscBasis does.  It refuses first a
+    member of a pair before the first norm failure whose normalized row's
+    largest coefficient c makes u c^2 >= 1 (u the unit roundoff), so that
+    rounding alone perturbs the Gram by as much as the Gram itself; else
+    the first member whose pre-normalization norm is below 1e-13 or NaN.
+    A refused request so costs up to one full build.  Warns with
+    StabilityWarning when the oscillation period count omega / (2 pi) does
+    not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
         raise ValueError(
@@ -194,56 +197,32 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         G[c, i : n + 1 : 2, i : n + 1 : 2] = m3_m4[(c + i) % 2][
             i : n + 1 : 2, i : n + 1 : 2]
     rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
-    ip, norms = np.empty((2, 2, n))
+    ip, norm2, norms = np.empty((3, 2, n))
     # x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1), so degree m of f gives
     # updown[0, m] of it to degree m + 1 of x f and updown[1, m] to m - 1
     m = np.arange(n + 1)
     updown = np.stack([(m + 1) / (2.0 * m + 1.0), m / (2.0 * m + 1.0)])
-    # quotients of each class's new member against its pairs k-1 and k
-    quot = np.zeros((n_max, 2, 2))
+    # quot[c, k]: quotients of class c's member of pair k against its pairs
+    # k - 2 and k - 1 (none at pair 0, one at pair 1)
+    quot = np.zeros((2, n, 2))
     # the new pair, its x-shift terms and the terms subtracted from it
     X, scratch = np.zeros((2, 2, n + 1))
     shift = np.zeros((2, 2, n + 2))
-    floor = DEGENERATION_THRESHOLD ** 2
-
-    def check(first, values, ok, why):
-        # refuse the first member whose value is not ok, pair by pair from
-        # pair first on, each in (p_k, q_k) order; pair k has values[:, k - first]
-        for k, pair in enumerate(values.T.tolist(), first):
-            for v in pair[:: -1 if k % 2 else 1]:
-                if not ok(v):
-                    raise BasisDegenerationError(
-                        f"basis degenerated at member {k}: {why.format(v)} (omega="
-                        f"{freq.omega:.6g}, n_max={n_max}; the recurrence is "
-                        f"reliable only for omega/2pi > n_max)")
-
-    def guard(stop):
-        # the roundoff guard on the stored pairs 0 ... stop - 1
-        check(0, ROUNDOFF * np.abs(rows[:, :stop]).max(axis=2) ** 2,
-              lambda v: v < 1.0, "u*max|c|^2 = {:.3e} >= 1, so rounding alone "
-              "perturbs the Gram as much as the Gram itself")
 
     def store(k):
         # normalize and store pair k, X[c, :k + 1] its class-c member; G_c
         # X[c] is a 1-row product per class (a 2-row product sums in longer
         # chains, and its bases are less orthogonal near k = 1.6 N)
-        x, GX, nk = X[:, None, : k + 1], applied[:, k, None, : k + 3], norms[:, k]
+        x, GX = X[:, None, : k + 1], applied[:, k, None, : k + 3]
         np.matmul(x, G[:, : k + 1, : k + 3], out=GX)
         GX = GX[:, 0, : k + 1, None]
-        # nk holds the norms squared until the check has passed
-        np.matmul(x, GX, out=nk[:, None, None])
-        p, q = nk.tolist()
-        if not (p >= floor and q >= floor):
-            guard(k)
-            check(k, nk[:, None], lambda v: v >= floor,
-                  "pre-normalization norm^2 = {:.3e} is below "
-                  f"{DEGENERATION_THRESHOLD}^2")
-        np.sqrt(nk, out=nk)
-        R = np.divide(x, nk[:, None, None], out=rows[:, k, None, : k + 1])
+        np.matmul(x, GX, out=norm2[:, k, None, None])
+        np.sqrt(norm2[:, k], out=norms[:, k])
+        R = np.divide(x, norms[:, k, None, None], out=rows[:, k, None, : k + 1])
         np.matmul(R, GX, out=ip[:, k, None, None])
 
-    # past a collapsed member the recurrence may overflow, until a norm
-    # fails or the last pair is stored and the guard refuses that member
+    # past a collapsed member the recurrence may overflow or turn NaN; it
+    # runs on to the last pair, and the pass after it refuses
     X[:, 0] = 1.0
     with np.errstate(all="ignore"):
         store(0)
@@ -257,7 +236,7 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
             np.add(shift[:, 0, :k], shift[:, 1, 2 : k + 2], out=x[:, :k])
             x[:, k:] = shift[:, 0, k : k + 2]
             lo = max(k - 1, 0)  # pairs lo ... k: k - 1 and k, or 0 at first
-            Q = quot[k, :, lo - k + 1 :]
+            Q = quot[:, k + 1, lo - k + 1 :]
             np.matmul(applied[:, lo : k + 1, : k + 2], x[:, :, None],
                       out=Q[:, :, None])
             np.divide(Q, ip[:, lo : k + 1], out=Q)
@@ -273,15 +252,27 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
                         * (norms[:, None, : k + 1] / ip[:, None, : k + 1]))
                 x -= (coef @ rows[:, : k + 1, : k + 2])[:, 0]
             store(k + 1)
-        guard(n)
+        rho = ROUNDOFF * np.abs(rows).max(axis=2) ** 2
 
-    # class (k+1) % 2 holds p_{k+1}: its quotients are alpha (against q_k)
-    # and beta (p_{k-1}); class k % 2 holds q_{k+1}: gamma and delta
-    k = np.arange(n_max)
-    p, q = quot[k, (k + 1) % 2], quot[k, k % 2]
-    rec = np.stack([p[:, 1], p[:, 0], q[:, 1], q[:, 0]], axis=1)
-    a_b, flat = _member_order(rows, norms)
-    return OscBasis(freq=freq, n_max=n_max, a=a_b[0], b=a_b[1], norms=flat, rec=rec)
+    a_b, norm2, rho, norms, quot = _member_order(rows, norm2, rho, norms, quot)
+    # refuse the first member whose rho is not below 1 at a pair before the
+    # first norm failure, else the first whose norm fails; NaN fails both
+    low = ~(norm2 >= DEGENERATION_THRESHOLD ** 2)
+    stop = np.argmax(low) // 2 * 2 if low.any() else 2 * n
+    for bad, value, why in (
+            (~(rho[:stop] < 1.0), rho, "u*max|c|^2 = {:.3e} >= 1, so rounding "
+             "alone perturbs the Gram as much as the Gram itself"),
+            (low, norm2, "pre-normalization norm^2 = {:.3e} is below "
+             f"{DEGENERATION_THRESHOLD}^2")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise BasisDegenerationError(
+                f"basis degenerated at member {i} ({'pq'[i % 2]}_{i // 2}): "
+                f"{why.format(value[i])} (omega={freq.omega:.6g}, n_max={n_max})")
+    # rows 2k + 2 and 2k + 3 are p_{k+1} and q_{k+1}, whose quotients against
+    # pairs k - 1 and k are (beta, alpha) and (delta, gamma)
+    rec = quot[2:, ::-1].reshape(n_max, 4)
+    return OscBasis(freq=freq, n_max=n_max, a=a_b[0], b=a_b[1], norms=norms, rec=rec)
 
 
 def member_slice(c: int, h: int) -> slice:
@@ -291,15 +282,18 @@ def member_slice(c: int, h: int) -> slice:
     return slice(2 * h + (h + c) % 2, None, 4)
 
 
-def _member_order(rows: np.ndarray, norms: np.ndarray):
-    """(a, b) stacked and norms in member order, from class-ordered rows[c,
-    k] and norms[c, k]; the part that a parity excludes is exactly zero."""
+def _member_order(rows: np.ndarray, *values: np.ndarray) -> tuple:
+    """(a, b) stacked, then each of values, in member order: rows[c, k] and
+    values[c, k] are class c's member of pair k, row 2k + (k + c) % 2.  The
+    part of a and b that a parity excludes is exactly zero."""
     n = rows.shape[1]
-    a_b, flat = np.zeros((2, 2 * n, n)), np.empty(2 * n)
+    a_b = np.zeros((2, 2 * n, n))
     for c, h, e in np.ndindex(2, 2, 2):
         a_b[(c + e) % 2, member_slice(c, h), e::2] = rows[c, h::2, e::2]
-        flat[member_slice(c, h)] = norms[c, h::2]
-    return a_b, flat
+    # row 2k + s, p_k at s = 0 and q_k at s = 1, is class (k + s) % 2's
+    pair, side = np.divmod(np.arange(2 * n), 2)
+    order = (pair + side) % 2 * n + pair
+    return (a_b, *(v.reshape(2 * n, *v.shape[2:])[order] for v in values))
 
 
 def class_blocks(basis: OscBasis) -> np.ndarray:

@@ -197,8 +197,8 @@ def test_basis_is_bitwise_prefix_of_larger_build(reorthogonalize):
     (Frequency.exact(50), n) for n in (0, 1, 2, 63, 64)] + [
     (Frequency.from_omega(200.3), n) for n in (0, 1, 2, 63, 64)] + [
     # both frequencies above are refused at N = 200 (the basis collapses
-    # at member 112 and 89), so N = 200 takes 2pi*330 and an off-grid
-    # neighbour
+    # at member 225, q_112, and 179, q_89), so N = 200 takes 2pi*330 and
+    # an off-grid neighbour
     (Frequency.exact(330), 200), (Frequency.from_omega(TWO_PI * 330 + 0.3), 200)])
 @pytest.mark.parametrize("reorthogonalize", [False, True])
 def test_rows_are_zero_at_opposite_parity(freq, n_max, reorthogonalize):
@@ -335,13 +335,20 @@ def test_batched_reorthogonalization_keeps_oracle_gram(n_max, ratio):
     assert dev[True] <= dev[False] + 1e-14
 
 
-@pytest.mark.parametrize("k, n_max, member, rho", [
-    (3, 20, 20, "4.054e+00"), (3, 60, 20, "4.054e+00"), (600, 400, 397, "2.012e+00")])
-def test_collapse_refusal_names_the_member_a_per_pair_check_names(k, n_max, member, rho):
-    # the roundoff guard runs after the last pair and at a norm failure, so
-    # at 2pi*3, N = 60 the loop runs on past member 20 to a negative norm^2
-    # at member 21; the refusal is still member 20's, with the value and the
-    # message of a check after every pair
+REFUSALS = {"rho": "u*max|c|^2 = {} >= 1, so rounding alone perturbs the Gram "
+                    "as much as the Gram itself",
+            "norm": "pre-normalization norm^2 = {} is below 1e-13^2"}
+
+
+@pytest.mark.parametrize("k, n_max, member, check, value", [
+    (3, 20, 40, "rho", "4.054e+00"), (3, 60, 40, "rho", "4.054e+00"),
+    (600, 400, 795, "rho", "2.012e+00"), (10, 200, 94, "norm", "-5.210e-02")])
+def test_collapse_refusal_names_the_member_a_per_pair_check_names(
+        k, n_max, member, check, value):
+    # the recurrence runs to the last pair, so at 2pi*3, N = 60 it runs on
+    # past member 40 to a negative norm^2 at member 43; the refusal is still
+    # member 40's, with the value and the message of a check after every
+    # pair.  At 2pi*10, N = 200 the norm fails before any rho reaches 1
     freq = Frequency.exact(k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
@@ -349,10 +356,8 @@ def test_collapse_refusal_names_the_member_a_per_pair_check_names(k, n_max, memb
     with pytest.raises(BasisDegenerationError) as info:
         _build_quiet(freq, n_max, tables)
     assert str(info.value) == (
-        f"basis degenerated at member {member}: u*max|c|^2 = {rho} >= 1, so "
-        f"rounding alone perturbs the Gram as much as the Gram itself (omega="
-        f"{freq.omega:.6g}, n_max={n_max}; the recurrence is reliable only for "
-        f"omega/2pi > n_max)")
+        f"basis degenerated at member {member} ({'pq'[member % 2]}_{member // 2}): "
+        f"{REFUSALS[check].format(value)} (omega={freq.omega:.6g}, n_max={n_max})")
 
 
 class _HugeM4Tables(InnerProductTables):
@@ -367,18 +372,18 @@ class _HugeM4Tables(InnerProductTables):
         return m4
 
 
-@pytest.mark.parametrize("n_max", [31, 60])
+@pytest.mark.parametrize("n_max", [31, 60, 150])
 def test_build_runs_past_a_collapsed_member_without_warnings(n_max):
-    # 2pi*3 collapses at member 20, and the guard runs after the last pair
-    # or at a norm failure; the pairs in between overflow on these tables,
-    # and no RuntimeWarning escapes (pytest turns one into an error)
+    # 2pi*3 collapses at member 40 (pair 20), and the recurrence runs on to
+    # the last pair; the pairs after it overflow on these tables, and no
+    # RuntimeWarning escapes (pytest turns one into an error)
     freq = Frequency.exact(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         tables = build_tables(freq, n_max + 1)
     huge = _HugeM4Tables(freq, tables.n_max, tables.m5, tables.m6)
     with pytest.raises(BasisDegenerationError,
-                       match=r"member 20: u\*max\|c\|\^2 = 4\.054e\+00 >= 1"):
+                       match=r"member 40 \(p_20\): u\*max\|c\|\^2 = 4\.054e\+00 >= 1"):
         _build_quiet(freq, n_max, huge)
 
 
@@ -404,7 +409,7 @@ def test_degeneration_check_refuses_nan_in_q_row_only(freq20, tables20):
     # finite, and the pair is still refused
     tables = _NanM4Tables(freq20, tables20.n_max, tables20.m5, tables20.m6)
     with pytest.raises(BasisDegenerationError,
-                       match=r"member 1: pre-normalization norm\^2 = nan"):
+                       match=r"member 3 \(q_1\): pre-normalization norm\^2 = nan"):
         build_basis(freq20, 12, tables)
 
 

@@ -190,8 +190,8 @@ def test_strided_maps_match_fancy_indexing(n_max):
 PARITY_CELLS = [(Frequency.exact(50), n) for n in (0, 1, 2, 63, 64)] + [
     (Frequency.from_omega(200.3), n) for n in (0, 1, 2, 63, 64)] + [
     # both frequencies above are refused at N = 200 (the basis collapses
-    # at member 112 and 89), so N = 200 takes 2pi*330 and an off-grid
-    # neighbour
+    # at member 225, q_112, and 179, q_89), so N = 200 takes 2pi*330 and
+    # an off-grid neighbour
     (Frequency.exact(330), 200), (Frequency.from_omega(TWO_PI * 330 + 0.3), 200)]
 
 

@@ -52,6 +52,14 @@ def test_stability_sweep_prints_rho_next_to_each_deviation():
         assert re.fullmatch(r"\d\.\d{3}e[-+]\d+/\d\.\de[-+]\d+", cell), cell
 
 
+def test_stability_sweep_names_the_member_and_goes_on_past_refused_tables():
+    # 2pi*3 degenerates at row 40, p_20; at N = 200 its table recursion
+    # overflows, and the sweep prints that cell and goes on
+    lines = _run("stability_sweep.py", ["--periods", "3,20", "--degrees", "20,200"])
+    assert lines[-2].split() == ["2pi*3", "degenerate@40(p_20)", "refused@tables"]
+    assert lines[-1].split()[0] == "2pi*20"
+
+
 def test_frequency_cost_degree_is_flat_at_a_tight_tolerance():
     # at 1e-9 the residual must come from the expansion itself: a
     # ||F||^2 - sum c^2 figure bottoms out near 2e-8 and hides the degree
