@@ -14,16 +14,15 @@ from .basis import (BasisDegenerationError, OscBasis, build_basis,
                     evaluate_member, monic_norm_profile)
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
                        to_orthogonal_basis)
-from .documents import (load_basis, load_expansion, load_operator, load_tables,
-                        save_basis, save_basis_csv, save_expansion,
-                        save_operator, save_operator_csv, save_tables,
+from .documents import (load_basis, load_expansion, load_tables, save_basis,
+                        save_basis_csv, save_expansion, save_tables,
                         save_tables_csv)
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_norm_sq
-from .oracle import (OracleConfig, cond_estimate, hilbert_limit, integrate,
-                     monomial_gram)
+from .oracle import (OracleConfig, VerifyReport, cond_estimate, hilbert_limit,
+                     integrate, monomial_gram, verify, verify_tables)
 from .pairing import gram_matrix
-from .tables import InnerProductTables, VerifyReport, build_tables, verify_tables
+from .tables import InnerProductTables, build_tables
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,6 @@ __all__ = [
     "legendre_norm_sq",
     "load_basis",
     "load_expansion",
-    "load_operator",
     "load_tables",
     "monic_norm_profile",
     "monomial_gram",
@@ -65,10 +63,9 @@ __all__ = [
     "save_basis",
     "save_basis_csv",
     "save_expansion",
-    "save_operator",
-    "save_operator_csv",
     "save_tables",
     "save_tables_csv",
     "to_orthogonal_basis",
+    "verify",
     "verify_tables",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,10 +62,11 @@ class OscTarget:
     freq_raw: float
 
     def __post_init__(self):
-        if not math.isfinite(self.freq_raw) or self.freq_raw <= 0.0:
-            raise ValueError(
-                f"freq_raw must be positive and finite, got {self.freq_raw!r}"
-            )
+        freq_raw = self.freq_raw
+        if isinstance(freq_raw, bool) or not isinstance(freq_raw, numbers.Real):
+            raise ValueError(f"freq_raw must be a real number, got {freq_raw!r}")
+        if not math.isfinite(freq_raw) or freq_raw <= 0.0:
+            raise ValueError(f"freq_raw must be positive and finite, got {freq_raw!r}")
 
     def evaluate(self, x):
         xa = np.asarray(x, dtype=float)

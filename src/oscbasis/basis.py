@@ -55,10 +55,10 @@ class OscBasis:
     norm of member i.  rec, of shape (N, 4), has rows (alpha, beta, gamma,
     delta), the projection quotients of x p_k on q_k and p_{k-1} and of x q_k
     on p_k and q_{k-1} that produced pair k+1 (beta = delta = 0 at k = 0).
-    All of it is read-only, so the content hash is computed once.  Arrays of
-    other shapes, a nonzero or NaN coefficient of the wrong parity or
-    beyond its member's degree, and then a NaN or infinity anywhere else,
-    are refused with ValueError.
+    All of it is read-only, so the content hash is computed once.  A k of
+    2**63 or more, arrays of other shapes, a nonzero or NaN coefficient of
+    the wrong parity or beyond its member's degree, and then a NaN or
+    infinity anywhere else, are refused with ValueError.
     """
 
     freq: Frequency
@@ -69,6 +69,8 @@ class OscBasis:
     rec: np.ndarray
 
     def __post_init__(self):
+        if self.freq.k >= 2 ** 63:
+            raise ValueError(f"k={self.freq.k} overflows the int64 of the basis hash")
         n = self.n_max + 1
         shapes = {"a": (2 * n, n), "b": (2 * n, n), "norms": (2 * n,),
                   "rec": (n - 1, 4)}

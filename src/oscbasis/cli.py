@@ -5,7 +5,8 @@ Each cmd_* function writes its data files and returns (inputs, outputs,
 exit code); main then writes the run manifest (parameters and sha256
 content hashes) and prints one "wrote" line per file.  Data files are
 byte-identical across reruns with the same arguments; only the manifest
-duration field varies.
+duration field varies.  verify writes the report of oracle.verify on the
+tables or basis file it loads.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or a
 refused input (tables the recursion cannot fill with finite values, a
@@ -31,10 +32,10 @@ from .calculus import derivative_matrix_legtrig, to_orthogonal_basis
 from .documents import (load, load_basis, load_expansion, save, save_csv,
                         write_json)
 from .frequency import Frequency, parse_omega_spec
-from .oracle import (OracleConfig, cond_estimate, hilbert_limit, member_gram,
-                     monomial_gram)
+from .oracle import (OracleConfig, cond_estimate, hilbert_limit, monomial_gram,
+                     verify)
 from .pairing import gram_matrix
-from .tables import InnerProductTables, build_tables, verify_tables
+from .tables import InnerProductTables, build_tables
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -97,33 +98,17 @@ def cmd_basis(args):
 
 
 def cmd_verify(args):
-    tol = args.tol
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
     in_path = Path(args.input)
-    loaded = load(in_path, (OscBasis, InnerProductTables))
-    if isinstance(loaded, OscBasis):
-        G = member_gram(loaded, loaded.freq.omega)
-        diff = np.abs(G - np.eye(G.shape[0]))
-        flagged = [{"i": int(i), "j": int(j), "deviation": float(diff[i, j])}
-                   for i, j in zip(*np.nonzero(~(diff <= tol)))]
-        worst = float(np.max(diff))
-        kind, body = "basis", {"tolerance": tol, "max_gram_deviation": worst,
-                               "flagged_entries": flagged, "passed": not flagged}
-        summary = f"max |G - I| = {worst:.3e}"
-    else:
-        result = verify_tables(loaded, tol)
-        kind, body = "tables", result.as_dict()
-        summary = f"max table deviation = {max(result.deviations.values()):.3e}"
-    report = {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": kind,
-              "input": in_path.name, **body}
-    passed = body["passed"]
+    result = verify(load(in_path, (OscBasis, InnerProductTables)), args.tol)
+    report = {"schema_version": MANIFEST_SCHEMA_VERSION, "kind": result.kind,
+              "input": in_path.name, **result.as_dict()}
     out = Path(args.out) if args.out else in_path.with_suffix(".verify.json")
     args.out = str(out)
     outputs = [write_json(report, out)]
-    verdict = "PASS" if passed else "FAIL"
-    print(f"verify {report['kind']}: {summary} (tolerance {tol:g}) -> {verdict}")
-    return [in_path], outputs, 0 if passed else 1
+    label = {"tables": "max table deviation", "basis": "max |G - I|"}[result.kind]
+    print(f"verify {result.kind}: {label} = {max(result.deviations.values()):.3e} "
+          f"(tolerance {args.tol:g}) -> {'PASS' if result.passed else 'FAIL'}")
+    return [in_path], outputs, 0 if result.passed else 1
 
 
 def cmd_project(args):

@@ -1,13 +1,13 @@
-"""The one codec for saved tables, bases, expansions and operators.
+"""The one codec for saved tables, bases and expansions.
 
 A document is a JSON object: the header schema_version, omega, k, epsilon,
 n_max, then its kind's payload, floats in repr form for bit-exact round
-trips.  Tables hold m5 and m6, an operator d_orth (or null); the m1 ... m4
-and d_legtrig of older documents are ignored.  Loading checks the header,
-each payload array (numeric, exact shape, finite) and the kind's structure:
-symmetric tables, a 2(N+1)-square d_orth, basis rows no longer than their
-degree and, by OscBasis itself, no coefficient of the wrong parity.  Faults
-are ValueErrors.
+trips.  Tables hold m5 and m6; the m1 ... m4 of older documents are
+ignored.  Loading checks the header, each payload array (numeric, exact
+shape, finite) and the kind's structure: symmetric tables, basis rows no
+longer than their degree and, by OscBasis itself, no coefficient of the
+wrong parity.  Faults are ValueErrors.  There is no operator document:
+d_orth = B^-1 D B is recomputed from a loaded basis faster than it loads.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ import numpy as np
 
 from .approx import Expansion
 from .basis import OscBasis, representation_matrix
-from .calculus import DerivativeOperator
 from .frequency import Frequency
 from .tables import InnerProductTables
 
 SCHEMA_VERSION = 2
 
-_MATRICES = ("m1", "m2", "m3", "m4", "m5", "m6")
 _TABLES = ("m5", "m6")
 _STEP = ("alpha", "beta", "gamma", "delta")
 
@@ -36,7 +34,6 @@ _KINDS = {
     "m5": (InnerProductTables, _TABLES),
     "rows": (OscBasis, ("rows", "norms", "rec")),
     "coeffs": (Expansion, ("basis_hash", "coeffs")),
-    "d_orth": (DerivativeOperator, ("d_orth",)),
 }
 
 
@@ -46,7 +43,7 @@ def _header(freq: Frequency, n_max: int) -> dict:
 
 
 def to_doc(obj) -> dict:
-    """The JSON-ready document of a tables, basis, expansion or operator."""
+    """The JSON-ready document of a tables, basis or expansion."""
     if isinstance(obj, InnerProductTables):
         return {**_header(obj.freq, obj.n_max),
                 **{name: getattr(obj, name).tolist() for name in _TABLES}}
@@ -59,9 +56,6 @@ def to_doc(obj) -> dict:
     if isinstance(obj, Expansion):
         return {**_header(obj.freq, obj.n_max), "basis_hash": obj.basis_hash,
                 "coeffs": obj.coeffs.tolist()}
-    if isinstance(obj, DerivativeOperator):
-        return {**_header(obj.freq, obj.n_max),
-                "d_orth": None if obj.d_orth is None else obj.d_orth.tolist()}
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
@@ -86,8 +80,8 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def from_doc(doc):
-    """The tables, basis, expansion or operator a document holds, refusing
-    with ValueError any document that is not well formed."""
+    """The tables, basis or expansion a document holds, refusing with
+    ValueError any document that is not well formed."""
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
@@ -96,7 +90,7 @@ def from_doc(doc):
                          f"expected {SCHEMA_VERSION}")
     kinds = [kind for key, kind in _KINDS.items() if key in doc]
     if len(kinds) != 1:
-        raise ValueError("not a tables, basis, expansion or operator document: "
+        raise ValueError("not a tables, basis or expansion document: "
                          f"it has {len(kinds)} of the keys {', '.join(_KINDS)}")
     cls, keys = kinds[0]
     missing = [key for key in ("omega", "k", "epsilon", "n_max", *keys)
@@ -145,15 +139,10 @@ def from_doc(doc):
             if not np.array_equal(mat, mat.T):
                 raise ValueError(f"{name} is not symmetric")
         return InnerProductTables(freq=freq, n_max=n_max, **mats)
-    if cls is Expansion:
-        if not isinstance(doc["basis_hash"], str):
-            raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
-        return Expansion(freq, n_max, doc["basis_hash"],
-                         _array(doc["coeffs"], "coeffs", (size,)))
-    d_orth = doc["d_orth"]
-    return DerivativeOperator(
-        freq=freq, n_max=n_max,
-        d_orth=None if d_orth is None else _array(d_orth, "d_orth", (size, size)))
+    if not isinstance(doc["basis_hash"], str):
+        raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
+    return Expansion(freq, n_max, doc["basis_hash"],
+                     _array(doc["coeffs"], "coeffs", (size,)))
 
 
 def write_json(doc: dict, path) -> Path:
@@ -188,18 +177,11 @@ def load(path, kind):
 def save_csv(obj, stem) -> list[Path]:
     """The matrices of obj as CSVs with 17 significant digits, which parse
     back to the identical doubles: <stem>_m1.csv ... <stem>_m6.csv for
-    tables, <stem>_d_legtrig.csv (and _d_orth.csv) for an operator, and the
-    representation matrix B at stem itself for a basis."""
+    tables, and the representation matrix B at stem itself for a basis."""
     stem = Path(stem)
-    if isinstance(obj, OscBasis):
-        files = [(stem, representation_matrix(obj), "c")]
-    elif isinstance(obj, InnerProductTables):
-        files = [(stem.with_name(f"{stem.name}_{name}.csv"),
-                  getattr(obj, name), "k") for name in _MATRICES]
-    else:
-        files = [(stem.with_name(f"{stem.name}_{name}.csv"), mat, "c")
-                 for name, mat in (("d_legtrig", obj.d_legtrig),
-                                   ("d_orth", obj.d_orth)) if mat is not None]
+    files = ([(stem, representation_matrix(obj), "c")] if isinstance(obj, OscBasis)
+             else [(stem.with_name(f"{stem.name}_m{i}.csv"), getattr(obj, f"m{i}"), "k")
+                   for i in range(1, 7)])
     for path, mat, prefix in files:
         header = ",".join(f"{prefix}{i}" for i in range(mat.shape[1]))
         np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header,
@@ -207,12 +189,11 @@ def save_csv(obj, stem) -> list[Path]:
     return [path for path, _, _ in files]
 
 
-save_tables = save_basis = save_expansion = save_operator = save
-save_tables_csv = save_operator_csv = save_csv
+save_tables = save_basis = save_expansion = save
+save_tables_csv = save_csv
 load_tables = partial(load, kind=InnerProductTables)
 load_basis = partial(load, kind=OscBasis)
 load_expansion = partial(load, kind=Expansion)
-load_operator = partial(load, kind=DerivativeOperator)
 
 
 def save_basis_csv(basis: OscBasis, path) -> Path:

@@ -49,9 +49,11 @@ class Frequency:
     epsilon: float
 
     def __post_init__(self):
+        for name, value in (("omega", self.omega), ("epsilon", self.epsilon)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.omega) or self.omega <= 0.0:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        # k is hashed as an int64 with the basis (OscBasis.content_hash)
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:

@@ -5,7 +5,8 @@ fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables,
 member and monomial-trig Grams go through one Gram kernel that walks the
 rule a chunk of nodes at a time, so their memory does not grow with omega.
 The module keeps no state: each call builds the rule it needs.  Nothing
-here shares code with the table recursion it verifies.
+here shares code with the table recursion it verifies.  verify is the one
+check of tables or a basis against the oracle, with one report for both.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def oracle_tables(freq: Frequency, n_max: int,
     P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6' <P_j, P_k sin(2 omega
     x)>.  The Gram of the unit modes P_j cos and P_j sin holds M3, M2 and
     M4 as blocks; M5 = M3 - M4 and M6 = 2 M2 by the double-angle formulas.
-    Used by verify_tables.
+    Used by verify.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -190,3 +191,60 @@ def cond_estimate(matrix) -> float:
     if scale == 0.0 or eigs.min() == 0.0:
         return math.inf
     return float(eigs.max() / eigs.min())
+
+
+@dataclass
+class VerifyReport:
+    """Outcome of verify: the max deviation per matrix (m2 ... m6, or gram)
+    and every entry not within tolerance as (matrix, j, k, deviation)."""
+
+    kind: str
+    tolerance: float
+    deviations: dict
+    flagged: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.flagged
+
+    def as_dict(self) -> dict:
+        """The JSON report body: per-matrix maxima and {matrix, j, k} entries
+        for tables, the max |G - I| and {i, j} entries for a basis."""
+        tables = self.kind == "tables"
+        keys = ("matrix", "j", "k", "deviation") if tables else ("i", "j", "deviation")
+        return {"tolerance": self.tolerance,
+                **({"max_deviation_per_matrix": dict(self.deviations)} if tables
+                   else {"max_gram_deviation": self.deviations["gram"]}),
+                "flagged_entries": [dict(zip(keys, entry[-len(keys):]))
+                                    for entry in self.flagged],
+                "passed": self.passed}
+
+
+def verify(obj, tolerance: float) -> VerifyReport:
+    """Every entry of m2 ... m6 of tables against oracle_tables, or the
+    member_gram of a basis against I.  The report flags every entry not
+    within tolerance, NaN included.  ValueError for a tolerance that is not
+    finite and >= 0, TypeError for anything but tables or a basis."""
+    from . import basis, tables  # both import this module
+
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    if isinstance(obj, tables.InnerProductTables):
+        reference = oracle_tables(obj.freq, obj.n_max)
+        kind, pairs = "tables", [(name, getattr(obj, name), reference[name])
+                                 for name in ("m2", "m3", "m4", "m5", "m6")]
+    elif isinstance(obj, basis.OscBasis):
+        G = member_gram(obj, obj.freq.omega)
+        kind, pairs = "basis", [("gram", G, np.eye(G.shape[0]))]
+    else:
+        raise TypeError(f"verify takes tables or a basis, not {type(obj).__name__}")
+    deviations, flagged = {}, []
+    for name, mat, want in pairs:
+        diff = np.abs(mat - want)
+        deviations[name] = float(np.max(diff)) if diff.size else 0.0
+        flagged += [(name, int(j), int(k), float(diff[j, k]))
+                    for j, k in zip(*np.nonzero(~(diff <= tolerance)))]
+    return VerifyReport(kind, tolerance, deviations, flagged)
+
+
+verify_tables = verify

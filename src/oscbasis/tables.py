@@ -15,7 +15,7 @@ is a boundary term plus (R[j,k] + R[k,j]) / 2w, where R[j,k] is the sum of
 as the strided prefix sum R[j-2,k] + (2j-1) M[j-1,k], so every diagonal is a
 few whole-slice operations and the fill costs O(N^2).  Whole diagonals keep
 the tables exactly symmetric; M5 is exactly zero where j+k is odd and M6
-where it is even.
+where it is even.  oracle.verify checks the tables against quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
-from .oracle import NODE_BUDGET, oracle_tables
+from .oracle import NODE_BUDGET
 
 # largest table degree N: the Gram of the 2(N+1) unit modes P_j cos(wx) and
 # P_j sin(wx), the largest array that a basis on the tables or their oracle
@@ -128,50 +128,3 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
         )
     return InnerProductTables(freq=freq, n_max=n_max,
                               m5=m5.reshape(n, n), m6=m6.reshape(n, n))
-
-
-@dataclass
-class VerifyReport:
-    """Outcome of comparing tables against the quadrature oracle."""
-
-    tolerance: float
-    deviations: dict
-    flagged: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged
-
-    def as_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "max_deviation_per_matrix": dict(self.deviations),
-            "flagged_entries": [
-                {"matrix": name, "j": j, "k": k, "deviation": dev}
-                for name, j, k, dev in self.flagged
-            ],
-            "passed": self.passed,
-        }
-
-
-def verify_tables(tables: InnerProductTables, oracle_tolerance: float) -> VerifyReport:
-    """Compare every entry of m2 ... m6 against direct quadrature.
-
-    Deviations are data, not errors: the report lists the max deviation per
-    matrix and flags every entry not within oracle_tolerance, NaN included.
-    The tolerance must be finite and >= 0; anything else is a ValueError.
-    """
-    if not 0.0 <= oracle_tolerance < math.inf:
-        raise ValueError(
-            f"oracle_tolerance must be finite and >= 0, got {oracle_tolerance!r}"
-        )
-    reference = oracle_tables(tables.freq, tables.n_max)
-    deviations: dict[str, float] = {}
-    flagged: list[tuple[str, int, int, float]] = []
-    for name in ("m2", "m3", "m4", "m5", "m6"):
-        diff = np.abs(getattr(tables, name) - reference[name])
-        deviations[name] = float(np.max(diff)) if diff.size else 0.0
-        for j, k in zip(*np.nonzero(~(diff <= oracle_tolerance))):
-            flagged.append((name, int(j), int(k), float(diff[j, k])))
-    return VerifyReport(tolerance=oracle_tolerance, deviations=deviations,
-                        flagged=flagged)

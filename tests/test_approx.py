@@ -51,6 +51,9 @@ def test_envelope_catalog():
 def test_target_validation_and_evaluation():
     with pytest.raises(ValueError):
         OscTarget(f_env=ENVELOPES["one"], g_env=ENVELOPES["one"], freq_raw=-3.0)
+    for value in (True, "10.0"):
+        with pytest.raises(ValueError, match="freq_raw must be a real number"):
+            OscTarget(f_env=ENVELOPES["one"], g_env=ENVELOPES["one"], freq_raw=value)
     t = _target("x", "one", 10.0)
     assert t.evaluate(0.0) == 1.0
     xs = np.linspace(-1, 1, 5)

@@ -291,6 +291,16 @@ def test_content_hash_is_pinned_and_independent_of_layout(tmp_path):
     assert loaded.content_hash() == _GOLDEN_HASH
 
 
+def test_basis_refuses_k_its_content_hash_cannot_pack():
+    # Frequency takes any k (1e308 has k near 1.6e307); the int64 limit is
+    # the basis's, whose hash packs k
+    freq = Frequency(omega=TWO_PI * 2 ** 63, k=2 ** 63, epsilon=0.0)
+    with pytest.raises(ValueError, match=f"k={2 ** 63} overflows the int64 of"):
+        OscBasis(freq=freq, n_max=1, **_GOLDEN)
+    edge = Frequency(omega=TWO_PI * (2 ** 63 - 1), k=2 ** 63 - 1, epsilon=0.0)
+    assert len(OscBasis(freq=edge, n_max=1, **_GOLDEN).content_hash()) == 64
+
+
 def test_basis_document_refuses_row_past_its_degree(basis20):
     doc = to_doc(basis20)
     doc["rows"][0]["a"].append(0.0)

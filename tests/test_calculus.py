@@ -20,13 +20,6 @@ from oscbasis.basis import (
     representation_matrix,
 )
 from oscbasis.calculus import _solve_upper, _times_d
-from oscbasis.documents import (
-    from_doc,
-    load_operator,
-    save_operator,
-    save_operator_csv,
-    to_doc,
-)
 from oscbasis.frequency import TWO_PI
 from oscbasis.pairing import legtrig_values
 
@@ -273,55 +266,3 @@ def test_transform_rejects_mismatched_inputs(freq20, tables20, basis20):
     op_wrong = derivative_matrix_legtrig(Frequency.exact(21), 12)
     with pytest.raises(ValueError, match="frequency mismatch"):
         to_orthogonal_basis(op_wrong, basis20)
-
-
-def test_doc_and_file_round_trip(freq20, basis20, tmp_path):
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20)
-    back = from_doc(to_doc(op))
-    assert np.array_equal(back.d_legtrig, op.d_legtrig)
-    assert np.array_equal(back.d_orth, op.d_orth)
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    loaded = load_operator(path)
-    assert loaded.freq == op.freq
-    assert np.array_equal(loaded.d_orth, op.d_orth)
-
-
-def test_round_trip_without_transform(freq20, tmp_path):
-    op = derivative_matrix_legtrig(freq20, 2)
-    path = save_operator(op, tmp_path / "plain.json")
-    loaded = load_operator(path)
-    assert loaded.d_orth is None
-    assert np.array_equal(loaded.d_legtrig, op.d_legtrig)
-
-
-def _nan_entry(doc):
-    doc["d_orth"][3][4] = float("nan")
-
-
-def _wrong_shape(doc):
-    doc["d_orth"] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
-
-
-def _n_max_off_by_one(doc):
-    doc["n_max"] += 1
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    (_nan_entry, "d_orth has non-finite entries"),
-    (_wrong_shape, r"d_orth has shape \(2, 3\), expected \(26, 26\)"),
-    (_n_max_off_by_one, r"d_orth has shape \(26, 26\), expected \(28, 28\)"),
-])
-def test_loader_refuses_malformed_operator(freq20, basis20, corrupt, message):
-    doc = to_doc(to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20))
-    corrupt(doc)
-    with pytest.raises(ValueError, match=message):
-        from_doc(doc)
-
-
-def test_csv_export(freq20, basis20, tmp_path):
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq20, 12), basis20)
-    paths = save_operator_csv(op, tmp_path / "op")
-    assert [p.name for p in paths] == ["op_d_legtrig.csv", "op_d_orth.csv"]
-    data = np.loadtxt(paths[1], delimiter=",", skiprows=1)
-    assert np.array_equal(data, op.d_orth)

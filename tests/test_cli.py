@@ -230,6 +230,46 @@ def test_verify_basis_file(workdir):
     assert report["max_gram_deviation"] <= 1e-8
 
 
+# the keys, in order, that readers of a verify report rely on
+REPORT_KEYS = {
+    "tables": ["schema_version", "kind", "input", "tolerance",
+               "max_deviation_per_matrix", "flagged_entries", "passed"],
+    "basis": ["schema_version", "kind", "input", "tolerance",
+              "max_gram_deviation", "flagged_entries", "passed"],
+}
+
+
+@pytest.mark.parametrize("kind", ["tables", "basis"])
+def test_verify_report_keys_in_order(tmp_path, kind):
+    f = tmp_path / f"{kind}.json"
+    assert _run(kind, "--omega", "2pi*8", "--n", "6", "--out", f) == 0
+    assert _run("verify", f) == 0
+    report = json.loads((tmp_path / f"{kind}.verify.json").read_text())
+    assert list(report) == REPORT_KEYS[kind]
+    assert report["kind"] == kind and report["flagged_entries"] == []
+
+
+def test_verify_flags_perturbed_basis_member(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "basis.json").read_text())
+    doc["rows"][6]["a"][1] += 1e-6
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("verify", path) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify basis: max |G - I| = ") and "-> FAIL" in out
+    report = json.loads((tmp_path / "perturbed.verify.json").read_text())
+    assert list(report) == REPORT_KEYS["basis"]
+    assert report["passed"] is False
+    assert report["max_gram_deviation"] > 1e-10
+    flagged = report["flagged_entries"]
+    assert flagged and all(list(f) == ["i", "j", "deviation"] for f in flagged)
+    # only row and column 6 of the Gram move, symmetrically
+    pairs = {(f["i"], f["j"]) for f in flagged}
+    assert all(6 in pair for pair in pairs)
+    assert pairs == {(j, i) for i, j in pairs}
+
+
 def test_verify_rejects_unrelated_json(tmp_path):
     bad = tmp_path / "other.json"
     bad.write_text('{"foo": 1}\n')
@@ -529,6 +569,39 @@ def test_diff_refuses_wrong_parity_nan(workdir, tmp_path, capsys):
     assert rc == 2
     assert "basis row 9 (a, b) has non-finite entries" in capsys.readouterr().err
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("command", ["project", "diff"])
+def test_commands_refuse_basis_with_k_over_int64(workdir, tmp_path, capsys,
+                                                 command):
+    # the frequency itself is consistent; only the basis hash cannot hold k
+    doc = json.loads((workdir / "basis.json").read_text())
+    doc.update(k=2 ** 63, omega=TWO_PI * 2 ** 63, epsilon=0.0)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    args = {
+        "project": ["--f", "exp", "--g", "one", "--omega-raw", f"2pi*{2 ** 63}"],
+        "diff": ["--expansion", _expansion_file(workdir, tmp_path / "e.json")],
+    }[command]
+    capsys.readouterr()
+    assert _run(command, "--basis", huge, *args, "--out", tmp_path / "out.json") == 2
+    assert (f"error: k={2 ** 63} overflows the int64 of the basis hash"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["verify", "project"])
+def test_commands_refuse_operator_document(tmp_path, capsys, command):
+    # no command reads or writes d_orth; it is recomputed from the basis
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({
+        "schema_version": 2, "omega": TWO_PI * 5, "k": 5, "epsilon": 0.0,
+        "n_max": 0, "d_orth": [[0.0, TWO_PI * 5], [-TWO_PI * 5, 0.0]]}))
+    args = {"verify": [path],
+            "project": ["--basis", path, "--f", "exp", "--g", "one",
+                        "--omega-raw", "2pi*5"]}[command]
+    assert _run(command, *args, "--out", tmp_path / "out.json") == 2
+    assert "not a tables, basis or expansion document" in capsys.readouterr().err
 
 
 def test_hilbert_demo_single_mode(tmp_path):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscbasis import (DerivativeOperator, Expansion, Frequency,
-                      InnerProductTables, OscBasis, build_basis, build_tables,
-                      derivative_matrix_legtrig, to_orthogonal_basis)
+from oscbasis import (Expansion, Frequency, InnerProductTables, OscBasis,
+                      build_basis, build_tables)
 from oscbasis.documents import SCHEMA_VERSION, from_doc, to_doc
 
 JUNK = [None, True, False, "junk", "1.5", {}, [], [[1.0], [1.0, 2.0]],
@@ -20,14 +19,12 @@ def _valid_docs():
     basis = build_basis(freq, 2, tables)
     exp = Expansion(basis.freq, basis.n_max, basis.content_hash(),
                     np.linspace(-1.0, 1.0, 6))
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 2), basis)
     return {"tables": to_doc(tables), "basis": to_doc(basis),
-            "expansion": to_doc(exp), "operator": to_doc(op)}
+            "expansion": to_doc(exp)}
 
 
 DOCS = _valid_docs()
-KINDS = {"tables": InnerProductTables, "basis": OscBasis,
-         "expansion": Expansion, "operator": DerivativeOperator}
+KINDS = {"tables": InnerProductTables, "basis": OscBasis, "expansion": Expansion}
 
 
 def _paths(node, prefix=()):
@@ -70,17 +67,31 @@ def test_one_junk_field_loads_or_raises_value_error(kind, data):
         pass
 
 
+# a bool is an int to Python, so a header field of either type takes it
+BOOL_HEADER_MESSAGES = {"n_max": "n_max must be an integer",
+                        "k": "k must be an integer",
+                        "omega": "omega must be a real number, got True",
+                        "epsilon": "epsilon must be a real number, got True"}
+
+
 @pytest.mark.parametrize("kind", sorted(DOCS))
-@pytest.mark.parametrize("key", ["n_max", "k"])
+@pytest.mark.parametrize("key", ["n_max", "k", "omega", "epsilon"])
 def test_bool_integer_fields_are_refused(kind, key):
-    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+    with pytest.raises(ValueError, match=BOOL_HEADER_MESSAGES[key]):
         from_doc(_replaced(DOCS[kind], (key,), True))
+
+
+def test_false_epsilon_of_exact_multiple_is_refused():
+    # False == 0.0, so without the type check the basis would load as exact
+    doc = _replaced(DOCS["basis"], ("epsilon",), False)
+    with pytest.raises(ValueError, match="epsilon must be a real number, got False"):
+        from_doc(doc)
 
 
 @pytest.mark.parametrize("kind, path", [
     ("tables", ("m5", 1, 1)), ("basis", ("rows", 3, "a", 0)),
     ("basis", ("norms", 2)), ("basis", ("rec", 0, "alpha")),
-    ("expansion", ("coeffs", 1)), ("operator", ("d_orth", 0, 1)),
+    ("expansion", ("coeffs", 1)),
 ])
 @pytest.mark.parametrize("flag", [True, False])
 def test_boolean_inside_numeric_array_is_refused(kind, path, flag):
@@ -128,12 +139,8 @@ def test_earlier_tables_document_loads_to_identical_tables():
     assert sorted(to_doc(loaded)) == sorted(set(PARENT_TABLES) - {"m1", "m2", "m3", "m4"})
 
 
-def test_earlier_operator_document_loads_to_identical_operator():
-    loaded = from_doc(PARENT_OPERATOR)
-    freq = Frequency.exact(5)
-    basis = build_basis(freq, 1, build_tables(freq, 2))
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 1), basis)
-    assert np.array_equal(loaded.d_orth, op.d_orth)
-    assert loaded.d_orth.tolist() == PARENT_OPERATOR["d_orth"]
-    assert loaded.d_legtrig.tolist() == PARENT_OPERATOR["d_legtrig"]
-    assert "d_legtrig" not in to_doc(loaded)
+def test_earlier_operator_document_is_refused():
+    # d_orth is recomputed from the basis; no document kind holds it
+    with pytest.raises(ValueError, match="not a tables, basis or expansion "
+                                         "document: it has 0 of the keys"):
+        from_doc(PARENT_OPERATOR)

@@ -83,6 +83,11 @@ def test_constructor_validation():
     for k in (5.0, 5.5, True):
         with pytest.raises(ValueError, match="k must be an integer"):
             Frequency(omega=TWO_PI * 5, k=k, epsilon=0.0)
+    for value in (True, False, "1.0", None, [1.0]):
+        with pytest.raises(ValueError, match="omega must be a real number"):
+            Frequency(omega=value, k=0, epsilon=1.0)
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            Frequency(omega=TWO_PI * 5, k=5, epsilon=value)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6, allow_nan=False))

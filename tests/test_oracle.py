@@ -15,6 +15,7 @@ from oscbasis.oracle import (
     member_gram,
     monomial_gram,
     oracle_tables,
+    verify,
 )
 from oscbasis.pairing import legtrig_values
 
@@ -261,3 +262,19 @@ def test_legtrig_units_stay_well_conditioned():
     B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
     G = gram_matrix((A, B), tables)
     assert cond_estimate(G) <= 10.0
+
+
+def test_verify_takes_tables_or_basis_and_nothing_else():
+    freq = Frequency.exact(8)
+    tables = build_tables(freq, 7)
+    basis = build_basis(freq, 6, tables)
+    t, b = verify(tables, 1e-10), verify(basis, 1e-10)
+    assert (t.kind, b.kind) == ("tables", "basis")
+    assert list(t.deviations) == ["m2", "m3", "m4", "m5", "m6"]
+    assert list(b.deviations) == ["gram"] and t.passed and b.passed
+    G = member_gram(basis, freq.omega)
+    assert b.deviations["gram"] == float(np.max(np.abs(G - np.eye(14))))
+    for obj in (basis.a, (basis.a, basis.b), None):
+        with pytest.raises(TypeError, match="verify takes tables or a basis"):
+            verify(obj, 1e-10)
+

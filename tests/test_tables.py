@@ -240,7 +240,7 @@ def test_verify_flags_nan_entry(tables20):
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
 def test_verify_refuses_tolerance_that_is_not_finite_and_non_negative(tables20, tol):
-    with pytest.raises(ValueError, match=f"oracle_tolerance must be finite and >= 0, got {tol!r}"):
+    with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {tol!r}"):
         verify_tables(tables20, tol)
 
 
