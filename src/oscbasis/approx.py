@@ -22,6 +22,7 @@ import logging
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,7 +66,7 @@ class OscTarget:
         freq_raw = self.freq_raw
         if isinstance(freq_raw, bool) or not isinstance(freq_raw, numbers.Real):
             raise ValueError(f"freq_raw must be a real number, got {freq_raw!r}")
-        if not math.isfinite(freq_raw) or freq_raw <= 0.0:
+        if not 0 < freq_raw <= sys.float_info.max:
             raise ValueError(f"freq_raw must be positive and finite, got {freq_raw!r}")
 
     def evaluate(self, x):

@@ -57,8 +57,8 @@ class OscBasis:
     on p_k and q_{k-1} that produced pair k+1 (beta = delta = 0 at k = 0).
     All of it is read-only, so the content hash is computed once.  A k of
     2**63 or more, arrays of other shapes, a nonzero or NaN coefficient of
-    the wrong parity or beyond its member's degree, and then a NaN or
-    infinity anywhere else, are refused with ValueError.
+    the wrong parity or beyond its member's degree, then a NaN or infinity
+    anywhere else, and then a norm not > 0, are refused with ValueError.
     """
 
     freq: Frequency
@@ -97,6 +97,8 @@ class OscBasis:
                 f"{float((self.a, self.b)[part][i, j])!r} at degree {j}, "
                 f"{rule}; the basis file is corrupted")
         require_finite(self.a, self.b, self.norms, self.rec)
+        if not np.all(self.norms > 0.0):
+            raise ValueError("basis norms must be positive")
 
     @property
     def rep(self) -> tuple[np.ndarray, np.ndarray]:

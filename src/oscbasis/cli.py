@@ -5,8 +5,10 @@ Each cmd_* function writes its data files and returns (inputs, outputs,
 exit code); main then writes the run manifest (parameters and sha256
 content hashes) and prints one "wrote" line per file.  Data files are
 byte-identical across reruns with the same arguments; only the manifest
-duration field varies.  verify writes the report of oracle.verify on the
-tables or basis file it loads.
+duration field varies.  tables and basis write JSON, or CSV when --out
+ends in .csv: tables as <stem>_m1.csv ... <stem>_m6.csv, a basis as its
+representation matrix at --out.  verify writes the report of oracle.verify
+on the tables or basis file it loads.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or a
 refused input (tables the recursion cannot fill with finite values, a
@@ -75,11 +77,9 @@ def cmd_tables(args):
     freq = _verifiable(args.omega)
     tables = build_tables(freq, args.n)
     out = Path(args.out)
-    if args.format == "json":
-        outputs = [save(tables, out)]
-    else:
-        outputs = save_csv(tables, out.with_suffix(""))
-    return [], outputs, 0
+    if out.suffix == ".csv":
+        return [], save_csv(tables, out.with_suffix("")), 0
+    return [], [save(tables, out)], 0
 
 
 def cmd_basis(args):
@@ -90,11 +90,9 @@ def cmd_basis(args):
     dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
     print(f"self-check max|G - I| = {dev:.3e} against the table-based Gram")
     out = Path(args.out)
-    if args.format == "json":
-        outputs = [save(basis, out)]
-    else:
-        outputs = save_csv(basis, out.with_suffix(".csv"))
-    return [], outputs, 0
+    if out.suffix == ".csv":
+        return [], save_csv(basis, out), 0
+    return [], [save(basis, out)], 0
 
 
 def cmd_verify(args):
@@ -212,16 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--omega", required=True,
                    help="frequency: a real number or the exact form '2pi*k'")
     t.add_argument("--n", required=True, type=int, help="largest Legendre degree")
-    t.add_argument("--out", default="tables.json", help="output path")
-    t.add_argument("--format", choices=("json", "csv"), default="json")
+    t.add_argument("--out", default="tables.json", help="output path (.csv: CSV)")
     t.set_defaults(func=cmd_tables)
 
     b = sub.add_parser("basis", help="build the orthonormal basis")
     b.add_argument("--omega", required=True,
                    help="frequency: a real number or the exact form '2pi*k'")
     b.add_argument("--n", required=True, type=int, help="largest pair index N")
-    b.add_argument("--out", default="basis.json", help="output path")
-    b.add_argument("--format", choices=("json", "csv"), default="json")
+    b.add_argument("--out", default="basis.json", help="output path (.csv: CSV)")
     b.set_defaults(func=cmd_basis)
 
     v = sub.add_parser("verify", help="check a tables or basis file against "

@@ -14,6 +14,7 @@ import logging
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
@@ -52,12 +53,16 @@ class Frequency:
         for name, value in (("omega", self.omega), ("epsilon", self.epsilon)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(self.omega) or self.omega <= 0.0:
+        if not 0 < self.omega <= sys.float_info.max:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        # omega >= (2k - 1) pi, so k > omega is inconsistent; 2 pi k stays a float
+        if self.k > self.omega:
+            raise ValueError(
+                f"inconsistent decomposition: k={self.k} > omega={self.omega!r}")
         if abs(self.epsilon) > math.pi:
             raise ValueError(
                 f"epsilon must satisfy |epsilon| <= pi, got {self.epsilon!r}"
@@ -84,8 +89,8 @@ class Frequency:
     @classmethod
     def exact(cls, k: int) -> "Frequency":
         """The frequency 2*pi*k with epsilon = 0 guaranteed."""
-        if k < 1:
-            raise ValueError(f"exact multiple needs k >= 1, got {k}")
+        if not 1 <= k <= sys.float_info.max / TWO_PI:
+            raise ValueError(f"exact multiple needs k >= 1 and 2*pi*k finite, got {k}")
         return cls(omega=TWO_PI * k, k=k, epsilon=0.0)
 
     @classmethod
@@ -96,7 +101,7 @@ class Frequency:
         multiple (epsilon forced to 0.0); the promotion is logged so that it
         never happens silently.
         """
-        if not math.isfinite(omega) or omega <= 0.0:
+        if not 0 < omega <= sys.float_info.max:
             raise ValueError(f"omega must be positive and finite, got {omega!r}")
         # round half down so a tie at epsilon = +/-pi picks the smaller k
         k = int(math.ceil(omega / TWO_PI - 0.5))

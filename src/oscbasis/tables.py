@@ -86,8 +86,6 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
                          f"{MAX_DEGREE} (a basis of pair index N takes tables "
                          f"of degree N + 1)")
     omega = freq.omega
-    if not np.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
     if omega <= n_max:
         warnings.warn(
             StabilityWarning(

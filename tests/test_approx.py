@@ -640,3 +640,8 @@ def test_expansion_checks_against_a_loaded_copy_of_its_basis(freq20, tables20,
     assert np.array_equal(evaluate_expansion(exp, copy, grid),
                           evaluate_expansion(exp, basis, grid))
     assert residual_norm(target, exp, copy) == residual_norm(target, exp, basis)
+
+
+def test_target_refuses_integer_frequency_too_large_for_a_float():
+    with pytest.raises(ValueError, match="freq_raw must be positive and finite"):
+        OscTarget(f_env=ENVELOPES["one"], g_env=ENVELOPES["one"], freq_raw=10 ** 400)

@@ -548,3 +548,11 @@ def test_csv_export_round_trips(basis20, tmp_path):
     assert header.startswith("c0,")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data, representation_matrix(basis20))
+
+
+@pytest.mark.parametrize("norm", [0.0, -0.5])
+def test_basis_refuses_a_norm_not_positive(basis20, norm):
+    norms = basis20.norms.copy()
+    norms[5] = norm
+    with pytest.raises(ValueError, match="basis norms must be positive"):
+        replace(basis20, norms=norms)

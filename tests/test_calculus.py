@@ -20,6 +20,7 @@ from oscbasis.basis import (
     representation_matrix,
 )
 from oscbasis.calculus import _solve_upper, _times_d
+from oscbasis.documents import from_doc, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.pairing import legtrig_values
 
@@ -266,3 +267,13 @@ def test_transform_rejects_mismatched_inputs(freq20, tables20, basis20):
     op_wrong = derivative_matrix_legtrig(Frequency.exact(21), 12)
     with pytest.raises(ValueError, match="frequency mismatch"):
         to_orthogonal_basis(op_wrong, basis20)
+
+
+def test_singular_class_block_is_refused():
+    # zero the leading coefficient of p_2: its class block loses its pivot
+    freq = Frequency.exact(20)
+    doc = to_doc(build_basis(freq, 6, build_tables(freq, 7)))
+    doc["rows"][4]["a"][2] = 0.0
+    basis = from_doc(doc)
+    with pytest.raises(ValueError, match="representation matrix is singular"):
+        to_orthogonal_basis(derivative_matrix_legtrig(basis.freq, basis.n_max), basis)

@@ -76,7 +76,7 @@ def test_tables_accepts_plain_real_frequency(tmp_path):
 
 def test_tables_csv_layout(tmp_path):
     out = tmp_path / "t.csv"
-    assert _run("tables", "--omega", "2pi*4", "--n", "3", "--format", "csv", "--out", out) == 0
+    assert _run("tables", "--omega", "2pi*4", "--n", "3", "--out", out) == 0
     for m in ("m1", "m2", "m3", "m4", "m5", "m6"):
         path = tmp_path / f"t_{m}.csv"
         assert path.exists(), m
@@ -145,7 +145,7 @@ def test_basis_reports_self_check(tmp_path, capsys):
 
 def test_basis_csv_format(tmp_path):
     out = tmp_path / "basis.csv"
-    assert _run("basis", "--omega", "2pi*20", "--n", "3", "--format", "csv", "--out", out) == 0
+    assert _run("basis", "--omega", "2pi*20", "--n", "3", "--out", out) == 0
     rows = out.read_text().splitlines()
     assert rows[0].startswith("c0,c1,")
     assert len(rows) == 9  # header plus 2(N+1) members
@@ -153,11 +153,35 @@ def test_basis_csv_format(tmp_path):
 
 def test_basis_csv_default_out_takes_the_csv_suffix(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _run("basis", "--omega", "2pi*20", "--n", "3", "--format", "csv") == 0
+    assert _run("basis", "--omega", "2pi*20", "--n", "3", "--out", "basis.csv") == 0
     assert not (tmp_path / "basis.json").exists()
     assert (tmp_path / "basis.csv").read_text().startswith("c0,c1,")
     manifest = json.loads((tmp_path / "basis.manifest.json").read_text())
     assert [o["path"] for o in manifest["outputs"]] == ["basis.csv"]
+    # with no --out, basis writes the JSON document basis.json
+    assert _run("basis", "--omega", "2pi*20", "--n", "3") == 0
+    assert load_basis(tmp_path / "basis.json").n_max == 3
+
+
+@pytest.mark.parametrize("command, omega", [("tables", "2pi*4"), ("basis", "2pi*20")])
+def test_format_flag_is_gone(tmp_path, command, omega):
+    # --out alone picks the format: a name ending in .csv writes CSV
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--omega", omega, "--n", "3", "--format", "csv",
+             "--out", tmp_path / "x.json")
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_integer_omega_exits_2_with_one_error_line(tmp_path, capsys):
+    # 2 pi times a 401-digit k is no float: refused, not an OverflowError
+    rc = _run("tables", "--omega", "2pi*1" + "0" * 400, "--n", "3",
+              "--out", tmp_path / "t.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact multiple needs k >= 1 and 2*pi*k finite")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_refuses_a_file_that_is_not_json(tmp_path, capsys):
@@ -634,3 +658,25 @@ def test_hilbert_demo_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
     assert _run("hilbert-demo", "--n", "2", "--omegas", "1e308",
                 "--out", tmp_path / "d.csv") == 2
     assert "over the budget" in capsys.readouterr().err
+
+
+def test_hilbert_demo_refuses_an_empty_frequency_list(tmp_path, capsys):
+    assert _run("hilbert-demo", "--n", "2", "--omegas", ",",
+                "--out", tmp_path / "d.csv") == 2
+    assert "--omegas must list at least one frequency" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diff_refuses_a_basis_with_a_singular_class_block(tmp_path, capsys):
+    assert _run("basis", "--omega", "2pi*20", "--n", "6", "--out", tmp_path / "b.json") == 0
+    doc = json.loads((tmp_path / "b.json").read_text())
+    doc["rows"][4]["a"][2] = 0.0
+    (tmp_path / "b.json").write_text(json.dumps(doc))
+    basis = load_basis(tmp_path / "b.json")
+    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                             np.ones(14)), tmp_path / "e.json")
+    capsys.readouterr()
+    assert _run("diff", "--basis", tmp_path / "b.json", "--expansion",
+                tmp_path / "e.json", "--out", tmp_path / "d.json") == 2
+    assert "representation matrix is singular" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()

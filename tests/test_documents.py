@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oscbasis import (Expansion, Frequency, InnerProductTables, OscBasis,
                       build_basis, build_tables)
-from oscbasis.documents import SCHEMA_VERSION, from_doc, to_doc
+from oscbasis.documents import SCHEMA_VERSION, from_doc, save_csv, to_doc
 
 JUNK = [None, True, False, "junk", "1.5", {}, [], [[1.0], [1.0, 2.0]],
         [[[1.0]]], [1.0, [2.0]], float("nan"), 1e308, -1, 10 ** 400]
@@ -144,3 +144,32 @@ def test_earlier_operator_document_is_refused():
     with pytest.raises(ValueError, match="not a tables, basis or expansion "
                                          "document: it has 0 of the keys"):
         from_doc(PARENT_OPERATOR)
+
+
+def test_to_doc_refuses_an_object_of_no_kind():
+    with pytest.raises(TypeError, match="no document kind for list"):
+        to_doc([1.0])
+
+
+@pytest.mark.parametrize("doc", [[DOCS["tables"]], "tables", 2.0, None])
+def test_document_that_is_not_an_object_is_refused(doc):
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        from_doc(doc)
+
+
+def test_basis_document_with_huge_k_is_refused():
+    with pytest.raises(ValueError, match="inconsistent decomposition"):
+        from_doc(_replaced(DOCS["basis"], ("k",), 10 ** 400))
+
+
+@pytest.mark.parametrize("norm", [0.0, -1.0])
+def test_basis_document_with_a_norm_not_positive_is_refused(norm):
+    with pytest.raises(ValueError, match="basis norms must be positive"):
+        from_doc(_replaced(DOCS["basis"], ("norms", 3), norm))
+
+
+def test_save_csv_refuses_an_expansion(tmp_path):
+    exp = from_doc(DOCS["expansion"])
+    with pytest.raises(TypeError, match="no CSV form for Expansion"):
+        save_csv(exp, tmp_path / "exp")
+    assert list(tmp_path.iterdir()) == []

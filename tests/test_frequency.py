@@ -104,3 +104,41 @@ def test_exact_multiples_round_trip_through_parser(k):
     freq = parse_omega_spec(f"2pi*{k}")
     assert freq.k == k
     assert freq.exact_multiple
+
+
+def test_negative_k_is_refused():
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        Frequency(omega=1.0, k=-1, epsilon=1.0 + TWO_PI)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Frequency(omega=10 ** 400, k=0, epsilon=0.0),
+    lambda: Frequency(omega=1.0, k=10 ** 400, epsilon=0.0),
+    lambda: Frequency.exact(10 ** 400),
+    lambda: Frequency.from_omega(10 ** 400),
+], ids=["omega", "k", "exact", "from_omega"])
+def test_integer_too_large_for_a_float_is_a_value_error(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_k_above_omega_is_an_inconsistent_decomposition():
+    with pytest.raises(ValueError, match="inconsistent decomposition: k=3 > omega=2.5"):
+        Frequency(omega=2.5, k=3, epsilon=0.0)
+
+
+def test_exact_refuses_k_whose_multiple_overflows():
+    k = 10 ** 308  # a float, but 2 pi k is not
+    with pytest.raises(ValueError, match="and 2\\*pi\\*k finite"):
+        Frequency.exact(k)
+    assert math.isfinite(Frequency.exact(10 ** 307).omega)
+
+
+def test_from_omega_renormalizes_a_remainder_just_past_pi():
+    # omega / 2 pi rounds to k = 8 with epsilon = 3.1415926535897967 > pi
+    omega = 53.40707511102649
+    assert math.ceil(omega / TWO_PI - 0.5) == 8 and omega - TWO_PI * 8 > math.pi
+    freq = Frequency.from_omega(omega)
+    assert freq.k == 9
+    assert abs(freq.epsilon) <= math.pi
+    assert freq.omega == omega

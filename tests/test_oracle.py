@@ -278,3 +278,16 @@ def test_verify_takes_tables_or_basis_and_nothing_else():
         with pytest.raises(TypeError, match="verify takes tables or a basis"):
             verify(obj, 1e-10)
 
+
+def test_oracle_tables_refuses_negative_degree():
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        oracle_tables(Frequency.exact(3), -1)
+
+
+def test_hilbert_limit_refuses_negative_size():
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        hilbert_limit(-1)
+
+
+def test_cond_estimate_of_empty_matrix_is_one():
+    assert cond_estimate(np.zeros((0, 0))) == 1.0
