@@ -14,7 +14,8 @@ Next to them it prints rho = u * max|c|^2 over the plain basis's
 coefficients (u the unit roundoff), the size of the Gram error that
 rounding alone can cause, and the plain basis's quadrature-oracle max|G - I|
 (`member_gram`, computed once, outside the timed runs), the Gram error it
-has.
+has, with `gram_ms`, the time of that one `member_gram` call in
+milliseconds, so the cost of the check sits next to the cost of the build.
 
     python scripts/construct_cost.py --cells 330:200,84:40 --repeats 9
 """
@@ -47,8 +48,9 @@ LAYERS = ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
 
 
 def time_cell(k: int, n: int, repeats: int, path: Path):
-    """Median milliseconds per layer, rho and the oracle max|G - I|, or
-    None where a build is refused."""
+    """Median milliseconds per layer, rho, the oracle max|G - I| and the
+    milliseconds of the one member_gram call, or None where a build is
+    refused."""
     freq = Frequency.exact(k)
     times = {name: [] for name in LAYERS}
 
@@ -81,11 +83,13 @@ def time_cell(k: int, n: int, repeats: int, path: Path):
     ms = {name: 1e3 * float(np.median(t)) if t else None
           for name, t in times.items()}
     if basis is None:
-        return ms, None, None
+        return ms, None, None, None
     rho = ROUNDOFF * max(float(np.max(np.abs(basis.a))),
                          float(np.max(np.abs(basis.b)))) ** 2
+    start = time.perf_counter()
     G = member_gram(basis, freq.omega)
-    return ms, rho, float(np.max(np.abs(G - np.eye(G.shape[0]))))
+    gram_ms = 1e3 * (time.perf_counter() - start)
+    return ms, rho, float(np.max(np.abs(G - np.eye(G.shape[0])))), gram_ms
 
 
 def main():
@@ -99,19 +103,19 @@ def main():
         ap.error("--repeats must be at least 1")
 
     print(f"{'cell':>12}  " + "  ".join(f"{name:>12}" for name in LAYERS)
-          + f"  {'us/pair':>9}  {'rho':>9}  {'max|G-I|':>9}   "
+          + f"  {'us/pair':>9}  {'rho':>9}  {'max|G-I|':>9}  {'gram_ms':>9}   "
           f"(median ms of {args.repeats})")
     for spec in args.cells.split(","):
         k, n = (int(part) for part in spec.split(":"))
         with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("ignore", StabilityWarning)
-            ms, rho, dev = time_cell(k, n, args.repeats,
+            ms, rho, dev, gram_ms = time_cell(k, n, args.repeats,
                                      Path(tmp) / "basis.json")
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
         cols.append(f"{1e3 * ms['basis'] / n:9.2f}" if n else f"{'-':>9}")
         print(f"{f'2pi*{k}:{n}':>12}  " + "  ".join(cols) + "  "
-              + (f"{rho:9.2e}  {dev:9.2e}" if rho is not None
+              + (f"{rho:9.2e}  {dev:9.2e}  {gram_ms:9.2f}" if rho is not None
                  else f"{'refused':>9}"))
 
 

@@ -2,8 +2,10 @@
 
 Composite Gauss-Legendre quadrature with enough panels to resolve the
 fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables,
-member and monomial-trig Grams go through one Gram kernel that walks the
-rule a chunk of nodes at a time, so their memory does not grow with omega.
+member and monomial-trig Grams go through one Gram kernel that takes its
+functions as an even and an odd block, integrates each over the x > 0 half
+of the rule with doubled weights and walks it a chunk of nodes at a time,
+so their memory does not grow with omega.
 The module keeps no state: each call builds the rule it needs.  Nothing
 here shares code with the table recursion it verifies.  verify is the one
 check of tables or a basis against the oracle, with one report for both.
@@ -18,12 +20,12 @@ import numpy as np
 
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
-from .pairing import _rows, legtrig_values
+from .pairing import _rows
 
 # most nodes a composite rule may have; a refined rule (6 panels per period,
 # 32 points per panel) at omega/2pi = 2000 has 768,000
 NODE_BUDGET = 2 ** 24
-_GRAM_CHUNK = 4096  # nodes per quadrature Gram chunk
+_GRAM_CHUNK = 1024  # nodes x > 0 per quadrature Gram chunk
 MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
 
 
@@ -56,16 +58,21 @@ class OracleConfig:
         return math.ceil(panels)
 
 
+def _panels(omega: float, cfg: OracleConfig | None):
+    """Midpoints and half-widths of the composite rule's panels for omega,
+    and the Gauss-Legendre rule that each panel scales."""
+    cfg = cfg or OracleConfig()
+    n_panels = cfg.panel_count(float(omega))
+    edges = np.linspace(-1.0, 1.0, n_panels + 1)
+    return (0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]),
+            gauss_legendre_rule(cfg.points_per_panel))
+
+
 def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-1, 1] resolving oscillations up to
     frequency 2*omega, built afresh on every call.  Refuses with ValueError,
     before allocating anything, a rule of more than NODE_BUDGET nodes."""
-    cfg = cfg or OracleConfig()
-    n_panels = cfg.panel_count(float(omega))
-    base = gauss_legendre_rule(cfg.points_per_panel)
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    mid, half, base = _panels(omega, cfg)
     nodes = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
     weights = (half[:, None] * base.weights[None, :]).ravel()
     return QuadratureRule(nodes=nodes, weights=weights)
@@ -101,17 +108,34 @@ def integrate(F, freq: Frequency) -> float:
     return float(np.sum(rule.weights * values))
 
 
-def _gram(rows, omega: float, cfg: OracleConfig | None = None) -> np.ndarray:
-    """Exactly symmetric Gram matrix, by the composite rule for omega, of
-    the functions whose values at points x are the rows of rows(x); summed
-    _GRAM_CHUNK nodes at a time, so memory is bounded by the chunk."""
-    rule = composite_rule(omega, cfg)
-    G = 0.0
-    for start in range(0, rule.nodes.size, _GRAM_CHUNK):
-        chunk = slice(start, start + _GRAM_CHUNK)
-        E = rows(rule.nodes[chunk])
-        G += (E * rule.weights[chunk]) @ E.T
-    return 0.5 * (G + G.T)
+def _gram(values, blocks, size: int, omega: float,
+          cfg: OracleConfig | None = None) -> np.ndarray:
+    """Exactly symmetric size x size Gram matrix, by the composite rule for
+    omega, of functions given as an even and an odd part.  values(x) gives,
+    at nodes x > 0, the even block's rows and the odd block's rows, and
+    blocks[0], blocks[1] the function of each row.  Each block's Gram is
+    summed over the x > 0 half of composite_rule(omega, cfg) with doubled
+    weights, _GRAM_CHUNK nodes at a time, so memory is bounded by the
+    chunk; the two are added, and an entry between functions that share no
+    block stays exactly 0.0."""
+    mid, half, base = _panels(omega, cfg)
+    m = len(base)
+    n_nodes = mid.size * m  # symmetric about 0: the upper half is x > 0
+    grams = [0.0, 0.0]
+    for start in range(n_nodes // 2, n_nodes, _GRAM_CHUNK):
+        # nodes and weights with the bits of composite_rule's, built a chunk
+        # at a time so that no array grows with omega
+        p, q = np.divmod(np.arange(start, min(start + _GRAM_CHUNK, n_nodes)), m)
+        x = mid[p] + half[p] * base.nodes[q]
+        w = 2.0 * (half[p] * base.weights[q])
+        if start == n_nodes // 2 and n_nodes % 2:  # an odd rule's middle node
+            x[0], w[0] = 0.0, 0.5 * w[0]           # is 0 and not doubled
+        for b, E in enumerate(values(x)):
+            grams[b] += (E * w) @ E.T
+    G = np.zeros((size, size))
+    for rows, g in zip(blocks, grams):
+        G[np.ix_(rows, rows)] += 0.5 * (g + g.T)
+    return G
 
 
 def oracle_tables(freq: Frequency, n_max: int,
@@ -128,35 +152,68 @@ def oracle_tables(freq: Frequency, n_max: int,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     omega = freq.omega
-
-    def units(x):  # rows P_j cos(omega x), then rows P_j sin(omega x)
-        trig = np.stack([np.cos(omega * x), np.sin(omega * x)])
-        return (trig[:, None] * legendre_table(n_max, x)).reshape(-1, x.size)
-
     n = n_max + 1
-    G = _gram(units, omega, cfg)
+    j = np.arange(n)
+    # G's rows are P_j cos(omega x), then P_j sin(omega x); the even block
+    # holds P_j cos at even j and P_j sin at odd j, the odd block the rest
+    blocks = [np.concatenate([j[p::2], n + j[1 - p::2]]) for p in (0, 1)]
+
+    def units(x):
+        P = legendre_table(n_max, x)
+        cos, sin = np.cos(omega * x), np.sin(omega * x)
+        return [np.concatenate([P[p::2] * cos, P[1 - p::2] * sin]) for p in (0, 1)]
+
+    G = _gram(units, blocks, 2 * n, omega, cfg)
     m2, m3, m4 = G[:n, n:], G[:n, :n], G[n:, n:]
     return {"m2": m2, "m3": m3, "m4": m4, "m5": m3 - m4, "m6": 2.0 * m2}
 
 
 def member_gram(members, omega: float) -> np.ndarray:
     """Gram matrix of the rows of a basis or of an (A, B) pair, as
-    gram_matrix takes them, by quadrature, independent of any tables."""
+    gram_matrix takes them, by quadrature, independent of any tables.
+
+    Each row splits into an even part (cos at even degrees, sin at odd) and
+    an odd part; each parity block holds the rows whose part is nonzero and
+    is evaluated from its own half of the degrees.  A basis's members have
+    definite parity, so its cross-parity entries are exactly 0.0.
+    ValueError for a basis and an omega that is not the basis's own.
+    """
+    freq = getattr(members, "freq", None)
+    if freq is not None and omega != freq.omega:
+        raise ValueError(f"member_gram at omega={omega!r} of a basis built "
+                         f"at omega={freq.omega!r}")
     A, B = _rows(members)
-    return _gram(lambda x: legtrig_values(A, B, omega, x), omega)
+    parts = [(A[:, p::2], B[:, 1 - p::2]) for p in (0, 1)]
+    blocks = [np.flatnonzero(np.any(a != 0.0, axis=1) | np.any(b != 0.0, axis=1))
+              for a, b in parts]
+    parts = [(a[rows], b[rows]) for (a, b), rows in zip(parts, blocks)]
+
+    def values(x):
+        P = legendre_table(A.shape[1] - 1, x)
+        cos, sin = np.cos(omega * x), np.sin(omega * x)
+        return [(a @ P[p::2]) * cos + (b @ P[1 - p::2]) * sin
+                for p, (a, b) in enumerate(parts)]
+
+    return _gram(values, blocks, A.shape[0], omega)
 
 
 def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
     """Gram matrix H[i][j] = <x^i cos(omega x), x^j cos(omega x)>.
 
     This is the ill-conditioned object the Legendre-trig representation
-    avoids; for large omega it approaches hilbert_limit(n).
+    avoids; for large omega it approaches hilbert_limit(n).  x^i cos(omega
+    x) has the parity of i, so odd i + j entries are exactly 0.0.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     omega = freq.omega
-    return _gram(lambda x: np.vander(x, n + 1, increasing=True).T
-                 * np.cos(omega * x), omega)
+    i = np.arange(n + 1)
+
+    def values(x):
+        V = np.vander(x, n + 1, increasing=True).T * np.cos(omega * x)
+        return [V[0::2], V[1::2]]
+
+    return _gram(values, [i[0::2], i[1::2]], n + 1, omega)
 
 
 def hilbert_limit(n: int) -> np.ndarray:

@@ -166,6 +166,82 @@ def test_oracle_tables_memory_does_not_grow_with_omega():
     assert peak(400) <= 1.25 * peak(100)
 
 
+def _full_rule_gram(freq, rows):
+    """(E * w) @ E.T over the whole composite rule, 4096 nodes at a time,
+    with E the values rows(x) of every function at every node: the form of
+    the Gram before it was folded by parity."""
+    rule = composite_rule(freq.omega)
+    G = 0.0
+    for start in range(0, rule.nodes.size, 4096):
+        chunk = slice(start, start + 4096)
+        E = rows(rule.nodes[chunk])
+        G += (E * rule.weights[chunk]) @ E.T
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("k, n_max", [(20, 12), (50, 40), (137, 100)])
+def test_folded_grams_match_the_full_rule(k, n_max):
+    freq = Frequency.exact(k)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    want = _full_rule_gram(freq, lambda x: legtrig_values(basis.a, basis.b,
+                                                          freq.omega, x))
+    assert np.max(np.abs(member_gram(basis, freq.omega) - want)) <= 1e-13
+    want = _full_rule_gram(freq, lambda x: np.vander(x, n_max + 1, increasing=True).T
+                           * np.cos(freq.omega * x))
+    assert np.max(np.abs(monomial_gram(freq, n_max) - want)) <= 1e-13
+
+
+def test_member_gram_of_a_pair_without_parity_matches_per_member_quadrature():
+    # every coefficient nonzero, so each row is in both parity blocks
+    freq = Frequency.exact(50)
+    A, B = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 6, 11))
+    rule = composite_rule(freq.omega)
+    E = np.array([legtrig_values(a, b, freq.omega, rule.nodes) for a, b in zip(A, B)])
+    want = (E * rule.weights) @ E.T
+    got = member_gram((A, B), freq.omega)
+    assert np.max(np.abs(got - 0.5 * (want + want.T))) <= 1e-14
+    assert np.array_equal(got, got.T)
+
+
+def test_cross_parity_entries_are_exactly_zero():
+    freq = Frequency.exact(30)
+    basis = build_basis(freq, 20, build_tables(freq, 21))
+    i = np.arange(42)
+    # p_k has parity (-1)^k and q_k (-1)^(k+1): row i's parity is i//2 + i%2
+    parity = (i // 2 + i % 2) % 2
+    cross = parity[:, None] != parity[None, :]
+    assert np.all(member_gram(basis, freq.omega)[cross] == 0.0)
+    t = oracle_tables(freq, 20)
+    odd = (i[:21, None] + i[None, :21]) % 2 == 1
+    assert np.all(t["m5"][odd] == 0.0) and np.all(t["m6"][~odd] == 0.0)
+
+
+def test_member_gram_memory_does_not_grow_with_omega():
+    # 2pi*400 has four times the nodes of 2pi*100; the Gram builds its nodes
+    # a chunk at a time, so only the panel edges grow with omega
+    bases = {k: build_basis(Frequency.exact(k), 60, build_tables(Frequency.exact(k), 61))
+             for k in (100, 400)}
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            member_gram(bases[k], bases[k].freq.omega)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.25 * peak(100)
+
+
+def test_member_gram_refuses_an_omega_not_the_basis_own(basis20):
+    omega = basis20.freq.omega
+    with pytest.raises(ValueError, match=rf"omega={2 * omega!r} of a basis "
+                                         rf"built at omega={omega!r}"):
+        member_gram(basis20, 2 * omega)
+    # a bare pair has no frequency of its own and takes any omega
+    assert member_gram(basis20.rep, 2 * omega).shape == (basis20.a.shape[0],) * 2
+
+
 def test_monomial_gram_low_order_entries():
     freq = Frequency.exact(20)
     H = monomial_gram(freq, 3)
