@@ -122,10 +122,10 @@ def test_oracle_tables_consistent_under_refinement():
         assert np.max(np.abs(coarse[key] - fine[key])) <= 1e-12
 
 
-def _five_products(freq, n_max):
+def _five_products(freq, n_max, cfg=None):
     """M2 ... M6 as five weighted products over the whole rule, each with
     its own integrand: the form oracle_tables had before the chunked Gram."""
-    rule = composite_rule(freq.omega)
+    rule = composite_rule(freq.omega, cfg)
     x, w = rule.nodes, rule.weights
     P = legendre_table(n_max, x)
     Pc, Ps = P * np.cos(freq.omega * x), P * np.sin(freq.omega * x)
@@ -138,13 +138,17 @@ def _five_products(freq, n_max):
     }
 
 
-@pytest.mark.parametrize("freq, n_max", [
-    (Frequency.exact(20), 8),
-    (Frequency.exact(100), 60),
-    (Frequency.from_omega(200.3), 30),
+@pytest.mark.parametrize("freq, n_max, cfg", [
+    (Frequency.exact(20), 8, None),
+    (Frequency.exact(100), 60, None),
+    (Frequency.from_omega(200.3), 30, None),
+    # 9 panels of 9 points: an odd rule, whose middle node is x = 0
+    (Frequency.from_omega(14.0), 8, OracleConfig(2, 9)),
 ])
-def test_oracle_tables_match_five_products(freq, n_max):
-    got, want = oracle_tables(freq, n_max), _five_products(freq, n_max)
+def test_oracle_tables_match_five_products(freq, n_max, cfg):
+    if cfg is not None:
+        assert len(composite_rule(freq.omega, cfg)) == 81
+    got, want = oracle_tables(freq, n_max, cfg), _five_products(freq, n_max, cfg)
     for key in ("m2", "m3", "m4", "m5", "m6"):
         assert got[key].shape == (n_max + 1, n_max + 1)
         assert np.max(np.abs(got[key] - want[key])) <= 1e-14
