@@ -110,7 +110,7 @@ def main():
         with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("ignore", StabilityWarning)
             ms, rho, dev, gram_ms = time_cell(k, n, args.repeats,
-                                     Path(tmp) / "basis.json")
+                                              Path(tmp) / "basis.json")
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
         cols.append(f"{1e3 * ms['basis'] / n:9.2f}" if n else f"{'-':>9}")
