@@ -11,16 +11,14 @@ from .approx import (ENVELOPES, Expansion, OscTarget, evaluate_expansion,
                      plain_legendre_residuals, project, reduce_frequency,
                      residual_norm)
 from .basis import (BasisDegenerationError, OscBasis, build_basis,
-                    evaluate_member, monic_norm_profile)
+                    monic_norm_profile)
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
                        to_orthogonal_basis)
-from .documents import (load_basis, load_expansion, load_tables, save_basis,
-                        save_basis_csv, save_expansion, save_tables,
-                        save_tables_csv)
+from .documents import load_basis, load_expansion, load_tables, save_basis
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_norm_sq
-from .oracle import (OracleConfig, VerifyReport, cond_estimate, hilbert_limit,
-                     integrate, monomial_gram, verify, verify_tables)
+from .oracle import (OracleConfig, VerifyReport, monomial_gram, verify,
+                     verify_tables)
 from .pairing import gram_matrix
 from .tables import InnerProductTables, build_tables
 
@@ -41,14 +39,10 @@ __all__ = [
     "VerifyReport",
     "build_basis",
     "build_tables",
-    "cond_estimate",
     "derivative_matrix_legtrig",
     "evaluate_expansion",
-    "evaluate_member",
     "gauss_legendre_rule",
     "gram_matrix",
-    "hilbert_limit",
-    "integrate",
     "legendre_norm_sq",
     "load_basis",
     "load_expansion",
@@ -61,10 +55,6 @@ __all__ = [
     "reduce_frequency",
     "residual_norm",
     "save_basis",
-    "save_basis_csv",
-    "save_expansion",
-    "save_tables",
-    "save_tables_csv",
     "to_orthogonal_basis",
     "verify",
     "verify_tables",

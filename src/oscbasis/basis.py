@@ -324,21 +324,6 @@ def monic_norm_profile(freq: Frequency, n_max: int,
     return np.cumprod(build_basis(freq, n_max, tables).norms[0::2])
 
 
-def evaluate_member(basis: OscBasis, row_index: int, x):
-    """Value of basis row row_index at x: a float for a scalar or 0-d x,
-    else an array of x's shape."""
-    if isinstance(row_index, bool) or not isinstance(row_index, (int, np.integer)):
-        raise TypeError(f"row_index must be an integer, got {row_index!r}")
-    n_rows = 2 * (basis.n_max + 1)
-    if not 0 <= row_index < n_rows:
-        raise IndexError(
-            f"row_index {row_index} out of range for basis with {n_rows} rows"
-        )
-    length = row_index // 2 + 1
-    return legtrig_values(basis.a[row_index, :length],
-                          basis.b[row_index, :length], basis.freq.omega, x)
-
-
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:
     """All rows evaluated at once: shape (2(N+1), len(x)), 0-d x one point."""
     return legtrig_values(basis.a, basis.b, basis.freq.omega, np.atleast_1d(x))

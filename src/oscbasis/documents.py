@@ -185,13 +185,7 @@ def save_csv(obj, stem) -> list[Path]:
     return [path for path, _, _ in files]
 
 
-save_tables = save_basis = save_expansion = save
-save_tables_csv = save_csv
+save_basis = save
 load_tables = partial(load, kind=InnerProductTables)
 load_basis = partial(load, kind=OscBasis)
 load_expansion = partial(load, kind=Expansion)
-
-
-def save_basis_csv(basis: OscBasis, path) -> Path:
-    """B as one CSV file, members as rows, interleaved columns."""
-    return save_csv(basis, path)[0]

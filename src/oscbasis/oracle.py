@@ -97,17 +97,6 @@ def sample(F, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrate(F, freq: Frequency) -> float:
-    """Integral of F over [-1, 1] by composite Gauss-Legendre quadrature.
-
-    Accurate to about 1e-12 absolute for integrands of the form
-    (polynomial of degree <= 40) * trig(<= 2*omega) at default settings.
-    """
-    rule = composite_rule(freq.omega)
-    values = sample(F, rule.nodes)
-    return float(np.sum(rule.weights * values))
-
-
 def _gram(values, blocks, size: int, omega: float,
           cfg: OracleConfig | None = None) -> np.ndarray:
     """Exactly symmetric size x size Gram matrix, by the composite rule for
@@ -201,8 +190,9 @@ def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
     """Gram matrix H[i][j] = <x^i cos(omega x), x^j cos(omega x)>.
 
     This is the ill-conditioned object the Legendre-trig representation
-    avoids; for large omega it approaches hilbert_limit(n).  x^i cos(omega
-    x) has the parity of i, so odd i + j entries are exactly 0.0.
+    avoids; for large omega it approaches L[i][j] = (1 + (-1)^(i+j)) /
+    (2 (i+j+1)), which behaves like a Hilbert matrix.  x^i cos(omega x) has
+    the parity of i, so odd i + j entries are exactly 0.0.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -214,40 +204,6 @@ def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
         return [V[0::2], V[1::2]]
 
     return _gram(values, [i[0::2], i[1::2]], n + 1, omega)
-
-
-def hilbert_limit(n: int) -> np.ndarray:
-    """The omega -> infinity limit of monomial_gram on [-1, 1]:
-    L[i][j] = (1 + (-1)^(i+j)) / (2 (i+j+1)).
-
-    Odd i+j entries vanish by parity; the even ones reproduce Hilbert-matrix
-    behaviour, which is what makes the monomial-trig Gram ill-conditioned.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    i = np.arange(n + 1)
-    s = i[:, None] + i[None, :]
-    return (1.0 + (-1.0) ** s) / (2.0 * (s + 1))
-
-
-def cond_estimate(matrix) -> float:
-    """2-norm condition number of a symmetric matrix.
-
-    max|lambda| / min|lambda| over the eigenvalues from the symmetric
-    eigensolver; 1.0 for an empty matrix, inf for a singular one.
-    """
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("matrix must be symmetric")
-    if A.shape[0] == 0:
-        return 1.0
-    eigs = np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))
-    if scale == 0.0 or eigs.min() == 0.0:
-        return math.inf
-    return float(eigs.max() / eigs.min())
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from oscbasis import Frequency, build_basis, build_tables
+from oscbasis.oracle import composite_rule, sample
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +19,21 @@ def tables20(freq20):
 @pytest.fixture(scope="session")
 def basis20(freq20, tables20):
     return build_basis(freq20, 12, tables20)
+
+
+@pytest.fixture(scope="session")
+def quad():
+    """F integrated over [-1, 1] by the oracle's composite rule for omega."""
+    def quad(F, omega):
+        rule = composite_rule(omega)
+        return float(np.sum(rule.weights * sample(F, rule.nodes)))
+    return quad
+
+
+@pytest.fixture(scope="session")
+def cond():
+    """max|lambda| / min|lambda| of a symmetric matrix."""
+    def cond(G):
+        eigs = np.abs(np.linalg.eigvalsh(0.5 * (G + G.T)))
+        return float(eigs.max() / eigs.min())
+    return cond

@@ -30,14 +30,7 @@ from oscbasis import (
 from oscbasis.approx import plain_legendre_residuals
 from oscbasis.cli import main
 from oscbasis.frequency import TWO_PI
-from oscbasis.oracle import (
-    cond_estimate,
-    hilbert_limit,
-    integrate,
-    member_gram,
-    monomial_gram,
-    oracle_tables,
-)
+from oscbasis.oracle import member_gram, monomial_gram, oracle_tables
 from oscbasis.pairing import gram_matrix
 
 
@@ -124,33 +117,33 @@ def test_criterion_04_stability_bracket(capsys):
     assert dev_hi <= 1e-8
 
 
-def test_criterion_05_conditioning_contrast(capsys):
+def test_criterion_05_conditioning_contrast(capsys, cond):
+    # The exact omega -> infinity limit of the monomial-trig Gram, from its
+    # closed form L[i][j] = 1/(i+j+1) for even i+j and 0 for odd i+j
+    def limit(n):
+        idx = np.arange(n + 1)
+        total = idx[:, None] + idx[None, :]
+        return np.where(total % 2 == 0, 1.0 / (total + 1.0), 0.0)
+
     # (a) monomial-trig Gram approaches its frequency-free limit
-    limit = hilbert_limit(5)
+    limit_5 = limit(5)
     devs = []
     for k in (10, 100, 1000):
         H = monomial_gram(Frequency.exact(k), 5)
-        devs.append(float(np.max(np.abs(H - limit))))
+        devs.append(float(np.max(np.abs(H - limit_5))))
     sweep_ok = devs[0] >= devs[1] >= devs[2] and devs[-1] <= 1e-2
 
     # (b) and (c): conditioning contrast at omega = 2pi*50, N = 10
     freq = Frequency.exact(50)
-    cond_mono = cond_estimate(monomial_gram(freq, 10))
+    cond_mono = cond(monomial_gram(freq, 10))
 
-    # Reference: the exact omega -> infinity limit, written out from its
-    # closed form L[i][j] = 1/(i+j+1) for even i+j and 0 for odd i+j.
-    # Parity splits it into an even Hankel block (entries 1/(2a+2b+1)) and
-    # an odd one (entries 1/(2a+2b+3)), so cond grows with N/2, not N.
-    def cond_spd(m):
-        eig = np.linalg.eigvalsh(m)
-        return float(eig[-1] / eig[0])
-
-    idx = np.arange(11)
-    total = idx[:, None] + idx[None, :]
-    limit_10 = np.where(total % 2 == 0, 1.0 / (total + 1.0), 0.0)
-    cond_limit = cond_spd(limit_10)
-    cond_even = cond_spd(limit_10[0::2, 0::2])
-    cond_odd = cond_spd(limit_10[1::2, 1::2])
+    # Reference: the exact limit.  Parity splits it into an even Hankel
+    # block (entries 1/(2a+2b+1)) and an odd one (entries 1/(2a+2b+3)), so
+    # cond grows with N/2, not N.
+    limit_10 = limit(10)
+    cond_limit = cond(limit_10)
+    cond_even = cond(limit_10[0::2, 0::2])
+    cond_odd = cond(limit_10[1::2, 1::2])
     mono_gap = cond_mono / cond_limit - 1.0
 
     tables = build_tables(freq, 10)
@@ -158,7 +151,7 @@ def test_criterion_05_conditioning_contrast(capsys):
     A, B = np.zeros((2, 22, 11))
     A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
     B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
-    cond_legtrig = cond_estimate(gram_matrix((A, B), tables))
+    cond_legtrig = cond(gram_matrix((A, B), tables))
 
     # The finite-omega gap to the limit is O(N / omega^2) (about 4e-3 here);
     # the Gram one degree off misses the reference by a factor of 0.18 or 5.5.
@@ -230,7 +223,7 @@ def test_criterion_07_reduction_pipeline_pointwise(capsys):
     assert dev <= 1e-7
 
 
-def test_criterion_08_degree_cost_frequency_independence(capsys):
+def test_criterion_08_degree_cost_frequency_independence(capsys, quad):
     osc_n = {}
     plain_n = {}
     for k, plain_cap in ((20, 400), (200, 1500)):
@@ -240,7 +233,7 @@ def test_criterion_08_degree_cost_frequency_independence(capsys):
         tables = build_tables(freq, 13)
         basis = build_basis(freq, 12, tables)
         exp = project(target, basis)
-        total = integrate(lambda x: target.evaluate(x) ** 2, freq)
+        total = quad(lambda x: target.evaluate(x) ** 2, freq.omega)
         c2 = exp.coeffs**2
         osc = None
         for n in range(13):

@@ -11,9 +11,10 @@ from oscbasis import (ENVELOPES, BasisDegenerationError, Frequency, OscTarget,
                       build_basis, build_tables, derivative_matrix_legtrig,
                       evaluate_expansion, gram_matrix, load_basis,
                       load_expansion, load_tables, project, reduce_frequency,
-                      residual_norm, save_basis, save_expansion, save_tables,
-                      to_orthogonal_basis, verify_tables)
+                      residual_norm, save_basis, to_orthogonal_basis,
+                      verify_tables)
 from oscbasis.basis import member_values, representation_matrix
+from oscbasis.documents import save
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import OracleConfig, composite_rule, member_gram
 
@@ -29,7 +30,7 @@ def test_bench_names_and_call_forms(tmp_path):
     assert np.max(np.abs(member_gram(basis.rep, freq.omega) - G)) <= 1e-12
     nodes = composite_rule(freq.omega, OracleConfig(6, 32)).nodes
     assert member_values(basis, nodes).shape == (18, nodes.size)
-    assert verify_tables(load_tables(save_tables(tables, tmp_path / "t.json")),
+    assert verify_tables(load_tables(save(tables, tmp_path / "t.json")),
                          1e-10).passed
     doc = json.loads((tmp_path / "t.json").read_text())
     assert doc["n_max"] == 9 and np.asarray(doc["m5"]).shape == (10, 10)
@@ -38,8 +39,7 @@ def test_bench_names_and_call_forms(tmp_path):
     target = OscTarget(f_env=ENVELOPES["zero"], g_env=ENVELOPES["one"],
                        freq_raw=freq.omega + 0.1)
     _, reduced = reduce_frequency(target)
-    exp = load_expansion(save_expansion(project(reduced, loaded),
-                                        tmp_path / "e.json"))
+    exp = load_expansion(save(project(reduced, loaded), tmp_path / "e.json"))
     assert residual_norm(reduced, exp, loaded) <= 1e-6
     assert np.isfinite(evaluate_expansion(exp, loaded, 0.3))
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 8), loaded)

@@ -16,17 +16,15 @@ from oscbasis import (
     StabilityWarning,
     build_basis,
     build_tables,
-    evaluate_member,
     load_basis,
     monic_norm_profile,
     save_basis,
-    save_tables,
 )
 from oscbasis.basis import member_values, representation_matrix
-from oscbasis.documents import from_doc, save_basis_csv, to_doc
+from oscbasis.documents import from_doc, save, save_csv, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram
-from oscbasis.pairing import gram_matrix, legtrig_values
+from oscbasis.pairing import gram_matrix
 
 
 def _build_quiet(freq, n_max, tables, **kw):
@@ -220,9 +218,8 @@ def _fields(basis, **changes):
 
 
 @pytest.mark.parametrize("part, row, degree, value, message", [
-    # row 0 is p_0, of degree 0: evaluate_member would ignore the stray
-    # coefficient, member_values would use it, and the content hash would
-    # not see it
+    # row 0 is p_0, of degree 0: member_values would use the stray
+    # coefficient, and the content hash would not see it
     ("a", 0, 4, 1.0, r"member 0 \(p_0\) has cosine coefficient 1.0 at degree 4, "
                      r"beyond its degree 0"),
     ("b", 9, 5, np.nan, r"member 9 \(q_4\) has sine coefficient nan at degree 5, "
@@ -447,22 +444,10 @@ def test_build_rejects_bad_inputs(freq20, tables20):
 
 
 def test_member_evaluation(freq20, basis20):
-    assert evaluate_member(basis20, 0, 0.0) == 1.0
-    assert evaluate_member(basis20, 1, 0.0) == 0.0
-    assert evaluate_member(basis20, 2, 0.0) == 0.0
+    assert list(member_values(basis20, 0.0)[:3, 0]) == [1.0, 0.0, 0.0]
     x = np.linspace(-1.0, 1.0, 5)
     vals = member_values(basis20, x)
     assert vals.shape == (26, 5)
-    assert vals[3, 2] == pytest.approx(evaluate_member(basis20, 3, 0.0), rel=1e-14, abs=1e-15)
-    with pytest.raises(IndexError):
-        evaluate_member(basis20, 26, 0.0)
-
-
-@pytest.mark.parametrize("row_index", [True, 3.0, "3", None])
-def test_member_evaluation_refuses_non_integer_row(basis20, row_index):
-    with pytest.raises(TypeError, match=f"row_index must be an integer, got {row_index!r}"):
-        evaluate_member(basis20, row_index, 0.0)
-    assert evaluate_member(basis20, np.int64(3), 0.3) == evaluate_member(basis20, 3, 0.3)
 
 
 def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
@@ -470,12 +455,6 @@ def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
     assert np.array_equal(gram_matrix(basis20, tables20),
                           gram_matrix(basis20.rep, tables20))
     assert np.array_equal(member_gram(basis20, omega), member_gram(basis20.rep, omega))
-    x = np.linspace(-1.0, 1.0, 7)
-    for i in range(basis20.a.shape[0]):
-        member = _member(basis20, i)
-        assert np.array_equal(evaluate_member(basis20, i, x),
-                              legtrig_values(*member, omega, x))
-        assert evaluate_member(basis20, i, 0.3) == legtrig_values(*member, omega, 0.3)
 
 
 def test_monic_norms_decrease(freq20, tables20):
@@ -519,7 +498,7 @@ def test_serialization_round_trip(basis20, tmp_path):
 
 
 def test_load_basis_refuses_tables_file(tables20, tmp_path):
-    path = save_tables(tables20, tmp_path / "tables.json")
+    path = save(tables20, tmp_path / "tables.json")
     with pytest.raises(ValueError, match="holds InnerProductTables, not OscBasis"):
         load_basis(path)
 
@@ -543,7 +522,7 @@ def test_representation_matrix_layout(basis20):
 
 
 def test_csv_export_round_trips(basis20, tmp_path):
-    path = save_basis_csv(basis20, tmp_path / "basis.csv")
+    [path] = save_csv(basis20, tmp_path / "basis.csv")
     header = path.read_text().splitlines()[0]
     assert header.startswith("c0,")
     data = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from oscbasis import (ENVELOPES, OscTarget, StabilityWarning, build_tables,
-                      load_basis, save_basis, save_tables)
+                      load_basis)
 from oscbasis.approx import Expansion
 from oscbasis.basis import member_values
 from oscbasis.cli import main
-from oscbasis.documents import save_expansion
+from oscbasis.documents import save
 from oscbasis.frequency import TWO_PI, parse_omega_spec
 from oscbasis.oracle import OracleConfig, composite_rule
 
@@ -34,7 +34,7 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    for cmd in ("tables", "basis", "verify", "project", "diff", "hilbert-demo"):
+    for cmd in ("tables", "basis", "verify", "project", "diff"):
         with pytest.raises(SystemExit) as sub:
             main([cmd, "--help"])
         assert sub.value.code == 0
@@ -135,9 +135,9 @@ def test_basis_reports_self_check(tmp_path, capsys):
     out = tmp_path / "basis.json"
     assert _run("basis", "--omega", "2pi*20", "--n", "6", "--out", out) == 0
     stdout = capsys.readouterr().out
-    line = next(l for l in stdout.splitlines() if "self-check" in l)
-    dev = float(line.split("=")[1].split()[0])
-    assert dev <= 1e-10
+    line = next(l for l in stdout.splitlines() if l.startswith("rho = "))
+    rho = float(line.split("=")[-1])
+    assert rho <= 1e-12
     basis = load_basis(out)
     assert basis.n_max == 6
     assert basis.a.shape[0] == 14
@@ -389,8 +389,7 @@ def test_verify_refuses_expansion_document(workdir, tmp_path, capsys):
 
 def test_verify_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
     # the tables command refuses this frequency, so the file is written here
-    path = save_tables(build_tables(parse_omega_spec("1e308"), 2),
-                       tmp_path / "huge.json")
+    path = save(build_tables(parse_omega_spec("1e308"), 2), tmp_path / "huge.json")
     assert _run("verify", path) == 2
     assert "over the budget of 16777216" in capsys.readouterr().err
 
@@ -499,8 +498,8 @@ def test_diff_differentiates_first_member(workdir, tmp_path, capsys):
     coeffs = np.zeros(18)
     coeffs[0] = 1.0
     exp_path = tmp_path / "e0.json"
-    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(), coeffs),
-                   exp_path)
+    save(Expansion(basis.freq, basis.n_max, basis.content_hash(), coeffs),
+         exp_path)
     out = tmp_path / "d.json"
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path, "--out", out)
     assert rc == 0
@@ -517,8 +516,7 @@ def test_diff_differentiates_first_member(workdir, tmp_path, capsys):
 def test_diff_rejects_mismatched_expansion(workdir, tmp_path, capsys):
     basis = load_basis(workdir / "basis.json")
     exp_path = tmp_path / "stale.json"
-    save_expansion(Expansion(basis.freq, basis.n_max, "0" * 64, np.zeros(18)),
-                   exp_path)
+    save(Expansion(basis.freq, basis.n_max, "0" * 64, np.zeros(18)), exp_path)
     capsys.readouterr()
     rc = _run("diff", "--basis", workdir / "basis.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
@@ -540,8 +538,8 @@ def _wrong_parity_basis(workdir, path, value):
 
 def _expansion_file(workdir, path):
     basis = load_basis(workdir / "basis.json")
-    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
-                             np.ones(18)), path)
+    save(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                   np.ones(18)), path)
     return path
 
 
@@ -586,8 +584,8 @@ def test_diff_refuses_wrong_parity_nan(workdir, tmp_path, capsys):
     (tmp_path / "nan.json").write_text(json.dumps(doc))
     basis = load_basis(workdir / "basis.json")
     exp_path = tmp_path / "e.json"
-    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
-                             np.ones(18)), exp_path)
+    save(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                   np.ones(18)), exp_path)
     rc = _run("diff", "--basis", tmp_path / "nan.json", "--expansion", exp_path,
               "--out", tmp_path / "d.json")
     assert rc == 2
@@ -628,53 +626,14 @@ def test_commands_refuse_operator_document(tmp_path, capsys, command):
     assert "not a tables, basis or expansion document" in capsys.readouterr().err
 
 
-def test_hilbert_demo_single_mode(tmp_path):
-    out = tmp_path / "demo.csv"
-    assert _run("hilbert-demo", "--n", "0", "--omegas", "2pi*10", "--out", out) == 0
-    header, row = out.read_text().splitlines()
-    assert header == "omega,max_dev_from_limit,cond_monomial_gram,cond_legtrig_gram"
-    omega, dev, cond_m, cond_l = (float(v) for v in row.split(","))
-    assert omega == TWO_PI * 10
-    assert cond_m == pytest.approx(1.0, rel=1e-12)
-    assert cond_l == pytest.approx(1.0, rel=1e-12)
-    assert dev <= 1e-2
-
-
-def test_hilbert_demo_deviation_shrinks_with_frequency(tmp_path):
-    out = tmp_path / "demo.csv"
-    rc = _run("hilbert-demo", "--n", "5", "--omegas", "2pi*10,2pi*100", "--out", out)
-    assert rc == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    devs = [float(r[1]) for r in rows]
-    assert devs[0] > devs[1]
-
-
-def test_hilbert_demo_rejects_large_n(tmp_path):
-    assert _run("hilbert-demo", "--n", "13", "--omegas", "2pi*10",
-                "--out", tmp_path / "d.csv") == 2
-
-
-def test_hilbert_demo_refuses_oracle_rule_over_node_budget(tmp_path, capsys):
-    assert _run("hilbert-demo", "--n", "2", "--omegas", "1e308",
-                "--out", tmp_path / "d.csv") == 2
-    assert "over the budget" in capsys.readouterr().err
-
-
-def test_hilbert_demo_refuses_an_empty_frequency_list(tmp_path, capsys):
-    assert _run("hilbert-demo", "--n", "2", "--omegas", ",",
-                "--out", tmp_path / "d.csv") == 2
-    assert "--omegas must list at least one frequency" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_diff_refuses_a_basis_with_a_singular_class_block(tmp_path, capsys):
     assert _run("basis", "--omega", "2pi*20", "--n", "6", "--out", tmp_path / "b.json") == 0
     doc = json.loads((tmp_path / "b.json").read_text())
     doc["rows"][4]["a"][2] = 0.0
     (tmp_path / "b.json").write_text(json.dumps(doc))
     basis = load_basis(tmp_path / "b.json")
-    save_expansion(Expansion(basis.freq, basis.n_max, basis.content_hash(),
-                             np.ones(14)), tmp_path / "e.json")
+    save(Expansion(basis.freq, basis.n_max, basis.content_hash(),
+                   np.ones(14)), tmp_path / "e.json")
     capsys.readouterr()
     assert _run("diff", "--basis", tmp_path / "b.json", "--expansion",
                 tmp_path / "e.json", "--out", tmp_path / "d.json") == 2

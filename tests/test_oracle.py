@@ -9,12 +9,10 @@ from oscbasis.legendre import legendre_table
 from oscbasis.oracle import (
     OracleConfig,
     composite_rule,
-    cond_estimate,
-    hilbert_limit,
-    integrate,
     member_gram,
     monomial_gram,
     oracle_tables,
+    sample,
     verify,
 )
 from oscbasis.pairing import legtrig_values
@@ -73,36 +71,35 @@ def test_composite_rule_covers_interval():
     assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_integrate_constant():
+def test_integrate_constant(quad):
     freq = Frequency.exact(20)
-    assert integrate(lambda x: np.ones_like(x), freq) == pytest.approx(2.0, rel=1e-14)
+    assert quad(lambda x: np.ones_like(x), freq.omega) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_integrate_squared_cosine():
+def test_integrate_squared_cosine(quad):
     freq = Frequency.exact(20)
-    val = integrate(lambda x: np.cos(freq.omega * x) ** 2, freq)
+    val = quad(lambda x: np.cos(freq.omega * x) ** 2, freq.omega)
     assert val == pytest.approx(1.0, abs=1e-13)
 
 
-def test_integrate_resolves_double_frequency():
+def test_integrate_resolves_double_frequency(quad):
     freq = Frequency.exact(20)
-    val = integrate(lambda x: x * np.sin(2.0 * freq.omega * x), freq)
+    val = quad(lambda x: x * np.sin(2.0 * freq.omega * x), freq.omega)
     assert val == pytest.approx(-1.0 / freq.omega, rel=1e-12)
 
 
 def test_integrate_rejects_non_finite_samples():
-    freq = Frequency.exact(2)
+    nodes = composite_rule(Frequency.exact(2).omega).nodes
     with pytest.raises(ValueError, match="non-finite"):
-        integrate(lambda x: np.where(np.abs(x) < 0.5, np.nan, 1.0), freq)
+        sample(lambda x: np.where(np.abs(x) < 0.5, np.nan, 1.0), nodes)
 
 
-def test_integrate_broadcasts_a_scalar_and_refuses_a_wrong_shape():
-    freq = Frequency.exact(2)
-    assert integrate(lambda x: 2.0, freq) == integrate(
-        lambda x: np.full_like(x, 2.0), freq)
+def test_integrate_broadcasts_a_scalar_and_refuses_a_wrong_shape(quad):
+    omega = Frequency.exact(2).omega
+    assert quad(lambda x: 2.0, omega) == quad(lambda x: np.full_like(x, 2.0), omega)
     with pytest.raises(ValueError, match=r"returned shape \(3,\), which does "
                                          r"not broadcast"):
-        integrate(lambda x: np.ones(3), freq)
+        sample(lambda x: np.ones(3), composite_rule(omega).nodes)
 
 
 def test_oracle_entry_known_values():
@@ -163,8 +160,8 @@ def test_oracle_tables_of_an_odd_rule_match_five_products():
 
 def test_oracle_tables_memory_does_not_grow_with_omega():
     # 2pi*400 has four times the nodes of 2pi*100; both span several chunks.
-    # The rule, built inside each call, is the one part that grows with
-    # omega: 16 bytes a node, 1.2 MB at 2pi*400
+    # The Gram builds its nodes a chunk at a time, so only the panel edges
+    # grow with omega
     def peak(k):
         freq = Frequency.exact(k)
         tracemalloc.start()
@@ -265,19 +262,10 @@ def test_monomial_gram_low_order_entries():
         monomial_gram(freq, -1)
 
 
-def test_hilbert_limit_entries():
-    L = hilbert_limit(2)
-    assert L.shape == (3, 3)
-    assert L[0, 0] == 1.0
-    assert L[0, 1] == 0.0
-    assert L[1, 1] == 1.0 / 3.0
-    for i in range(3):
-        for j in range(3):
-            assert L[i, j] == (1.0 + (-1.0) ** (i + j)) / (2.0 * (i + j + 1.0))
-
-
 def test_monomial_gram_approaches_hilbert_limit():
-    limit = hilbert_limit(5)
+    i = np.arange(6)
+    s = i[:, None] + i[None, :]
+    limit = (1.0 + (-1.0) ** s) / (2.0 * (s + 1))
     devs = []
     for k in (10, 100, 1000):
         H = monomial_gram(Frequency.exact(k), 5)
@@ -286,27 +274,7 @@ def test_monomial_gram_approaches_hilbert_limit():
     assert devs[-1] <= 1e-2
 
 
-def test_cond_estimate_simple_matrices():
-    assert cond_estimate(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
-    assert cond_estimate(np.diag([1.0, 1e-8])) == pytest.approx(1e8, rel=1e-6)
-    assert cond_estimate(np.array([[3.0]])) == 1.0
-    assert cond_estimate(np.array([[0.0]])) == np.inf
-
-
-def test_cond_estimate_tracks_dense_spectra():
-    # within a factor of 2 of the factored reference on small dense instances
-    rng = np.random.default_rng(7)
-    for n in (3, 6, 10):
-        A = rng.standard_normal((n, n))
-        S = A @ A.T + 1e-6 * np.eye(n)
-        ref = np.linalg.cond(S)
-        est = cond_estimate(S)
-        assert ref / 2.0 <= est <= ref * 2.0
-    L = hilbert_limit(10)
-    assert cond_estimate(L) == pytest.approx(np.linalg.cond(L), rel=1e-6)
-
-
-def test_monomial_gram_parity_split_and_limit_conditioning():
+def test_monomial_gram_parity_split_and_limit_conditioning(cond):
     # odd i+j entries pair an even with an odd integrand and vanish, so the
     # Gram splits into even and odd Hankel blocks; 2pi*50 gives 9600 nodes,
     # so the Gram sums more than one node chunk and must stay symmetric
@@ -316,7 +284,8 @@ def test_monomial_gram_parity_split_and_limit_conditioning():
     odd = (i[:, None] + i[None, :]) % 2 == 1
     assert np.max(np.abs(H[odd])) <= 1e-12
 
-    # cond(hilbert_limit(10)) against a 50-digit eigenvalue reference
+    # cond of the omega -> infinity limit against a 50-digit eigenvalue
+    # reference
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         L = mpmath.zeros(11, 11)
@@ -327,17 +296,11 @@ def test_monomial_gram_parity_split_and_limit_conditioning():
         eigs = mpmath.eigsy(L, eigvals_only=True)
         ref = float(max(eigs) / min(eigs))
     assert ref == pytest.approx(9.44308e6, rel=1e-6)
-    assert cond_estimate(hilbert_limit(10)) == pytest.approx(ref, rel=1e-6)
+    s = i[:, None] + i[None, :]
+    assert cond((1.0 + (-1.0) ** s) / (2.0 * (s + 1))) == pytest.approx(ref, rel=1e-6)
 
 
-def test_cond_estimate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        cond_estimate(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    with pytest.raises(ValueError):
-        cond_estimate(np.ones((2, 3)))
-
-
-def test_legtrig_units_stay_well_conditioned():
+def test_legtrig_units_stay_well_conditioned(cond):
     # normalized single-mode rows at a frequency well above the degree
     from oscbasis import build_tables
     from oscbasis.pairing import gram_matrix
@@ -348,7 +311,7 @@ def test_legtrig_units_stay_well_conditioned():
     A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
     B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
     G = gram_matrix((A, B), tables)
-    assert cond_estimate(G) <= 10.0
+    assert cond(G) <= 10.0
 
 
 def test_verify_takes_tables_or_basis_and_nothing_else():
@@ -369,12 +332,3 @@ def test_verify_takes_tables_or_basis_and_nothing_else():
 def test_oracle_tables_refuses_negative_degree():
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         oracle_tables(Frequency.exact(3), -1)
-
-
-def test_hilbert_limit_refuses_negative_size():
-    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-        hilbert_limit(-1)
-
-
-def test_cond_estimate_of_empty_matrix_is_one():
-    assert cond_estimate(np.zeros((0, 0))) == 1.0

@@ -17,7 +17,7 @@ from oscbasis.frequency import TWO_PI
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(script, args):
+def _proc(script, args):
     # run against the package under test, wherever it was imported from
     package_root = str(Path(oscbasis.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -25,8 +25,12 @@ def _run(script, args):
         p for p in (package_root, env.get("PYTHONPATH")) if p)
     # as in the test suite's own warning filter
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run(script, args):
+    proc = _proc(script, args)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines and lines[-1].strip()
@@ -134,3 +138,46 @@ def test_approx_cost_prints_every_layer_and_the_residual():
         # exp / runge at N = 12: the residual does not depend on omega
         assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[10]), row[10]
         assert 1e-3 < float(row[10]) < 1.0
+
+
+def test_hilbert_demo_single_mode(tmp_path):
+    out = tmp_path / "demo.csv"
+    _run("hilbert_demo.py", ["--n", "0", "--omegas", "2pi*10", "--out", out])
+    header, row = out.read_text().splitlines()
+    assert header == "omega,max_dev_from_limit,cond_monomial_gram,cond_legtrig_gram"
+    omega, dev, cond_m, cond_l = (float(v) for v in row.split(","))
+    assert omega == TWO_PI * 10
+    assert cond_m == pytest.approx(1.0, rel=1e-12)
+    assert cond_l == pytest.approx(1.0, rel=1e-12)
+    assert dev <= 1e-2
+
+
+def test_hilbert_demo_deviation_shrinks_with_frequency(tmp_path):
+    out = tmp_path / "demo.csv"
+    _run("hilbert_demo.py", ["--n", "5", "--omegas", "2pi*10,2pi*100", "--out", out])
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    devs = [float(r[1]) for r in rows]
+    assert devs[0] > devs[1]
+
+
+def _demo_refusal(tmp_path, n, omegas):
+    """stderr of a demo run that must exit 2 and write nothing."""
+    proc = _proc("hilbert_demo.py", ["--n", n, "--omegas", omegas,
+                                     "--out", tmp_path / "d.csv"])
+    assert proc.returncode == 2
+    assert list(tmp_path.iterdir()) == []
+    return proc.stderr
+
+
+def test_hilbert_demo_rejects_large_n(tmp_path):
+    assert "error: --n must be between 0 and 12 (desk scale), got 13" in \
+        _demo_refusal(tmp_path, 13, "2pi*10")
+
+
+def test_hilbert_demo_refuses_oracle_rule_over_node_budget(tmp_path):
+    assert "over the budget of 16777216" in _demo_refusal(tmp_path, 2, "1e308")
+
+
+def test_hilbert_demo_refuses_an_empty_frequency_list(tmp_path):
+    assert "error: --omegas must list at least one frequency" in \
+        _demo_refusal(tmp_path, 2, ",")

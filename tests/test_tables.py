@@ -10,10 +10,9 @@ from oscbasis import (
     StabilityWarning,
     build_tables,
     load_tables,
-    save_tables,
     verify_tables,
 )
-from oscbasis.documents import SCHEMA_VERSION, from_doc, save_tables_csv, to_doc
+from oscbasis.documents import SCHEMA_VERSION, from_doc, save, save_csv, to_doc
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import composite_rule, oracle_tables
 from oscbasis.tables import MAX_DEGREE
@@ -273,7 +272,7 @@ def test_verify_runs_at_stability_boundary():
 
 def test_json_round_trip_is_bit_exact(tables20, tmp_path):
     path = tmp_path / "tables.json"
-    save_tables(tables20, path)
+    save(tables20, path)
     loaded = load_tables(path)
     assert loaded.freq == tables20.freq
     assert loaded.n_max == tables20.n_max
@@ -290,7 +289,7 @@ def test_doc_round_trip(tables20):
 
 
 def test_csv_export_round_trips(tables20, tmp_path):
-    save_tables_csv(tables20, tmp_path / "t")
+    save_csv(tables20, tmp_path / "t")
     for key in ("m1", "m2", "m3", "m4", "m5", "m6"):
         path = tmp_path / f"t_{key}.csv"
         assert path.exists()
