@@ -5,19 +5,18 @@ For each target frequency 2pi * periods this builds the N-pair basis at
 the nearest 2pi * k (`reduce_frequency`), projects an exp/runge target
 (f = exp, g = runge) at the raw frequency onto it, and times, R times
 over: the uncached build of the Gauss-Legendre analysis rule
-(`_analysis`), the Filon weights for a new omega
-(`_filon_weights`, uncached), `project` and `residual_norm` (the weights
-cached, as they are after the first call at a frequency; the residual on
+(`_analysis`), the Filon weights (`_filon_weights`, which every
+`project` computes afresh), `project` and `residual_norm` (the residual on
 the expansion and target that `project` just sampled, so it reuses their
-samples), `residual_norm` on a copy of the target that `project` has not
-sampled (`residual_fresh`: it samples the envelopes and checks their
-resolution again), `project` and `residual_norm` together on a fresh copy
-of the basis object (`project_fresh`: nothing cached on the basis, so it
-includes the basis's first content hash, as on a first projection onto a
-new basis), the content hash alone on a fresh copy (`content_hash`: paid
-once per basis object), and `evaluate_expansion` at 2001 points and at one
-scalar point.  It prints the median of each in milliseconds, and the
-residual.
+samples and weights), `residual_norm` on a copy of the target that
+`project` has not sampled (`residual_fresh`: it samples the envelopes and
+checks their resolution again), `project` and `residual_norm` together
+on a fresh copy of the basis object (`project_fresh`: nothing cached on
+the basis, so it includes the basis's first content hash, as on a first
+projection onto a new basis), the content hash alone on a fresh copy
+(`content_hash`: paid once per basis object), and `evaluate_expansion` at
+2001 points and at one scalar point.  It prints the median of each in
+milliseconds, and the residual.
 
     python scripts/approx_cost.py --periods 20.3,200.3,2000.3 --repeats 21
     python scripts/approx_cost.py --n 200 --periods 330.3 --repeats 3
@@ -73,7 +72,7 @@ def time_period(periods: float, n: int, repeats: int):
             for values in times.values():
                 values.clear()
         timed("analysis", _analysis.__wrapped__, points)
-        timed("filon_w", _filon_weights.__wrapped__, freq, points)
+        timed("filon_w", _filon_weights, freq, points)
         exp = timed("project", project, target, basis)
         resid = timed("residual", residual_norm, target, exp, basis)
         timed("residual_fresh", residual_norm, replace(target), exp, basis)

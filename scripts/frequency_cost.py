@@ -12,14 +12,43 @@ nearest 2pi * k (`reduce_frequency`).
 """
 
 import argparse
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from oscbasis import (ENVELOPES, OscTarget, build_basis, build_tables, project,
                       reduce_frequency, residual_norm)
-from oscbasis.approx import plain_legendre_residuals
+from oscbasis.approx import sample
 from oscbasis.frequency import TWO_PI
+from oscbasis.legendre import legendre_rows
+from oscbasis.oracle import composite_rule
+
+
+def plain_legendre_residuals(target: OscTarget, n_max: int) -> np.ndarray:
+    """Residual norms of plain Legendre expansions of the full oscillatory
+    target, degrees 0 ... n_max.
+
+    The comparison baseline for the frequency-independence claim: expanding
+    F itself (oscillations included) in P_0 ... P_n needs n to grow with
+    omega.  Computed in one streaming recurrence pass over the oracle's
+    composite rule, on the residual's own values (no Parseval cancellation,
+    which would floor the residuals near 1e-8 of the target's norm), with
+    ||P_n||^2 = 2/(2n+1); accurate while n_max stays below the node budget
+    of the rule.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    rule = composite_rule(target.freq_raw)
+    x, w = rule.nodes, rule.weights
+    F = sample(target.evaluate, x)
+    wF = w * F
+    r = F.copy()
+    residuals = np.empty(n_max + 1)
+    for n, pn in zip(range(n_max + 1), legendre_rows(x)):
+        r -= float(np.sum(wF * pn)) / (2.0 / (2 * n + 1)) * pn
+        residuals[n] = math.sqrt(float(np.sum(w * r * r)))
+    return residuals
 
 
 def smallest_osc_degree(freq, target, tol, n_cap=12):

@@ -11,7 +11,24 @@ as build_basis does (N = 200 at 2pi*400, h_200 ~ 1e-60).  Run e.g.
 
 import argparse
 
-from oscbasis import build_tables, monic_norm_profile, parse_omega_spec
+import numpy as np
+
+from oscbasis import (Frequency, InnerProductTables, build_basis, build_tables,
+                      parse_omega_spec)
+
+
+def monic_norm_profile(freq: Frequency, n_max: int,
+                       tables: InnerProductTables) -> np.ndarray:
+    """Norms h_k of the monic p-side members, k = 0 ... n_max.
+
+    The monic run (no rescaling of recurrence inputs) is the normalized run
+    scaled by h_k, so h_k is the running product of build_basis's
+    pre-normalization p-side norms.  This is the decay diagnostic: h_0 =
+    ||cos(omega x)|| and the h_k shrink rapidly, which is why build_basis
+    normalizes at every step.  The q-side norms track the p-side ones
+    closely and are not reported separately.
+    """
+    return np.cumprod(build_basis(freq, n_max, tables).norms[0::2])
 
 
 def main():

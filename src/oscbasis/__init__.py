@@ -8,15 +8,13 @@ quadrature oracle.
 """
 
 from .approx import (ENVELOPES, Expansion, OscTarget, evaluate_expansion,
-                     plain_legendre_residuals, project, reduce_frequency,
-                     residual_norm)
-from .basis import (BasisDegenerationError, OscBasis, build_basis,
-                    monic_norm_profile)
+                     project, reduce_frequency, residual_norm)
+from .basis import BasisDegenerationError, OscBasis, build_basis
 from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
                        to_orthogonal_basis)
 from .documents import load_basis, load_expansion, load_tables, save_basis
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
-from .legendre import QuadratureRule, gauss_legendre_rule, legendre_norm_sq
+from .legendre import QuadratureRule, gauss_legendre_rule
 from .oracle import (OracleConfig, VerifyReport, monomial_gram, verify,
                      verify_tables)
 from .pairing import gram_matrix
@@ -43,14 +41,11 @@ __all__ = [
     "evaluate_expansion",
     "gauss_legendre_rule",
     "gram_matrix",
-    "legendre_norm_sq",
     "load_basis",
     "load_expansion",
     "load_tables",
-    "monic_norm_profile",
     "monomial_gram",
     "parse_omega_spec",
-    "plain_legendre_residuals",
     "project",
     "reduce_frequency",
     "residual_norm",

@@ -12,8 +12,8 @@ envelopes and the rows are sampled on one fixed Gauss-Legendre rule, and
 the oscillatory factor cos(2 w_b x) + i sin(2 w_b x) their products carry
 is integrated exactly through the moments of the Legendre polynomials, so
 the cost does not depend on w.  The quadrature oracle is left to checking
-and to the plain-Legendre baseline.  Expansions are evaluated through the
-basis coefficient arrays, one Legendre table and two matrix-vector products.
+only.  Expansions are evaluated through the basis coefficient arrays, one
+Legendre table and two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ import numpy as np
 
 from .basis import OscBasis
 from .frequency import Frequency
-from .legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
-                       legendre_table)
-from .oracle import composite_rule, sample
+from .legendre import gauss_legendre_rule, legendre_table
 from .pairing import legtrig_values, require_finite
 
 logger = logging.getLogger(__name__)
@@ -123,6 +121,26 @@ def reduce_frequency(target: OscTarget) -> tuple[Frequency, OscTarget]:
     return decomp if decomp.exact_multiple else Frequency.exact(decomp.k), target
 
 
+def sample(F, nodes: np.ndarray) -> np.ndarray:
+    """F at the nodes by one call, as an array of their shape; a result that
+    only broadcasts to it, such as a scalar, is copied out in full.
+    ValueError if it does not broadcast, or at the first non-finite value."""
+    values = np.asarray(F(nodes), dtype=float)
+    if values.shape != nodes.shape:
+        try:
+            values = np.broadcast_to(values, nodes.shape).copy()
+        except ValueError:
+            raise ValueError(f"integrand returned shape {values.shape}, which "
+                             f"does not broadcast to {nodes.shape}") from None
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"integrand returned non-finite value {values[i]!r} at x={nodes[i]!r}"
+        )
+    return values
+
+
 def _check_match(exp: Expansion, basis: OscBasis):
     want = exp.basis_hash
     have = basis.content_hash()
@@ -176,7 +194,6 @@ def _spherical_bessel(kappa: float, sin_k: float, cos_k: float,
     return j * ((sin_k / kappa ** 2 - cos_k / kappa) / j[1])
 
 
-@lru_cache(maxsize=4)
 def _filon_weights(freq: Frequency, points: int) -> np.ndarray:
     """Complex weights v on the analysis nodes with sum_i v_i h(x_i) equal to
     the integral of h(x) exp(2i omega x) over [-1, 1] for every polynomial h
@@ -283,28 +300,3 @@ def residual_norm(target: OscTarget, exp: Expansion, basis: OscBasis) -> float:
     r2 = 0.5 * ((w + v.real) @ (rg * rg) + (w - v.real) @ (rf * rf)
                 + 2.0 * (v.imag @ (rg * rf)))
     return float(np.sqrt(max(r2, 0.0)))
-
-
-def plain_legendre_residuals(target: OscTarget, n_max: int) -> np.ndarray:
-    """Residual norms of plain Legendre expansions of the full oscillatory
-    target, degrees 0 ... n_max.
-
-    The comparison baseline for the frequency-independence claim: expanding
-    F itself (oscillations included) in P_0 ... P_n needs n to grow with
-    omega.  Computed in one streaming recurrence pass, on the residual's
-    own values (no Parseval cancellation, which would floor the residuals
-    near 1e-8 of the target's norm); accurate while n_max stays below the
-    node budget of the quadrature rule.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rule = composite_rule(target.freq_raw)
-    x, w = rule.nodes, rule.weights
-    F = sample(target.evaluate, x)
-    wF = w * F
-    r = F.copy()
-    residuals = np.empty(n_max + 1)
-    for n, pn in zip(range(n_max + 1), legendre_rows(x)):
-        r -= float(np.sum(wF * pn)) / legendre_norm_sq(n) * pn
-        residuals[n] = math.sqrt(float(np.sum(w * r * r)))
-    return residuals

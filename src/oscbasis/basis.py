@@ -310,20 +310,6 @@ def class_blocks(basis: OscBasis) -> np.ndarray:
     return B
 
 
-def monic_norm_profile(freq: Frequency, n_max: int,
-                       tables: InnerProductTables) -> np.ndarray:
-    """Norms h_k of the monic p-side members, k = 0 ... n_max.
-
-    The monic run (no rescaling of recurrence inputs) is the normalized run
-    scaled by h_k, so h_k is the running product of build_basis's
-    pre-normalization p-side norms.  This is the decay diagnostic: h_0 =
-    ||cos(omega x)|| and the h_k shrink rapidly, which is why build_basis
-    normalizes at every step.  The q-side norms track the p-side ones
-    closely and are not reported separately.
-    """
-    return np.cumprod(build_basis(freq, n_max, tables).norms[0::2])
-
-
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:
     """All rows evaluated at once: shape (2(N+1), len(x)), 0-d x one point."""
     return legtrig_values(basis.a, basis.b, basis.freq.omega, np.atleast_1d(x))

@@ -153,12 +153,13 @@ def save(obj, path) -> Path:
 
 
 def load(path, kind):
-    """The object saved at path; ValueError if the file is not JSON, is
-    malformed or holds no instance of kind, a class or a tuple of classes."""
+    """The object saved at path; ValueError if the file is not JSON (nested
+    past the decoder's recursion limit included), is malformed or holds no
+    instance of kind, a class or a tuple of classes."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path} is not a JSON document: {exc}") from None
     obj = from_doc(doc)
     if not isinstance(obj, kind):

@@ -1,8 +1,8 @@
 """Legendre polynomial primitives.
 
 Evaluation by the standard forward three-term recurrence (P_n at x is
-row n of legendre_table(n, x)), the closed-form norms, and Gauss-Legendre
-rule generation for the quadrature oracle.  All arithmetic is 64-bit
+row n of legendre_table(n, x)) and Gauss-Legendre rule generation for the
+analysis rule and the quadrature oracle.  All arithmetic is 64-bit
 floating point.
 """
 
@@ -60,13 +60,6 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     for _ in legendre_rows(x, out=table):
         pass
     return table
-
-
-def legendre_norm_sq(degree: int) -> float:
-    """||P_degree||^2 on [-1, 1], which is 2/(2*degree+1)."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return 2.0 / (2 * degree + 1)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ functions as an even and an odd block, integrates each over the x > 0 half
 of the rule with doubled weights and walks it a chunk of nodes at a time,
 so their memory does not grow with omega.
 The module keeps no state: each call builds the rule it needs.  Nothing
-here shares code with the table recursion it verifies.  verify is the one
-check of tables or a basis against the oracle, with one report for both.
+here shares code with the table recursion it verifies, and no pipeline
+module imports this one.  verify is the one check of tables or a basis
+against the oracle, with one report for both.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
 from .pairing import _rows
+from .tables import NODE_BUDGET, InnerProductTables
 
-# most nodes a composite rule may have; a refined rule (6 panels per period,
-# 32 points per panel) at omega/2pi = 2000 has 768,000
-NODE_BUDGET = 2 ** 24
 _GRAM_CHUNK = 1024  # nodes x > 0 per quadrature Gram chunk
 MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
 
@@ -76,25 +76,6 @@ def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureR
     nodes = (mid[:, None] + half[:, None] * base.nodes[None, :]).ravel()
     weights = (half[:, None] * base.weights[None, :]).ravel()
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def sample(F, nodes: np.ndarray) -> np.ndarray:
-    """F at the nodes by one call, broadcast to their shape; ValueError if
-    it does not broadcast, or at the first non-finite value."""
-    values = np.asarray(F(nodes), dtype=float)
-    if values.shape != nodes.shape:
-        try:
-            values = np.broadcast_to(values, nodes.shape)
-        except ValueError:
-            raise ValueError(f"integrand returned shape {values.shape}, which "
-                             f"does not broadcast to {nodes.shape}") from None
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"integrand returned non-finite value {values[i]!r} at x={nodes[i]!r}"
-        )
-    return values
 
 
 def _gram(values, blocks, size: int, omega: float,
@@ -238,15 +219,13 @@ def verify(obj, tolerance: float) -> VerifyReport:
     member_gram of a basis against I.  The report flags every entry not
     within tolerance, NaN included.  ValueError for a tolerance that is not
     finite and >= 0, TypeError for anything but tables or a basis."""
-    from . import basis, tables  # both import this module
-
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    if isinstance(obj, tables.InnerProductTables):
+    if isinstance(obj, InnerProductTables):
         reference = oracle_tables(obj.freq, obj.n_max)
         kind, pairs = "tables", [(name, getattr(obj, name), reference[name])
                                  for name in ("m2", "m3", "m4", "m5", "m6")]
-    elif isinstance(obj, basis.OscBasis):
+    elif isinstance(obj, OscBasis):
         G = member_gram(obj, obj.freq.omega)
         kind, pairs = "basis", [("gram", G, np.eye(G.shape[0]))]
     else:

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
-from .oracle import NODE_BUDGET
 
-# largest table degree N: the Gram of the 2(N+1) unit modes P_j cos(wx) and
-# P_j sin(wx), the largest array that a basis on the tables or their oracle
-# check allocates, then holds at most NODE_BUDGET entries
+# most nodes of an oracle composite rule, and most entries of the Gram of
+# the 2(N+1) unit modes P_j cos(wx) and P_j sin(wx), the largest array that
+# a basis on the tables or their oracle check allocates; a refined rule (6
+# panels per period, 32 points per panel) at omega/2pi = 2000 has 768,000 nodes
+NODE_BUDGET = 2 ** 24
+# largest table degree N: its unit-mode Gram holds at most NODE_BUDGET entries
 MAX_DEGREE = math.isqrt(NODE_BUDGET) // 2 - 1
 
 

@@ -1,8 +1,15 @@
+import importlib.util
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oscbasis import Frequency, build_basis, build_tables
-from oscbasis.oracle import composite_rule, sample
+from oscbasis.approx import sample
+from oscbasis.oracle import composite_rule
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +35,18 @@ def quad():
         rule = composite_rule(omega)
         return float(np.sum(rule.weights * sample(F, rule.nodes)))
     return quad
+
+
+@pytest.fixture(scope="session")
+def script():
+    """script(name) is scripts/<name>.py loaded as a module, once per name."""
+    @cache
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 
 @pytest.fixture(scope="session")

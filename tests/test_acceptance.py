@@ -22,12 +22,10 @@ from oscbasis import (
     build_tables,
     derivative_matrix_legtrig,
     evaluate_expansion,
-    monic_norm_profile,
     project,
     reduce_frequency,
     to_orthogonal_basis,
 )
-from oscbasis.approx import plain_legendre_residuals
 from oscbasis.cli import main
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram, monomial_gram, oracle_tables
@@ -223,7 +221,7 @@ def test_criterion_07_reduction_pipeline_pointwise(capsys):
     assert dev <= 1e-7
 
 
-def test_criterion_08_degree_cost_frequency_independence(capsys, quad):
+def test_criterion_08_degree_cost_frequency_independence(capsys, quad, script):
     osc_n = {}
     plain_n = {}
     for k, plain_cap in ((20, 400), (200, 1500)):
@@ -244,7 +242,7 @@ def test_criterion_08_degree_cost_frequency_independence(capsys, quad):
         assert osc is not None, f"no N <= 12 reaches 1e-6 at omega=2pi*{k}"
         osc_n[k] = osc
 
-        res = plain_legendre_residuals(target, plain_cap)
+        res = script("frequency_cost").plain_legendre_residuals(target, plain_cap)
         hits = np.nonzero(res <= 1e-6)[0]
         assert hits.size, f"plain expansion never reaches 1e-6 by N={plain_cap}"
         plain_n[k] = int(hits[0])
@@ -260,10 +258,10 @@ def test_criterion_08_degree_cost_frequency_independence(capsys, quad):
     assert plain_n[200] >= 4 * plain_n[20]
 
 
-def test_criterion_09_monic_norms_decay(capsys):
+def test_criterion_09_monic_norms_decay(capsys, script):
     freq = Frequency.exact(20)
     tables = build_tables(freq, 11)
-    profile = monic_norm_profile(freq, 10, tables)
+    profile = script("monic_decay").monic_norm_profile(freq, 10, tables)
     ratios = profile[1:] / profile[:-1]
     ok = bool(np.all(np.diff(profile) < 0.0))
     _emit(

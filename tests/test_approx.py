@@ -25,7 +25,7 @@ from oscbasis import (
     save_basis,
 )
 from oscbasis.approx import (ENVELOPE_DEGREE, _analysis, _filon_weights,
-                             _spherical_bessel, plain_legendre_residuals)
+                             _spherical_bessel)
 from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
 from oscbasis.legendre import gauss_legendre_rule, legendre_table
@@ -544,32 +544,31 @@ def test_unresolved_envelope_refused(freq20, basis20):
         residual_norm(t, exp, basis20)
 
 
-def test_plain_legendre_residuals_decrease(freq20):
+def test_plain_legendre_residuals_decrease(freq20, script):
     t = _target("zero", "one", freq20.omega)
-    res = plain_legendre_residuals(t, 60)
+    res = script("frequency_cost").plain_legendre_residuals(t, 60)
     assert res.shape == (61,)
     assert np.all(np.diff(res) <= 1e-12)
 
 
-def test_plain_legendre_residuals_match_direct_projection():
-    from oscbasis.legendre import legendre_norm_sq, legendre_table
-
+def test_plain_legendre_residuals_match_direct_projection(script):
     t = _target("zero", "one", TWO_PI * 2)
     n_max = 40
-    res = plain_legendre_residuals(t, n_max)
+    res = script("frequency_cost").plain_legendre_residuals(t, n_max)
     rule = composite_rule(t.freq_raw)
     F = t.evaluate(rule.nodes)
     P = legendre_table(n_max, rule.nodes)
     coeffs = (P * rule.weights) @ F
-    coeffs = coeffs / np.array([legendre_norm_sq(n) for n in range(n_max + 1)])
+    coeffs = coeffs / (2.0 / (2.0 * np.arange(n_max + 1) + 1.0))
     r = F - coeffs @ P
     direct = np.sqrt(np.sum(rule.weights * r * r))
     assert res[n_max] == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
-def test_plain_residuals_reject_negative_degree(freq20):
+def test_plain_residuals_reject_negative_degree(freq20, script):
     with pytest.raises(ValueError):
-        plain_legendre_residuals(_target("one", "one", freq20.omega), -1)
+        script("frequency_cost").plain_legendre_residuals(
+            _target("one", "one", freq20.omega), -1)
 
 
 def test_expansion_validation(basis20):

@@ -17,7 +17,6 @@ from oscbasis import (
     build_basis,
     build_tables,
     load_basis,
-    monic_norm_profile,
     save_basis,
 )
 from oscbasis.basis import member_values, representation_matrix
@@ -457,7 +456,8 @@ def test_basis_arrays_stand_in_for_member_list(basis20, tables20):
     assert np.array_equal(member_gram(basis20, omega), member_gram(basis20.rep, omega))
 
 
-def test_monic_norms_decrease(freq20, tables20):
+def test_monic_norms_decrease(freq20, tables20, script):
+    monic_norm_profile = script("monic_decay").monic_norm_profile
     profile = monic_norm_profile(freq20, 10, tables20)
     assert profile[0] == 1.0
     assert np.all(np.diff(profile) < 0.0)
@@ -465,12 +465,12 @@ def test_monic_norms_decrease(freq20, tables20):
         monic_norm_profile(freq20, -1, tables20)
 
 
-def test_monic_norms_past_member_44():
+def test_monic_norms_past_member_44(script):
     # the monic norms fall below the degeneration threshold near k = 44,
     # but they are products of normalized-run norms, which do not
     freq = Frequency.exact(100)
     tables = build_tables(freq, 61)
-    profile = monic_norm_profile(freq, 60, tables)
+    profile = script("monic_decay").monic_norm_profile(freq, 60, tables)
     assert profile.shape == (61,)
     assert np.all(profile > 0.0)
     assert np.all(np.diff(profile) < 0.0)
@@ -478,10 +478,10 @@ def test_monic_norms_past_member_44():
                           np.cumprod(build_basis(freq, 60, tables).norms[0::2]))
 
 
-def test_monic_norms_refuse_tables_at_another_frequency():
+def test_monic_norms_refuse_tables_at_another_frequency(script):
     tables = build_tables(Frequency.exact(50), 11)
     with pytest.raises(ValueError, match=r"omega=125\.66.*omega=314\.15"):
-        monic_norm_profile(Frequency.exact(20), 10, tables)
+        script("monic_decay").monic_norm_profile(Frequency.exact(20), 10, tables)
 
 
 def test_serialization_round_trip(basis20, tmp_path):

@@ -185,11 +185,22 @@ def test_huge_integer_omega_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 def test_verify_refuses_a_file_that_is_not_json(tmp_path, capsys):
-    path = tmp_path / "basis.json"
-    path.write_text("c0,c1\n1,2\n")
-    assert _run("verify", path) == 2
-    err = capsys.readouterr().err
-    assert f"{path} is not a JSON document" in err
+    # a CSV, and arrays nested past the JSON decoder's recursion limit
+    basis = tmp_path / "b.json"
+    _run("basis", "--omega", "2pi*20", "--n", "2", "--out", basis)
+    capsys.readouterr()
+    path = tmp_path / "bad.json"
+    for text in ("c0,c1\n1,2\n", "[" * 200_000):
+        path.write_text(text)
+        for argv in (["verify", path],
+                     ["project", "--basis", path, "--f", "exp", "--g", "one",
+                      "--omega-raw", "2pi*20", "--out", tmp_path / "e.json"],
+                     ["diff", "--basis", path, "--expansion", path,
+                      "--out", tmp_path / "d.json"],
+                     ["diff", "--basis", basis, "--expansion", path,
+                      "--out", tmp_path / "d.json"]):
+            assert _run(*argv) == 2
+            assert f"{path} is not a JSON document" in capsys.readouterr().err
 
 
 def test_basis_warns_outside_stable_regime(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscbasis.legendre import (gauss_legendre_rule, legendre_norm_sq, legendre_rows,
-                               legendre_table)
+from oscbasis.legendre import gauss_legendre_rule, legendre_rows, legendre_table
 
 
 def _p(n, x):
@@ -69,19 +68,11 @@ def test_endpoint_values():
         assert table[n, 1] == (-1.0) ** n
 
 
-def test_norm_sq_closed_form():
-    assert legendre_norm_sq(0) == 2.0
-    assert legendre_norm_sq(1) == 2.0 / 3.0
-    assert legendre_norm_sq(5) == 2.0 / 11.0
-    with pytest.raises(ValueError):
-        legendre_norm_sq(-1)
-
-
 def test_orthogonality_against_quadrature():
     rule = gauss_legendre_rule(64)
     table = legendre_table(20, rule.nodes)
     gram = (table * rule.weights) @ table.T
-    expected = np.diag([legendre_norm_sq(n) for n in range(21)])
+    expected = np.diag(2.0 / (2.0 * np.arange(21) + 1.0))
     assert np.max(np.abs(gram - expected)) <= 1e-12
 
 

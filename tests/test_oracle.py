@@ -1,9 +1,13 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscbasis
 from oscbasis import Frequency, build_basis, build_tables
+from oscbasis.approx import sample
 from oscbasis.frequency import TWO_PI
 from oscbasis.legendre import legendre_table
 from oscbasis.oracle import (
@@ -12,10 +16,38 @@ from oscbasis.oracle import (
     member_gram,
     monomial_gram,
     oracle_tables,
-    sample,
     verify,
 )
 from oscbasis.pairing import legtrig_values
+
+
+def _imported(node):
+    """The dotted names an import statement refers to: its module and each
+    name in it, relative ones resolved within oscbasis."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    module = node.module or ""
+    if node.level:
+        module = f"oscbasis.{module}".rstrip(".")
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def test_no_pipeline_module_imports_the_oracle():
+    # the oracle checks the pipeline from above: cli is the one module that
+    # drives both, and the oracle's own imports are all at module top
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(oscbasis.__file__).parent.glob("*.py")}
+    imports = {name: [node for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+               for name, tree in trees.items()}
+    assert {"approx", "basis", "tables", "oracle"} <= imports.keys()
+    importers = sorted(
+        name for name, nodes in imports.items()
+        if name not in ("cli", "oracle", "__init__")
+        and any(target.split(".")[:2] == ["oscbasis", "oracle"]
+                for node in nodes for target in _imported(node)))
+    assert importers == []
+    assert all(node in trees["oracle"].body for node in imports["oracle"])
 
 
 def test_config_validation_and_panel_count():
@@ -97,6 +129,10 @@ def test_integrate_rejects_non_finite_samples():
 def test_integrate_broadcasts_a_scalar_and_refuses_a_wrong_shape(quad):
     omega = Frequency.exact(2).omega
     assert quad(lambda x: 2.0, omega) == quad(lambda x: np.full_like(x, 2.0), omega)
+    # a full array, not a zero-stride view, so a dot product sums it as such
+    rule = composite_rule(omega)
+    assert rule.weights @ sample(lambda x: 2.0, rule.nodes) == \
+        rule.weights @ np.full_like(rule.nodes, 2.0)
     with pytest.raises(ValueError, match=r"returned shape \(3,\), which does "
                                          r"not broadcast"):
         sample(lambda x: np.ones(3), composite_rule(omega).nodes)

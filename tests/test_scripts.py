@@ -1,6 +1,5 @@
 """Smoke runs of the experiment scripts at desk size."""
 
-import importlib.util
 import os
 import re
 import subprocess
@@ -75,14 +74,11 @@ def test_frequency_cost_degree_is_flat_at_a_tight_tolerance():
     assert rows[0][1] == rows[1][1]
 
 
-def test_frequency_cost_samples_each_target_once():
+def test_frequency_cost_samples_each_target_once(script):
     # the trimmed expansions keep the projection's samples, so residual_norm
     # does not sample the envelopes again for each trial degree (up to 13
     # samplings per row when each trim was a new Expansion)
-    spec = importlib.util.spec_from_file_location(
-        "frequency_cost", SCRIPTS / "frequency_cost.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    smallest_osc_degree = script("frequency_cost").smallest_osc_degree
     calls = Counter()
 
     def counted(name):
@@ -96,7 +92,7 @@ def test_frequency_cost_samples_each_target_once():
         target = OscTarget(f_env=counted("exp"), g_env=counted("one"),
                            freq_raw=TWO_PI * periods)
         freq, _ = reduce_frequency(target)
-        assert script.smallest_osc_degree(freq, target, 1e-6) == 9
+        assert smallest_osc_degree(freq, target, 1e-6) == 9
         assert calls == {"exp": 1, "one": 1}
 
 
