@@ -4,7 +4,9 @@
 For each cell 2pi*k : N this times, R times over, `build_tables`, the
 plain and the reorthogonalized `build_basis` and `to_orthogonal_basis`
 (on the operator of `derivative_matrix_legtrig`, which forms no matrix and
-is not timed), then `save_basis` and `load_basis` of the plain basis's
+is not timed; `sim_res` next to it is the transform's similarity residual
+max|B_{1-c} X_c - D B_c|, its accuracy figure), then `save_basis` and
+`load_basis` of the plain basis's
 JSON document and its content hash on a fresh copy of the basis
 object (nothing cached), and prints the median of each in milliseconds.
 `us/pair` is the plain basis median over its N recurrence steps, in
@@ -48,9 +50,9 @@ LAYERS = ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
 
 
 def time_cell(k: int, n: int, repeats: int, path: Path):
-    """Median milliseconds per layer, rho, the oracle max|G - I| and the
-    milliseconds of the one member_gram call, or None where a build is
-    refused."""
+    """Median milliseconds per layer, the similarity residual of the
+    transform, rho, the oracle max|G - I| and the milliseconds of the one
+    member_gram call, or None where a build is refused."""
     freq = Frequency.exact(k)
     times = {name: [] for name in LAYERS}
 
@@ -73,8 +75,8 @@ def time_cell(k: int, n: int, repeats: int, path: Path):
         timed("basis_reorth", build_basis, freq, n, tables,
               reorthogonalize=True)
         if basis is not None:
-            timed("to_orth", to_orthogonal_basis,
-                  derivative_matrix_legtrig(freq, n), basis)
+            op = timed("to_orth", to_orthogonal_basis,
+                       derivative_matrix_legtrig(freq, n), basis)
             timed("save", save_basis, basis, path)
             timed("load", load_basis, path)
             # replace makes a new basis object with the same arrays and no
@@ -83,13 +85,14 @@ def time_cell(k: int, n: int, repeats: int, path: Path):
     ms = {name: 1e3 * float(np.median(t)) if t else None
           for name, t in times.items()}
     if basis is None:
-        return ms, None, None, None
+        return ms, None, None, None, None
     rho = ROUNDOFF * max(float(np.max(np.abs(basis.a))),
                          float(np.max(np.abs(basis.b)))) ** 2
     start = time.perf_counter()
     G = member_gram(basis, freq.omega)
     gram_ms = 1e3 * (time.perf_counter() - start)
-    return ms, rho, float(np.max(np.abs(G - np.eye(G.shape[0])))), gram_ms
+    return (ms, op.similarity_residual, rho,
+            float(np.max(np.abs(G - np.eye(G.shape[0])))), gram_ms)
 
 
 def main():
@@ -102,17 +105,19 @@ def main():
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    print(f"{'cell':>12}  " + "  ".join(f"{name:>12}" for name in LAYERS)
+    names = [*LAYERS[:4], "sim_res", *LAYERS[4:]]
+    print(f"{'cell':>12}  " + "  ".join(f"{name:>12}" for name in names)
           + f"  {'us/pair':>9}  {'rho':>9}  {'max|G-I|':>9}  {'gram_ms':>9}   "
           f"(median ms of {args.repeats})")
     for spec in args.cells.split(","):
         k, n = (int(part) for part in spec.split(":"))
         with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("ignore", StabilityWarning)
-            ms, rho, dev, gram_ms = time_cell(k, n, args.repeats,
-                                              Path(tmp) / "basis.json")
+            ms, sim_res, rho, dev, gram_ms = time_cell(
+                k, n, args.repeats, Path(tmp) / "basis.json")
         cols = [f"{ms[name]:12.3f}" if ms[name] is not None else f"{'-':>12}"
                 for name in LAYERS]
+        cols.insert(4, f"{sim_res:12.2e}" if sim_res is not None else f"{'-':>12}")
         cols.append(f"{1e3 * ms['basis'] / n:9.2f}" if n else f"{'-':>9}")
         print(f"{f'2pi*{k}:{n}':>12}  " + "  ".join(cols) + "  "
               + (f"{rho:9.2e}  {dev:9.2e}  {gram_ms:9.2f}" if rho is not None

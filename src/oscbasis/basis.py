@@ -14,8 +14,8 @@ member per pair, p_k when k + c is even and q_k otherwise; the other half
 of every row, and of the Gram, is exactly zero.  The rows are stored in
 member order [p_0, q_0, p_1, q_1, ...] as two coefficient arrays, the
 cosine part and the sine part; rows 2k and 2k+1 have degree at most k.
-An OscBasis refuses a nonzero coefficient of the wrong parity, and
-class_blocks gathers its rows back into the classes.
+An OscBasis refuses a nonzero coefficient of the wrong parity, and the
+derivative transform gathers its rows back into the classes.
 """
 
 from __future__ import annotations
@@ -298,16 +298,6 @@ def _member_order(rows: np.ndarray, *values: np.ndarray) -> tuple:
     pair, side = np.divmod(np.arange(2 * n), 2)
     order = (pair + side) % 2 * n + pair
     return (a_b, *(v.reshape(2 * n, *v.shape[2:])[order] for v in values))
-
-
-def class_blocks(basis: OscBasis) -> np.ndarray:
-    """B_c for classes c = 0, 1, stacked: column k is class c's member of
-    pair k in class-c coordinates, so B_c is upper triangular."""
-    n, a_b = basis.n_max + 1, (basis.a, basis.b)
-    B = np.empty((2, n, n))
-    for c, h, e in np.ndindex(2, 2, 2):
-        B[c, e::2, h::2] = a_b[(c + e) % 2][member_slice(c, h), e::2].T
-    return B
 
 
 def member_values(basis: OscBasis, x: np.ndarray) -> np.ndarray:

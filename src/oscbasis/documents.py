@@ -65,6 +65,13 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.array(value)
     except ValueError:
+        # numpy also refuses lists nested past its dimension limit
+        depth, first = 0, value
+        while isinstance(first, list) and first:
+            depth, first = depth + 1, first[0]
+        if depth > len(shape):
+            raise ValueError(f"{name} is nested {depth} levels deep, expected "
+                             f"shape {shape}") from None
         raise ValueError(f"{name} is a ragged array") from None
     # numpy reads a JSON true or false among numbers as 1 or 0
     entries = chain.from_iterable(value) if arr.ndim > 1 else value

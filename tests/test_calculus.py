@@ -15,11 +15,10 @@ from oscbasis import (
 from oscbasis.basis import (
     OscBasis,
     _member_order,
-    class_blocks,
     member_values,
     representation_matrix,
 )
-from oscbasis.calculus import _solve_upper, _times_d
+from oscbasis.calculus import _class_blocks, _layout, _solve_upper, _times_d
 from oscbasis.documents import from_doc, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.pairing import legtrig_values
@@ -107,34 +106,62 @@ def _blocks(M, index, from_class):
     return M[index[from_class][:, :, None], index[:, None, :]]
 
 
-@pytest.mark.parametrize("n_max", [30, 31, 32, 62, 63, 64, 127, 128, 200])
+def _padded(basis):
+    """The padded class blocks of the transform, with the class size and
+    the panel rows."""
+    n = basis.n_max + 1
+    size, p = _layout(n)
+    return _class_blocks(basis, size), n, p
+
+
+def _solved(B, Y, n, p):
+    """_solve_upper(B, Y, p) as the transform calls it, where one panel
+    drops its padding."""
+    if p == B.shape[1]:
+        B, Y, p = B[:, :n, :n], Y[:, :n, :n], n
+    return _solve_upper(B, Y, p)
+
+
+@pytest.mark.parametrize("n_max", [14, 15, 16, 30, 31, 32, 47, 48, 62, 63, 64, 127,
+                                   128, 200])
 def test_panel_solve_matches_dense_solve(n_max):
-    # class sizes N + 1 = 63, 64, 65, 128, 129 sit on both sides of the
-    # panel edges
+    # class sizes N + 1 = 15 ... 17, 31 ... 33, 48, 49, 63 ... 65, 128 and
+    # 129 sit on both sides of the edges of the padding (to 8 rows up to 48,
+    # to the 16-row panels beyond) and of the change from one LAPACK-solved
+    # panel to 16-row panels at 48 rows
     freq = Frequency.exact(2 * n_max)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
-    B = class_blocks(basis)
+    B, n, p = _padded(basis)
     index = class_rows(n_max)
     DB = derivative_matrix_legtrig(freq, n_max).d_legtrig @ representation_matrix(basis).T
-    Y = _blocks(DB, index, [1, 0])
-    X = _solve_upper(B[::-1], Y)
+    # Y[c] = D B_{1-c}, the right-hand side of B_c
+    Y = np.zeros(B.shape)
+    Y[:, :n, :n] = _blocks(DB, index, [1, 0])[::-1]
+    X = _solve_upper(B, Y, p)
     assert np.all(np.tril(X, -1) == 0.0)
-    assert np.max(np.abs(B[::-1] @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
-    dense = np.linalg.solve(B[::-1], Y)
-    assert np.max(np.abs(X - dense)) <= 1e-10 * np.max(np.abs(dense))
+    assert np.all(X[:, :, n:] == 0.0)
+    assert np.max(np.abs(B @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
+    dense = np.linalg.solve(B[:, :n, :n], Y[:, :n, :n])
+    assert np.max(np.abs(X[:, :n, :n] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 62, 63, 64, 127, 128, 200])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 15, 16, 31, 32, 47, 48, 62, 63, 64, 127,
+                                   128, 200])
 def test_structured_transform_matches_dense_products(n_max):
     # the smallest suffix sums, and class sizes N + 1 on both sides of the
-    # 64-row panel edges
+    # edges of the 8-row blocks, where the sums carry in from the next block,
+    # and of the padding
     freq = Frequency.exact(2 * n_max + 1)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     op = derivative_matrix_legtrig(freq, n_max)
     B = representation_matrix(basis).T
     index = class_rows(n_max)
-    Bc = class_blocks(basis)
-    assert np.array_equal(Bc, _blocks(B, index, [0, 1]))
+    Bc, n, p = _padded(basis)
+    assert np.array_equal(Bc[:, :n, :n], _blocks(B, index, [0, 1]))
+    # the padding is zero but for unit pivots
+    pad = Bc.copy()
+    pad[:, :n, :n] = 0.0
+    assert np.array_equal(pad, [np.diag(np.arange(Bc.shape[1]) >= n) * 1.0] * 2)
     dense = op.d_legtrig @ B
     scale = np.max(np.abs(dense))
     # D maps class c to class 1 - c, so the class blocks hold all of D B
@@ -143,17 +170,44 @@ def test_structured_transform_matches_dense_products(n_max):
     # the residual; each of the two products is within about 1e-15 * scale
     # of the exact one, so they differ by up to twice that
     Y = _times_d(freq.omega, Bc)
-    assert np.max(np.abs(Y - _blocks(dense, index, [1, 0]))) <= 2e-15 * scale
+    assert np.max(np.abs(Y[:, :n, :n] - _blocks(dense, index, [1, 0]))) <= 2e-15 * scale
+    assert np.all(Y[:, n:, :n] == 0.0)
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
         exact = op.d_legtrig.astype(np.longdouble) @ B.astype(np.longdouble)
-        assert float(np.max(np.abs(Y - _blocks(exact, index, [1, 0])))) <= 1e-15 * scale
+        assert float(np.max(np.abs(Y[:, :n, :n] - _blocks(exact, index, [1, 0])))) \
+            <= 1e-15 * scale
     result = to_orthogonal_basis(op, basis)
+    Y[:, :, n:] = 0.0
     assert np.array_equal(_blocks(result.d_orth, index, [1, 0]),
-                          _solve_upper(Bc[::-1], Y))
+                          _solved(Bc, Y[::-1], n, p)[::-1, :n, :n])
     residual = np.max(np.abs(B @ result.d_orth - dense))
     assert abs(result.similarity_residual - residual) <= 1e-12 * scale
     blocks = np.arange(B.shape[0]) // 2
     assert np.all(result.d_orth[blocks[:, None] > blocks[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("k, n_max", [(218, 200), (304, 200), (325, 200), (330, 200),
+                                      (660, 300)])
+def test_transform_matches_dense_solve_on_hard_cells(k, n_max):
+    # the N = 200 cells from far past the stable regime (k = 218) to the
+    # knife edge (k = 325) and inside it (k = 330), and 2pi*660 at N = 300:
+    # against a dense solve of the same class blocks and D B
+    freq = Frequency.exact(k)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis)
+    Bc, n, _ = _padded(basis)
+    # Y[c] = D B_{1-c}, the right-hand side of B_c
+    Y = _times_d(freq.omega, Bc)[::-1, :n, :n]
+    Bc = Bc[:, :n, :n]
+    dense = np.linalg.solve(Bc, Y)
+    X = _blocks(op.d_orth, class_rows(n_max), [1, 0])[::-1]
+    assert np.max(np.abs(X - dense)) <= 1e-10 * np.max(np.abs(dense))
+    scale = np.max(np.abs(Y))
+    assert op.similarity_residual / scale <= 2.0 * np.max(np.abs(Bc @ dense - Y)) / scale
+    i = np.arange(2 * n)
+    pair, member_class = i // 2, (i // 2 + i % 2) % 2
+    structural = (member_class[:, None] == member_class) | (pair[:, None] > pair)
+    assert np.all(op.d_orth[structural] == 0.0)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 40, 41])
@@ -172,11 +226,13 @@ def test_strided_maps_match_fancy_indexing(n_max):
     assert np.array_equal(got, flat)
     freq = Frequency.exact(2 * n_max + 1)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
-    B = class_blocks(basis)
-    assert np.array_equal(B, np.where(sine, basis.b, basis.a)[member].transpose(0, 2, 1))
+    B, _, p = _padded(basis)
+    assert np.array_equal(B[:, :n, :n],
+                          np.where(sine, basis.b, basis.a)[member].transpose(0, 2, 1))
+    Y = _times_d(freq.omega, B)
+    Y[:, :, n:] = 0.0
     d_orth = np.zeros((2 * n, 2 * n))
-    d_orth[member[::-1, :, None], member[:, None]] = _solve_upper(
-        B[::-1], _times_d(freq.omega, B))
+    d_orth[member[:, :, None], member[::-1, None]] = _solved(B, Y[::-1], n, p)[:, :n, :n]
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis)
     assert np.array_equal(op.d_orth, d_orth)
 
@@ -204,7 +260,7 @@ def test_derivative_couples_only_opposite_classes(freq, n_max):
 
 @pytest.mark.parametrize("row, degree", [(0, 0), (140, 70)])
 def test_similarity_residual_propagates_nan(row, degree):
-    # N = 70 gives two 64-row panels per class; the NaN sits on a
+    # N = 70 gives five 16-row panels per class; the NaN sits on a
     # coefficient of the right parity in the first or in the last one.
     # OscBasis refuses it, so the transform is handed the arrays unchecked
     freq = Frequency.exact(147)
@@ -275,4 +331,15 @@ def test_singular_class_block_is_refused():
     doc["rows"][4]["a"][2] = 0.0
     basis = from_doc(doc)
     with pytest.raises(ValueError, match="representation matrix is singular"):
+        to_orthogonal_basis(derivative_matrix_legtrig(basis.freq, basis.n_max), basis)
+
+
+def test_singular_class_block_is_refused_past_one_panel():
+    # at N = 60 the class blocks take 16-row panels and inverted diagonal
+    # blocks; a zero pivot in the middle panel is refused the same way
+    freq = Frequency.exact(120)
+    doc = to_doc(build_basis(freq, 60, build_tables(freq, 61)))
+    doc["rows"][60]["a"][30] = 0.0
+    basis = from_doc(doc)
+    with pytest.raises(ValueError, match=r"representation matrix is singular \(zero pivot"):
         to_orthogonal_basis(derivative_matrix_legtrig(basis.freq, basis.n_max), basis)

@@ -321,6 +321,22 @@ def test_verify_refuses_nan_tables(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_verify_names_the_nesting_of_a_payload_past_numpy_dimensions(tmp_path, capsys):
+    # numpy refuses lists nested past its dimension limit as it refuses a
+    # ragged list; the message names the depth against the expected shape
+    t = tmp_path / "t.json"
+    _run("tables", "--omega", "2pi*8", "--n", "0", "--out", t)
+    doc = json.loads(t.read_text())
+    for _ in range(898):
+        doc["m5"] = [doc["m5"]]
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("verify", t) == 2
+    err = capsys.readouterr().err
+    assert "m5 is nested 900 levels deep, expected shape (1, 1)" in err
+    assert "ragged" not in err
+
+
 def _drop_m6(doc):
     del doc["m6"]
 

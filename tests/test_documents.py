@@ -100,6 +100,21 @@ def test_boolean_inside_numeric_array_is_refused(kind, path, flag):
         from_doc(_replaced(DOCS[kind], path, flag))
 
 
+def test_payload_nested_past_numpy_dimensions_names_its_depth():
+    # numpy refuses more dimensions than its limit with the ValueError of a
+    # ragged list; 35 levels, within it, already get the shape message
+    doc = json.loads(json.dumps(DOCS["tables"]))
+    for depth in (35, 900):
+        payload = [[0.0]]
+        for _ in range(depth - 2):
+            payload = [payload]
+        doc["m5"] = payload
+        message = (r"m5 has shape \(1, 1, .*\), expected \(4, 4\)" if depth == 35
+                   else r"m5 is nested 900 levels deep, expected shape \(4, 4\)$")
+        with pytest.raises(ValueError, match=message):
+            from_doc(doc)
+
+
 def test_document_with_two_kinds_is_refused():
     doc = dict(DOCS["tables"], coeffs=[0.0])
     with pytest.raises(ValueError, match="it has 2 of the keys"):

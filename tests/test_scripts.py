@@ -99,25 +99,32 @@ def test_frequency_cost_samples_each_target_once(script):
 def test_construct_cost_prints_every_layer_and_rho():
     lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2"])
     header, ok, refused = lines[-3].split(), lines[-2].split(), lines[-1].split()
-    for name in ("tables", "basis", "basis_reorth", "to_orth", "save", "load",
-                 "hash", "us/pair", "rho", "max|G-I|", "gram_ms"):
+    for name in ("tables", "basis", "basis_reorth", "to_orth", "sim_res", "save",
+                 "load", "hash", "us/pair", "rho", "max|G-I|", "gram_ms"):
         assert name in header
     assert "d_legtrig" not in header
-    assert ok[0] == "2pi*20:12" and len(ok) == 12
-    assert all(float(ms) > 0.0 for ms in ok[1:9])
+    # the transform's accuracy figure sits next to its time
+    assert header.index("sim_res") == header.index("to_orth") + 1
+    assert ok[0] == "2pi*20:12" and len(ok) == 13
+    assert all(float(ms) > 0.0 for ms in ok[1:5] + ok[6:10])
+    # sim_res is the similarity residual max|B_{1-c} X_c - D B_c| in 12.2e
+    # format; at 2pi*20, N = 12 it is a few ulps of the largest entry
+    assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", ok[5]), ok[5]
+    assert 0.0 <= float(ok[5]) <= 1e-9
     # us/pair is the basis median over the N = 12 recurrence steps
-    assert float(ok[8]) == pytest.approx(1e3 * float(ok[2]) / 12, rel=1e-2, abs=0.01)
+    assert float(ok[9]) == pytest.approx(1e3 * float(ok[2]) / 12, rel=1e-2, abs=0.01)
     # rho and the oracle deviation, each in 9.2e format; at 2pi*20, N = 12
     # the plain basis is orthonormal to about 1e-15
-    for cell in ok[9:11]:
+    for cell in ok[10:12]:
         assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", cell), cell
-    assert 0.0 < float(ok[10]) <= 1e-12
+    assert 0.0 < float(ok[11]) <= 1e-12
     # the one member_gram call that gives max|G-I|, in milliseconds
-    assert float(ok[11]) > 0.0
-    # at 2pi*3, N = 20 the plain build is refused, so there is no rho; the
-    # refused build is still timed, per pair as well
+    assert float(ok[12]) > 0.0
+    # at 2pi*3, N = 20 the plain build is refused, so there is no transform
+    # and no rho; the refused build is still timed, per pair as well
     assert refused[0] == "2pi*3:20" and refused[-1] == "refused"
-    assert float(refused[8]) > 0.0
+    assert refused[4:9] == ["-"] * 5
+    assert float(refused[9]) > 0.0
 
 
 def test_approx_cost_prints_every_layer_and_the_residual():
