@@ -15,12 +15,12 @@ block of class c's members in class-c coordinates, padded with unit
 pivots.  D B_c needs no dense product: row m is omega times row m of B_c,
 negated for a cosine row (the trig swap), plus 2m+1 times the sum of rows
 m+1, m+3, ....  One small matmul per BLOCK rows forms the part of that sum
-within the rows' block, and a carry adds the later blocks.  Each B_{1-c}
-then takes one back-substitution in PANEL-row panels: the inverses of its
-upper triangular diagonal blocks are formed once, together, and each panel
-applies its own with a matmul.  A class of up to SMALL rows is one panel,
-which LAPACK solves.  D is exact in (omega, N): an operator stores only
-d_orth.
+within the rows' block, and a carry adds the later blocks.  Every class
+is padded to a multiple of PANEL rows, and each B_{1-c} takes one
+back-substitution in PANEL-row panels: the inverses of its diagonal blocks
+are doubled up together on einsum views, each panel applies its own with a
+matmul, and its rows of the similarity residual are formed as soon as it
+is solved.  D is exact in (omega, N): an operator stores only d_orth.
 """
 
 from __future__ import annotations
@@ -63,13 +63,10 @@ def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator
     return DerivativeOperator(freq=freq, n_max=n_max)
 
 
-# rows per block of the sums in D B_c, and per back-substitution panel.
-# Classes of up to SMALL rows are padded to a multiple of BLOCK and solved
-# as one panel, larger ones are padded to a multiple of PANEL.  Measured
-# on to_orthogonal_basis at N = 20 ... 300, one BLAS thread: up to SMALL
-# rows one LAPACK solve costs less than the calls of several panels, and
-# beyond, 16-row panels cost less than 8- or 32-row ones
-BLOCK, PANEL, SMALL = 8, 16, 48
+# rows per block of the sums in D B_c, and per back-substitution panel:
+# on to_orthogonal_basis at N = 20 ... 300, one BLAS thread, 16-row panels
+# cost less than 8- or 32-row ones
+BLOCK, PANEL = 8, 16
 _i = np.arange(BLOCK)
 # [i, i']: row i of a block takes the rows i' > i of odd offset in it
 _ODD_LATER = ((_i > _i[:, None]) & ((_i - _i[:, None]) % 2 == 1)).astype(float)
@@ -79,14 +76,6 @@ _PARITY = (_i % 2 == np.arange(2)[:, None]).astype(float)
 # P_m cos, and row i of class c is a cosine row when c + i is even
 _SWAP = (np.where((np.arange(2)[:, None] + _i) % 2, 1.0, -1.0)[:, None, :, None]
          * np.eye(BLOCK))
-
-
-def _layout(n: int) -> tuple[int, int]:
-    """The padded size of classes of n rows and the rows of their panels."""
-    if n <= SMALL:
-        size = -(-n // BLOCK) * BLOCK
-        return size, size
-    return -(-n // PANEL) * PANEL, PANEL
 
 
 def _class_blocks(basis: OscBasis, size: int) -> np.ndarray:
@@ -120,70 +109,49 @@ def _times_d(omega: float, B: np.ndarray) -> np.ndarray:
     return (M @ rows).reshape(B.shape)
 
 
-def _view(M: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
-    """The view of C-contiguous M at an offset and strides in elements."""
-    return np.ndarray(shape, M.dtype, M, offset * M.itemsize,
-                      tuple(step * M.itemsize for step in strides))
-
-
-def _inverses(B: np.ndarray, p: int) -> np.ndarray:
-    """The inverses of the p x p diagonal blocks of B[c], c = 0, 1, upper
-    triangular, C-contiguous and of a size that p, a power of 2, divides,
-    as (2, size / p, p, p).  They are doubled up from the reciprocal
-    pivots, all blocks at once: [[A, C], [0, E]] has the inverse
-    [[A^-1, -A^-1 C E^-1], [0, E^-1]].  A zero pivot raises LinAlgError."""
-    size = B.shape[1]
-    m = size // p
-    pivots = np.diagonal(B, axis1=1, axis2=2)
+def _inverses(B: np.ndarray) -> np.ndarray:
+    """The inverses of the PANEL-square diagonal blocks of B[c], c = 0, 1,
+    upper triangular and of a size that PANEL divides, as (2, size / PANEL,
+    PANEL, PANEL).  They are doubled up from the reciprocal pivots, all
+    blocks at once: [[A, C], [0, E]] has the inverse [[A^-1, -A^-1 C E^-1],
+    [0, E^-1]].  A zero pivot raises LinAlgError."""
+    p, m = PANEL, B.shape[1] // PANEL
+    blocks = np.einsum("cixiy->cixy", B.reshape(2, m, p, m, p))
+    pivots = np.einsum("cmxx->cmx", blocks)
     if not np.all(pivots):
         raise np.linalg.LinAlgError("zero pivot")
     inverses = np.zeros((2, m, p, p))
-    _view(inverses, 0, (2, m, p), (m * p * p, p * p, p + 1))[:] = (
-        1.0 / pivots.reshape(2, m, p))
+    np.einsum("cmxx->cmx", inverses)[:] = 1.0 / pivots
     s = 1
     while s < p:
-        # the s x s corners of the 2s x 2s diagonal blocks of each p-block
-        shape = (2, m, p // (2 * s), s, s)
-        steps = (m * p * p, p * p, 2 * s * (p + 1), p, 1)
-        upper = _view(inverses, s, shape, steps)
-        np.matmul(_view(inverses, 0, shape, steps)
-                  @ _view(B, s, shape, (size * size, p * (size + 1),
-                                        2 * s * (size + 1), size, 1)),
-                  _view(inverses, s * (p + 1), shape, steps), out=upper)
-        np.negative(upper, out=upper)
+        # views of the 2s-square diagonal blocks of each p-block
+        q = p // (2 * s)
+        inv, b = (np.einsum("cmaxay->cmaxy", M.reshape(2, m, q, 2 * s, q, 2 * s))
+                  for M in (inverses, blocks))
+        np.negative(inv[..., :s, :s] @ b[..., :s, s:] @ inv[..., s:, s:],
+                    out=inv[..., :s, s:])
         s *= 2
     return inverses
 
 
-def _solve_upper(B: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """Solve B[c] X[c] = Y[c] for upper triangular B[c] and Y[c], c = 0, 1,
-    of a size that p divides, by back-substitution in p-row panels from the
-    bottom: a panel's rows take the products with the rows solved below
-    them and then the inverse of their diagonal block.  One panel (p the
-    size) goes to LAPACK instead; for several, p is a power of 2 and B is
-    C-contiguous.  X keeps exact zeros below the diagonal; a zero pivot
-    raises LinAlgError."""
-    size = B.shape[1]
-    if p == size:
-        return np.linalg.solve(B, Y)
-    inverses = _inverses(B, p)
-    X = Y.copy()
+def _solve_upper(B: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """X with B[c] X[c] = Y[c], and max|B[c] X[c] - Y[c]|, for upper
+    triangular B[c] and Y[c], c = 0, 1, of a size that PANEL divides.
+    Back-substitution in PANEL-row panels from the bottom: a panel's rows
+    take the products with the rows solved below them and then the inverse
+    of their diagonal block.  Every row that the panel's rows of B X reach
+    is final then, so they are formed at once, over the upper part.  X
+    keeps exact zeros below the diagonal; a zero pivot raises LinAlgError."""
+    p, size = PANEL, B.shape[1]
+    inverses = _inverses(B)
+    X, R = Y.copy(), np.zeros(Y.shape)
     for lo in range(size - p, -1, -p):
         hi = lo + p
         X[:, lo:hi, hi:] -= B[:, lo:hi, hi:] @ X[:, hi:, hi:]
         np.matmul(inverses[:, lo // p], X[:, lo:hi, lo:], out=X[:, lo:hi, lo:])
-    return X
-
-
-def _residual(B: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> float:
-    """max|B[c] X[c] - Y[c]| over c = 0, 1 for upper triangular B[c] and
-    X[c] of a size that p divides, with B X formed on p-row panels of its
-    upper triangle."""
-    R = np.zeros(X.shape)
-    for lo in range(0, B.shape[1], p):
-        np.matmul(B[:, lo : lo + p, lo:], X[:, lo:, lo:], out=R[:, lo : lo + p, lo:])
+        np.matmul(B[:, lo:hi, lo:], X[:, lo:, lo:], out=R[:, lo:hi, lo:])
     R -= Y
-    return float(np.abs(R, out=R).max())
+    return X, float(np.abs(R, out=R).max())
 
 
 def to_orthogonal_basis(op: DerivativeOperator,
@@ -205,21 +173,16 @@ def to_orthogonal_basis(op: DerivativeOperator,
             f"size mismatch: operator n_max={op.n_max}, basis n_max={basis.n_max}"
         )
     n = basis.n_max + 1
-    size, p = _layout(n)
-    B = _class_blocks(basis, size)
+    B = _class_blocks(basis, -(-n // PANEL) * PANEL)
     Y = _times_d(op.freq.omega, B)
     Y[:, :, n:] = 0.0
-    if p == size:
-        # one panel needs no padding
-        B, Y, p = B[:, :n, :n], Y[:, :n, :n], n
     # X[c] = B_c^-1 (D B_{1-c}): d_orth from class 1 - c to class c
     try:
-        X = _solve_upper(B, Y[::-1], p)
+        X, residual = _solve_upper(B, Y[::-1])
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"representation matrix is singular ({exc}); the basis file is corrupted"
         ) from exc
-    residual = _residual(B, X, Y[::-1], p)
     d_orth = np.zeros((2 * n, 2 * n))
     for c, h, g in np.ndindex(2, 2, 2):
         d_orth[member_slice(c, h), member_slice(1 - c, g)] = X[c, h:n:2, g:n:2]

@@ -18,7 +18,7 @@ from oscbasis.basis import (
     member_values,
     representation_matrix,
 )
-from oscbasis.calculus import _class_blocks, _layout, _solve_upper, _times_d
+from oscbasis.calculus import PANEL, _class_blocks, _solve_upper, _times_d
 from oscbasis.documents import from_doc, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.pairing import legtrig_values
@@ -107,40 +107,32 @@ def _blocks(M, index, from_class):
 
 
 def _padded(basis):
-    """The padded class blocks of the transform, with the class size and
-    the panel rows."""
+    """The padded class blocks of the transform, with the class size."""
     n = basis.n_max + 1
-    size, p = _layout(n)
-    return _class_blocks(basis, size), n, p
+    return _class_blocks(basis, -(-n // PANEL) * PANEL), n
 
 
-def _solved(B, Y, n, p):
-    """_solve_upper(B, Y, p) as the transform calls it, where one panel
-    drops its padding."""
-    if p == B.shape[1]:
-        B, Y, p = B[:, :n, :n], Y[:, :n, :n], n
-    return _solve_upper(B, Y, p)
-
-
-@pytest.mark.parametrize("n_max", [14, 15, 16, 30, 31, 32, 47, 48, 62, 63, 64, 127,
-                                   128, 200])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 14, 15, 16, 30, 31, 32, 47, 48, 62, 63,
+                                   64, 127, 128, 200])
 def test_panel_solve_matches_dense_solve(n_max):
-    # class sizes N + 1 = 15 ... 17, 31 ... 33, 48, 49, 63 ... 65, 128 and
-    # 129 sit on both sides of the edges of the padding (to 8 rows up to 48,
-    # to the 16-row panels beyond) and of the change from one LAPACK-solved
-    # panel to 16-row panels at 48 rows
-    freq = Frequency.exact(2 * n_max)
+    # class sizes N + 1 = 1 ... 3 and 8 take one 16-row panel that is mostly
+    # padding; 15 ... 17, 31 ... 33, 48, 49, 63 ... 65, 128 and 129 sit on
+    # both sides of the edges of the 16-row panels.  2pi*0 is no frequency,
+    # so N = 0 takes 2pi*5
+    freq = Frequency.exact(2 * n_max or 5)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
-    B, n, p = _padded(basis)
+    B, n = _padded(basis)
     index = class_rows(n_max)
     DB = derivative_matrix_legtrig(freq, n_max).d_legtrig @ representation_matrix(basis).T
     # Y[c] = D B_{1-c}, the right-hand side of B_c
     Y = np.zeros(B.shape)
     Y[:, :n, :n] = _blocks(DB, index, [1, 0])[::-1]
-    X = _solve_upper(B, Y, p)
+    X, residual = _solve_upper(B, Y)
     assert np.all(np.tril(X, -1) == 0.0)
     assert np.all(X[:, :, n:] == 0.0)
     assert np.max(np.abs(B @ X - Y)) <= 1e-12 * np.max(np.abs(Y))
+    # the residual formed panel by panel is the one of the whole product
+    assert abs(residual - np.max(np.abs(B @ X - Y))) <= 1e-15 * np.max(np.abs(Y))
     dense = np.linalg.solve(B[:, :n, :n], Y[:, :n, :n])
     assert np.max(np.abs(X[:, :n, :n] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
@@ -156,7 +148,7 @@ def test_structured_transform_matches_dense_products(n_max):
     op = derivative_matrix_legtrig(freq, n_max)
     B = representation_matrix(basis).T
     index = class_rows(n_max)
-    Bc, n, p = _padded(basis)
+    Bc, n = _padded(basis)
     assert np.array_equal(Bc[:, :n, :n], _blocks(B, index, [0, 1]))
     # the padding is zero but for unit pivots
     pad = Bc.copy()
@@ -179,7 +171,7 @@ def test_structured_transform_matches_dense_products(n_max):
     result = to_orthogonal_basis(op, basis)
     Y[:, :, n:] = 0.0
     assert np.array_equal(_blocks(result.d_orth, index, [1, 0]),
-                          _solved(Bc, Y[::-1], n, p)[::-1, :n, :n])
+                          _solve_upper(Bc, Y[::-1])[0][::-1, :n, :n])
     residual = np.max(np.abs(B @ result.d_orth - dense))
     assert abs(result.similarity_residual - residual) <= 1e-12 * scale
     blocks = np.arange(B.shape[0]) // 2
@@ -195,7 +187,7 @@ def test_transform_matches_dense_solve_on_hard_cells(k, n_max):
     freq = Frequency.exact(k)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis)
-    Bc, n, _ = _padded(basis)
+    Bc, n = _padded(basis)
     # Y[c] = D B_{1-c}, the right-hand side of B_c
     Y = _times_d(freq.omega, Bc)[::-1, :n, :n]
     Bc = Bc[:, :n, :n]
@@ -226,13 +218,14 @@ def test_strided_maps_match_fancy_indexing(n_max):
     assert np.array_equal(got, flat)
     freq = Frequency.exact(2 * n_max + 1)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
-    B, _, p = _padded(basis)
+    B, _ = _padded(basis)
     assert np.array_equal(B[:, :n, :n],
                           np.where(sine, basis.b, basis.a)[member].transpose(0, 2, 1))
     Y = _times_d(freq.omega, B)
     Y[:, :, n:] = 0.0
     d_orth = np.zeros((2 * n, 2 * n))
-    d_orth[member[:, :, None], member[::-1, None]] = _solved(B, Y[::-1], n, p)[:, :n, :n]
+    X, _ = _solve_upper(B, Y[::-1])
+    d_orth[member[:, :, None], member[::-1, None]] = X[:, :n, :n]
     op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), basis)
     assert np.array_equal(op.d_orth, d_orth)
 
@@ -258,20 +251,22 @@ def test_derivative_couples_only_opposite_classes(freq, n_max):
     assert np.all(d_orth[same_class | below] == 0.0)
 
 
-@pytest.mark.parametrize("row, degree", [(0, 0), (140, 70)])
-def test_similarity_residual_propagates_nan(row, degree):
-    # N = 70 gives five 16-row panels per class; the NaN sits on a
-    # coefficient of the right parity in the first or in the last one.
+@pytest.mark.parametrize("row, degree, n_max", [(0, 0, 70), (140, 70, 70), (40, 20, 20)],
+                         ids=["0-0", "140-70", "40-20"])
+def test_similarity_residual_propagates_nan(row, degree, n_max):
+    # N = 70 gives five 16-row panels per class; the NaN sits on the pivot
+    # of p_0 in the first or of p_70 in the last one.  At N = 20 it sits on
+    # the pivot of p_20, in the second of two panels, above its padding.
     # OscBasis refuses it, so the transform is handed the arrays unchecked
-    freq = Frequency.exact(147)
-    basis = build_basis(freq, 70, build_tables(freq, 71))
+    freq = Frequency.exact(2 * n_max + 7)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     a = basis.a.copy()
     a[row, degree] = np.nan
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        OscBasis(freq=freq, n_max=70, a=a, b=basis.b, norms=basis.norms,
+        OscBasis(freq=freq, n_max=n_max, a=a, b=basis.b, norms=basis.norms,
                  rec=basis.rec)
-    broken = SimpleNamespace(freq=freq, n_max=70, a=a, b=basis.b)
-    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, 70), broken)
+    broken = SimpleNamespace(freq=freq, n_max=n_max, a=a, b=basis.b)
+    op = to_orthogonal_basis(derivative_matrix_legtrig(freq, n_max), broken)
     assert np.isnan(op.similarity_residual)
 
 
@@ -330,13 +325,13 @@ def test_singular_class_block_is_refused():
     doc = to_doc(build_basis(freq, 6, build_tables(freq, 7)))
     doc["rows"][4]["a"][2] = 0.0
     basis = from_doc(doc)
-    with pytest.raises(ValueError, match="representation matrix is singular"):
+    with pytest.raises(ValueError, match=r"representation matrix is singular \(zero pivot"):
         to_orthogonal_basis(derivative_matrix_legtrig(basis.freq, basis.n_max), basis)
 
 
 def test_singular_class_block_is_refused_past_one_panel():
-    # at N = 60 the class blocks take 16-row panels and inverted diagonal
-    # blocks; a zero pivot in the middle panel is refused the same way
+    # at N = 60 the class blocks take four 16-row panels; a zero pivot in a
+    # middle one is refused the same way
     freq = Frequency.exact(120)
     doc = to_doc(build_basis(freq, 60, build_tables(freq, 61)))
     doc["rows"][60]["a"][30] = 0.0

@@ -127,6 +127,20 @@ def test_construct_cost_prints_every_layer_and_rho():
     assert float(refused[9]) > 0.0
 
 
+def test_construct_cost_against_a_checkout_prints_both_medians_and_ratio():
+    # the checkout this test file is in, imported beside the package under test
+    root = Path(__file__).resolve().parents[1]
+    lines = _run("construct_cost.py", ["--cells", "20:12", "--repeats", "2",
+                                       "--against", root])
+    assert lines[0].split()[:5] == ["cell", "layer", "this_ms", "against_ms", "ratio"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["2pi*20:12", name]
+                                         for name in ("tables", "basis", "to_orth")]
+    for _, _, this, other, ratio in rows:
+        assert float(this) > 0.0 and float(other) > 0.0
+        assert float(ratio) == pytest.approx(float(this) / float(other), rel=1e-2)
+
+
 def test_approx_cost_prints_every_layer_and_the_residual():
     lines = _run("approx_cost.py", ["--periods", "20.3,2000.3", "--repeats", "2"])
     header, rows = lines[-3].split(), [line.split() for line in lines[-2:]]
