@@ -3,10 +3,12 @@
 and against the Legendre-trig Gram.
 
 For each frequency it writes one CSV row: omega, max|H - L| between the
-monomial-trig Gram H[i][j] = <x^i cos(omega x), x^j cos(omega x)> (by the
-quadrature oracle) and its omega -> infinity limit L[i][j] = (1 +
-(-1)^(i+j)) / (2 (i+j+1)), cond(H), and the cond of the Gram of the unit-norm
-modes P_j cos(omega x), P_j sin(omega x) (from the tables).  cond is
+monomial-trig Gram H[i][j] = <x^i cos(omega x), x^j cos(omega x)> and its
+omega -> infinity limit L[i][j] = (1 + (-1)^(i+j)) / (2 (i+j+1)), cond(H),
+and the cond of the Gram of the unit-norm modes P_j cos(omega x), P_j
+sin(omega x) (from the tables).  x^i cos(omega x) is the Legendre-trig row
+whose cosine part holds the Legendre coefficients of x^i, so H is the
+oracle's member Gram of those rows.  cond is
 max|lambda| / min|lambda| over the symmetric eigenvalues.  An --n outside
 0 ... 12, an empty --omegas or a frequency whose oracle rule is over the
 node budget exits 2 and writes nothing.  Run e.g.
@@ -19,9 +21,27 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.legendre import poly2leg
 
-from oscbasis import build_tables, monomial_gram, parse_omega_spec
-from oscbasis.pairing import gram_matrix
+from oscbasis import Frequency, build_tables, gram_matrix, parse_omega_spec
+from oscbasis.oracle import member_gram
+
+
+def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
+    """Gram matrix H[i][j] = <x^i cos(omega x), x^j cos(omega x)>, i, j <= n,
+    by the quadrature oracle.
+
+    This is the ill-conditioned object the Legendre-trig representation
+    avoids; for large omega it approaches L[i][j] = (1 + (-1)^(i+j)) /
+    (2 (i+j+1)), which behaves like a Hilbert matrix.  x^i cos(omega x) has
+    the parity of i, so odd i + j entries are exactly 0.0.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    A = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        A[i, :i + 1] = poly2leg([0] * i + [1])
+    return member_gram((A, np.zeros_like(A)), freq.omega)
 
 
 def cond(G: np.ndarray) -> float:

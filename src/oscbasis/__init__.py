@@ -15,10 +15,8 @@ from .calculus import (DerivativeOperator, derivative_matrix_legtrig,
 from .documents import load_basis, load_expansion, load_tables, save_basis
 from .frequency import Frequency, StabilityWarning, parse_omega_spec
 from .legendre import QuadratureRule, gauss_legendre_rule
-from .oracle import (OracleConfig, VerifyReport, monomial_gram, verify,
-                     verify_tables)
-from .pairing import gram_matrix
-from .tables import InnerProductTables, build_tables
+from .oracle import OracleConfig, VerifyReport, verify, verify_tables
+from .tables import InnerProductTables, build_tables, gram_matrix
 
 __version__ = "0.1.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "load_basis",
     "load_expansion",
     "load_tables",
-    "monomial_gram",
     "parse_omega_spec",
     "project",
     "reduce_frequency",

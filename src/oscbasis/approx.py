@@ -30,8 +30,8 @@ import numpy as np
 
 from .basis import OscBasis
 from .frequency import Frequency
-from .legendre import gauss_legendre_rule, legendre_table
-from .pairing import legtrig_values, require_finite
+from .legendre import (gauss_legendre_rule, legendre_table, legtrig_values,
+                       require_finite)
 
 logger = logging.getLogger(__name__)
 

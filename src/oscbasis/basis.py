@@ -4,8 +4,8 @@ Seeds are p_0 = cos(omega x), q_0 = sin(omega x).  Each later member comes
 from the mixed three-term recurrence: multiply by x (which in Legendre
 coordinates shifts degree by exactly one), subtract the projection onto the
 opposite member of the current pair and onto the same-side member one pair
-back, then normalize.  All inner products are the pairing bilinear form
-over the tables, so the only approximation anywhere is in the tables.
+back, then normalize.  All inner products are the bilinear form over the
+tables, so the only approximation anywhere is in the tables.
 
 On [-1, 1], p_k has parity (-1)^k and q_k (-1)^(k+1), so the build runs
 on two parity classes.  Class c has one coordinate per degree j, P_j
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .pairing import legtrig_values, require_finite
+from .legendre import legtrig_values, require_finite
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in

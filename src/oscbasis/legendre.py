@@ -1,9 +1,11 @@
-"""Legendre polynomial primitives.
+"""Legendre and Legendre-trig primitives.
 
 Evaluation by the standard forward three-term recurrence (P_n at x is
 row n of legendre_table(n, x)) and Gauss-Legendre rule generation for the
-analysis rule and the quadrature oracle.  All arithmetic is 64-bit
-floating point.
+analysis rule and the quadrature oracle.  A function in span{P_j(x)
+cos(omega x), P_j(x) sin(omega x)} is a coefficient pair (a, b), several
+are the rows of two arrays (A, B), and legtrig_values evaluates them from
+one Legendre table.  All arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
+def require_finite(*arrays):
+    """Refuse coefficient arrays that hold a NaN or an infinity."""
+    for arr in arrays:  # count_nonzero costs half of .all() on short arrays
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise ValueError("coefficients must be finite")
+
+
+def legtrig_values(a, b, omega: float, x):
+    """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
+    at x, of shape a.shape[:-1] + x.shape, from one Legendre table; for one
+    pair at a scalar or 0-d x, a Python float with the bits of a 1-point x."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    P = legendre_table(a.shape[-1] - 1, x if x.ndim == 0 else flat)
+    values = ((a @ P) * np.cos(omega * flat)
+              + (b @ P) * np.sin(omega * flat)).reshape(a.shape[:-1] + x.shape)
+    return float(values) if values.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on [-1, 1], nodes increasing."""
@@ -84,8 +105,6 @@ def gauss_legendre_rule(n_points: int) -> QuadratureRule:
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    if n_points == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.full(1, 2.0))
     n = n_points
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))

@@ -1,11 +1,11 @@
 """Brute-force verification oracle.
 
 Composite Gauss-Legendre quadrature with enough panels to resolve the
-fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables,
-member and monomial-trig Grams go through one Gram kernel that takes its
-functions as an even and an odd block, integrates each over the x > 0 half
-of the rule with doubled weights and walks it a chunk of nodes at a time,
-so their memory does not grow with omega.
+fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables
+and member Grams go through one Gram kernel that takes its functions as an
+even and an odd block, integrates each over the x > 0 half of the rule with
+doubled weights and walks it a chunk of nodes at a time, so their memory
+does not grow with omega.
 The module keeps no state: each call builds the rule it needs.  Nothing
 here shares code with the table recursion it verifies, and no pipeline
 module imports this one.  verify is the one check of tables or a basis
@@ -22,8 +22,7 @@ import numpy as np
 from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
-from .pairing import _rows
-from .tables import NODE_BUDGET, InnerProductTables
+from .tables import NODE_BUDGET, InnerProductTables, _rows
 
 _GRAM_CHUNK = 1024  # nodes x > 0 per quadrature Gram chunk
 MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
@@ -165,26 +164,6 @@ def member_gram(members, omega: float) -> np.ndarray:
                 for p, (a, b) in enumerate(parts)]
 
     return _gram(values, blocks, A.shape[0], omega)
-
-
-def monomial_gram(freq: Frequency, n: int) -> np.ndarray:
-    """Gram matrix H[i][j] = <x^i cos(omega x), x^j cos(omega x)>.
-
-    This is the ill-conditioned object the Legendre-trig representation
-    avoids; for large omega it approaches L[i][j] = (1 + (-1)^(i+j)) /
-    (2 (i+j+1)), which behaves like a Hilbert matrix.  x^i cos(omega x) has
-    the parity of i, so odd i + j entries are exactly 0.0.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    omega = freq.omega
-    i = np.arange(n + 1)
-
-    def values(x):
-        V = np.vander(x, n + 1, increasing=True).T * np.cos(omega * x)
-        return [V[0::2], V[1::2]]
-
-    return _gram(values, [i[0::2], i[1::2]], n + 1, omega)
 
 
 @dataclass

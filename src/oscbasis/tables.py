@@ -16,6 +16,10 @@ as the strided prefix sum R[j-2,k] + (2j-1) M[j-1,k], so every diagonal is a
 few whole-slice operations and the fill costs O(N^2).  Whole diagonals keep
 the tables exactly symmetric; M5 is exactly zero where j+k is odd and M6
 where it is even.  oracle.verify checks the tables against quadrature.
+
+Over the tables the inner product of Legendre-trig coefficient pairs is the
+bilinear form <(a, b), (c, d)> = a.M2.d + a.M3.c + b.M2.c + b.M4.d, and
+gram_matrix forms it for the rows of a basis or of an (A, B) pair.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
+from .legendre import require_finite
 
 # most nodes of an oracle composite rule, and most entries of the Gram of
 # the 2(N+1) unit modes P_j cos(wx) and P_j sin(wx), the largest array that
@@ -128,3 +133,29 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
         )
     return InnerProductTables(freq=freq, n_max=n_max,
                               m5=m5.reshape(n, n), m6=m6.reshape(n, n))
+
+
+def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(basis.a, basis.b), or an (A, B) pair of 2-D arrays, checked."""
+    if hasattr(rows, "a"):
+        return rows.a, rows.b
+    A, B = (np.asarray(part, dtype=float) for part in rows)
+    if A.ndim != 2 or A.shape != B.shape:
+        raise ValueError(f"coefficient arrays must be 2-D of one shape, "
+                         f"got {A.shape} and {B.shape}")
+    require_finite(A, B)
+    return A, B
+
+
+def gram_matrix(rows, tables: InnerProductTables) -> np.ndarray:
+    """G[i][j] = <row i, row j> for the rows of a basis or an (A, B) pair,
+    zero-padded to the table size; a longer row raises with the size needed."""
+    A, B = _rows(rows)
+    if A.shape[1] > tables.n_max + 1:
+        raise ValueError(
+            f"coefficient vector of length {A.shape[1]} exceeds tables built "
+            f"for n_max={tables.n_max}; rebuild tables with n_max >= {A.shape[1] - 1}")
+    pad = ((0, 0), (0, tables.n_max + 1 - A.shape[1]))
+    A, B = np.pad(A, pad), np.pad(B, pad)
+    m2 = tables.m2
+    return A @ m2 @ B.T + A @ tables.m3 @ A.T + B @ m2 @ A.T + B @ tables.m4 @ B.T

@@ -28,8 +28,8 @@ from oscbasis import (
 )
 from oscbasis.cli import main
 from oscbasis.frequency import TWO_PI
-from oscbasis.oracle import member_gram, monomial_gram, oracle_tables
-from oscbasis.pairing import gram_matrix
+from oscbasis.oracle import member_gram, oracle_tables
+from oscbasis.tables import gram_matrix
 
 
 def _emit(capsys, number, ok, detail):
@@ -115,7 +115,9 @@ def test_criterion_04_stability_bracket(capsys):
     assert dev_hi <= 1e-8
 
 
-def test_criterion_05_conditioning_contrast(capsys, cond):
+def test_criterion_05_conditioning_contrast(capsys, cond, script):
+    monomial_gram = script("hilbert_demo").monomial_gram
+
     # The exact omega -> infinity limit of the monomial-trig Gram, from its
     # closed form L[i][j] = 1/(i+j+1) for even i+j and 0 for odd i+j
     def limit(n):

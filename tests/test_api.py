@@ -1,8 +1,15 @@
 """The names and call forms the benchmark harness under bench/ takes from
-oscbasis, so that a cleanup cannot break the harness without a failing
-test."""
+oscbasis, together with representation_matrix and documents.save, so that a
+cleanup cannot break the harness without a failing test; and the standing
+rule that numpy is the package's only runtime dependency."""
 
+import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -52,3 +59,33 @@ def test_bench_names_and_call_forms(tmp_path):
 def test_every_exported_name_resolves():
     missing = [name for name in oscbasis.__all__ if not hasattr(oscbasis, name)]
     assert not missing
+
+
+def test_every_name_the_bench_imports_resolves():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    names = [(node.module, alias.name)
+             for path in sorted(bench.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "oscbasis"
+             for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a fresh interpreter, so that nothing the tests loaded is counted
+    package_root = str(Path(oscbasis.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = ("import sys; before = set(sys.modules); import oscbasis, oscbasis.cli; "
+            "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"numpy", "oscbasis"} <= added
+    assert added - sys.stdlib_module_names <= {"numpy", "oscbasis"}

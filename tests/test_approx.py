@@ -28,10 +28,10 @@ from oscbasis.approx import (ENVELOPE_DEGREE, _analysis, _filon_weights,
                              _spherical_bessel)
 from oscbasis.basis import OscBasis, member_values
 from oscbasis.frequency import TWO_PI, StabilityWarning
-from oscbasis.legendre import gauss_legendre_rule, legendre_table
+from oscbasis.legendre import gauss_legendre_rule, legendre_table, legtrig_values
 from oscbasis.documents import save
 from oscbasis.oracle import OracleConfig, composite_rule, oracle_tables
-from oscbasis.pairing import gram_matrix, legtrig_values
+from oscbasis.tables import gram_matrix
 
 
 def _target(f_name, g_name, omega):

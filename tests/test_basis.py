@@ -23,7 +23,7 @@ from oscbasis.basis import member_values, representation_matrix
 from oscbasis.documents import from_doc, save, save_csv, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram
-from oscbasis.pairing import gram_matrix
+from oscbasis.tables import gram_matrix
 
 
 def _build_quiet(freq, n_max, tables, **kw):

@@ -21,7 +21,7 @@ from oscbasis.basis import (
 from oscbasis.calculus import PANEL, _class_blocks, _solve_upper, _times_d
 from oscbasis.documents import from_doc, to_doc
 from oscbasis.frequency import TWO_PI
-from oscbasis.pairing import legtrig_values
+from oscbasis.legendre import legtrig_values
 
 
 def test_smallest_operator_is_pure_rotation(freq20):

@@ -9,16 +9,14 @@ import oscbasis
 from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.approx import sample
 from oscbasis.frequency import TWO_PI
-from oscbasis.legendre import legendre_table
+from oscbasis.legendre import legendre_table, legtrig_values
 from oscbasis.oracle import (
     OracleConfig,
     composite_rule,
     member_gram,
-    monomial_gram,
     oracle_tables,
     verify,
 )
-from oscbasis.pairing import legtrig_values
 
 
 def _imported(node):
@@ -224,7 +222,7 @@ def _full_rule_gram(freq, rows):
 
 
 @pytest.mark.parametrize("k, n_max", [(20, 12), (50, 40), (137, 100)])
-def test_folded_grams_match_the_full_rule(k, n_max):
+def test_folded_grams_match_the_full_rule(k, n_max, script):
     freq = Frequency.exact(k)
     basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
     want = _full_rule_gram(freq, lambda x: legtrig_values(basis.a, basis.b,
@@ -232,6 +230,7 @@ def test_folded_grams_match_the_full_rule(k, n_max):
     assert np.max(np.abs(member_gram(basis, freq.omega) - want)) <= 1e-13
     want = _full_rule_gram(freq, lambda x: np.vander(x, n_max + 1, increasing=True).T
                            * np.cos(freq.omega * x))
+    monomial_gram = script("hilbert_demo").monomial_gram
     assert np.max(np.abs(monomial_gram(freq, n_max) - want)) <= 1e-13
 
 
@@ -286,7 +285,8 @@ def test_member_gram_refuses_an_omega_not_the_basis_own(basis20):
     assert member_gram(basis20.rep, 2 * omega).shape == (basis20.a.shape[0],) * 2
 
 
-def test_monomial_gram_low_order_entries():
+def test_monomial_gram_low_order_entries(script):
+    monomial_gram = script("hilbert_demo").monomial_gram
     freq = Frequency.exact(20)
     H = monomial_gram(freq, 3)
     assert H.shape == (4, 4)
@@ -298,7 +298,8 @@ def test_monomial_gram_low_order_entries():
         monomial_gram(freq, -1)
 
 
-def test_monomial_gram_approaches_hilbert_limit():
+def test_monomial_gram_approaches_hilbert_limit(script):
+    monomial_gram = script("hilbert_demo").monomial_gram
     i = np.arange(6)
     s = i[:, None] + i[None, :]
     limit = (1.0 + (-1.0) ** s) / (2.0 * (s + 1))
@@ -310,7 +311,8 @@ def test_monomial_gram_approaches_hilbert_limit():
     assert devs[-1] <= 1e-2
 
 
-def test_monomial_gram_parity_split_and_limit_conditioning(cond):
+def test_monomial_gram_parity_split_and_limit_conditioning(cond, script):
+    monomial_gram = script("hilbert_demo").monomial_gram
     # odd i+j entries pair an even with an odd integrand and vanish, so the
     # Gram splits into even and odd Hankel blocks; 2pi*50 gives 9600 nodes,
     # so the Gram sums more than one node chunk and must stay symmetric
@@ -339,7 +341,7 @@ def test_monomial_gram_parity_split_and_limit_conditioning(cond):
 def test_legtrig_units_stay_well_conditioned(cond):
     # normalized single-mode rows at a frequency well above the degree
     from oscbasis import build_tables
-    from oscbasis.pairing import gram_matrix
+    from oscbasis.tables import gram_matrix
 
     freq = Frequency.exact(50)
     tables = build_tables(freq, 10)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbasis import Frequency, build_tables
-from oscbasis.legendre import legendre_table
+from oscbasis.legendre import legendre_table, legtrig_values
 from oscbasis.oracle import member_gram
-from oscbasis.pairing import gram_matrix, legtrig_values
+from oscbasis.tables import gram_matrix
 
 
 def _coeffs(a, b):
