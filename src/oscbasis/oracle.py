@@ -2,10 +2,10 @@
 
 Composite Gauss-Legendre quadrature with enough panels to resolve the
 fastest integrand oscillation (cos(2*omega*x) and sin(2*omega*x)).  Tables
-and member Grams go through one Gram kernel that takes its functions as an
-even and an odd block, integrates each over the x > 0 half of the rule with
-doubled weights and walks it a chunk of nodes at a time, so their memory
-does not grow with omega.
+and member Grams sum their integrands, split into even and odd blocks, over
+the x > 0 half of the rule with doubled weights, a chunk of nodes at a time,
+so their memory does not grow with omega.  The tables check integrates M5
+and M6 from their definition and nothing else.
 The module keeps no state: each call builds the rule it needs.  Nothing
 here shares code with the table recursion it verifies, and no pipeline
 module imports this one.  verify is the one check of tables or a basis
@@ -24,8 +24,9 @@ from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
 from .tables import NODE_BUDGET, InnerProductTables, _rows
 
-_GRAM_CHUNK = 1024  # nodes x > 0 per quadrature Gram chunk
+_CHUNK = 1024  # nodes x > 0 per chunk of _half_rule
 MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
+MAX_POINTS = 64  # most points per panel: a rule costs points^2 steps per Newton pass
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ class OracleConfig:
     def __post_init__(self):
         if self.panels_per_period < 2:
             raise ValueError("panels_per_period must be >= 2")
-        if self.points_per_panel < 8:
-            raise ValueError("points_per_panel must be >= 8")
+        if not 8 <= self.points_per_panel <= MAX_POINTS:
+            raise ValueError(f"points_per_panel must be from 8 to {MAX_POINTS}, "
+                             f"got {self.points_per_panel}")
 
     def panel_count(self, omega: float) -> int:
         """Panels for omega; ValueError past NODE_BUDGET nodes, compared as
@@ -77,64 +79,48 @@ def composite_rule(omega: float, cfg: OracleConfig | None = None) -> QuadratureR
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _gram(values, blocks, size: int, omega: float,
-          cfg: OracleConfig | None = None) -> np.ndarray:
-    """Exactly symmetric size x size Gram matrix, by the composite rule for
-    omega, of functions given as an even and an odd part.  values(x) gives,
-    at nodes x > 0, the even block's rows and the odd block's rows, and
-    blocks[0], blocks[1] the function of each row.  Each block's Gram is
-    summed over the x > 0 half of composite_rule(omega, cfg) with doubled
-    weights, _GRAM_CHUNK nodes at a time, so memory is bounded by the
-    chunk; the two are added, and an entry between functions that share no
-    block stays exactly 0.0."""
+def _half_rule(omega: float, cfg: OracleConfig | None = None):
+    """The x > 0 half of composite_rule(omega, cfg) with doubled weights,
+    _CHUNK nodes at a time, with the bits of composite_rule's nodes and
+    weights; an odd rule's middle node is 0 and its weight is not doubled.
+    Summed over it, an even integrand gives its integral over [-1, 1], and
+    no array grows with omega."""
     mid, half, base = _panels(omega, cfg)
     m = len(base)
     n_nodes = mid.size * m  # symmetric about 0: the upper half is x > 0
-    grams = [0.0, 0.0]
-    for start in range(n_nodes // 2, n_nodes, _GRAM_CHUNK):
-        # nodes and weights with the bits of composite_rule's, built a chunk
-        # at a time so that no array grows with omega
-        p, q = np.divmod(np.arange(start, min(start + _GRAM_CHUNK, n_nodes)), m)
+    for start in range(n_nodes // 2, n_nodes, _CHUNK):
+        p, q = np.divmod(np.arange(start, min(start + _CHUNK, n_nodes)), m)
         x = mid[p] + half[p] * base.nodes[q]
         w = 2.0 * (half[p] * base.weights[q])
-        if start == n_nodes // 2 and n_nodes % 2:  # an odd rule's middle node
-            x[0], w[0] = 0.0, 0.5 * w[0]           # is 0 and not doubled
-        for b, E in enumerate(values(x)):
-            grams[b] += (E * w) @ E.T
-    G = np.zeros((size, size))
-    for rows, g in zip(blocks, grams):
-        G[np.ix_(rows, rows)] += 0.5 * (g + g.T)
-    return G
+        if start == n_nodes // 2 and n_nodes % 2:
+            x[0], w[0] = 0.0, 0.5 * w[0]
+        yield x, w
 
 
 def oracle_tables(freq: Frequency, n_max: int,
                   cfg: OracleConfig | None = None) -> dict[str, np.ndarray]:
-    """All five non-trivial tables M2 ... M6 from one quadrature Gram.
-
-    Returns {'m2': ..., 'm6': ...} with (n_max+1) x (n_max+1) matrices:
-    'm2' holds <P_j cos, P_k sin>, 'm3' <P_j cos, P_k cos>, 'm4' <P_j sin,
-    P_k sin>, 'm5' <P_j, P_k cos(2 omega x)>, 'm6' <P_j, P_k sin(2 omega
-    x)>.  The Gram of the unit modes P_j cos and P_j sin holds M3, M2 and
-    M4 as blocks; M5 = M3 - M4 and M6 = 2 M2 by the double-angle formulas.
-    Used by verify.
+    """M5 and M6 from their definition M5 + i M6 = P diag(w e^{2i omega x})
+    P^T over the composite rule, as {'m5': ..., 'm6': ...} with (n_max+1) x
+    (n_max+1) matrices.  P_j P_k cos(2 omega x) is even where j + k is even
+    and P_j P_k sin(2 omega x) where j + k is odd, so over _half_rule M5 is
+    an even-degree and an odd-degree block and M6 one even-by-odd block;
+    both are exactly symmetric and exactly 0.0 off their parity.  Used by
+    verify.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    omega = freq.omega
-    n = n_max + 1
-    j = np.arange(n)
-    # G's rows are P_j cos(omega x), then P_j sin(omega x); the even block
-    # holds P_j cos at even j and P_j sin at odd j, the odd block the rest
-    blocks = [np.concatenate([j[p::2], n + j[1 - p::2]]) for p in (0, 1)]
-
-    def units(x):
+    two_omega = 2.0 * freq.omega
+    even, odd, cross = 0.0, 0.0, 0.0
+    for x, w in _half_rule(freq.omega, cfg):
         P = legendre_table(n_max, x)
-        cos, sin = np.cos(omega * x), np.sin(omega * x)
-        return [np.concatenate([P[p::2] * cos, P[1 - p::2] * sin]) for p in (0, 1)]
-
-    G = _gram(units, blocks, 2 * n, omega, cfg)
-    m2, m3, m4 = G[:n, n:], G[:n, :n], G[n:, n:]
-    return {"m2": m2, "m3": m3, "m4": m4, "m5": m3 - m4, "m6": 2.0 * m2}
+        wc, ws = w * np.cos(two_omega * x), w * np.sin(two_omega * x)
+        even += (P[0::2] * wc) @ P[0::2].T
+        odd += (P[1::2] * wc) @ P[1::2].T
+        cross += (P[0::2] * ws) @ P[1::2].T
+    m5, m6 = np.zeros((2, n_max + 1, n_max + 1))
+    m5[0::2, 0::2], m5[1::2, 1::2] = 0.5 * (even + even.T), 0.5 * (odd + odd.T)
+    m6[0::2, 1::2], m6[1::2, 0::2] = cross, cross.T
+    return {"m5": m5, "m6": m6}
 
 
 def member_gram(members, omega: float) -> np.ndarray:
@@ -142,8 +128,9 @@ def member_gram(members, omega: float) -> np.ndarray:
     gram_matrix takes them, by quadrature, independent of any tables.
 
     Each row splits into an even part (cos at even degrees, sin at odd) and
-    an odd part; each parity block holds the rows whose part is nonzero and
-    is evaluated from its own half of the degrees.  A basis's members have
+    an odd part; each parity block holds the rows whose part is nonzero, is
+    evaluated from its own half of the degrees and is summed over
+    _half_rule.  The result is exactly symmetric; a basis's members have
     definite parity, so its cross-parity entries are exactly 0.0.
     ValueError for a basis and an omega that is not the basis's own.
     """
@@ -156,19 +143,22 @@ def member_gram(members, omega: float) -> np.ndarray:
     blocks = [np.flatnonzero(np.any(a != 0.0, axis=1) | np.any(b != 0.0, axis=1))
               for a, b in parts]
     parts = [(a[rows], b[rows]) for (a, b), rows in zip(parts, blocks)]
-
-    def values(x):
+    grams = [0.0, 0.0]
+    for x, w in _half_rule(omega):
         P = legendre_table(A.shape[1] - 1, x)
         cos, sin = np.cos(omega * x), np.sin(omega * x)
-        return [(a @ P[p::2]) * cos + (b @ P[1 - p::2]) * sin
-                for p, (a, b) in enumerate(parts)]
-
-    return _gram(values, blocks, A.shape[0], omega)
+        for p, (a, b) in enumerate(parts):
+            E = (a @ P[p::2]) * cos + (b @ P[1 - p::2]) * sin
+            grams[p] += (E * w) @ E.T
+    G = np.zeros((A.shape[0], A.shape[0]))
+    for rows, g in zip(blocks, grams):
+        G[np.ix_(rows, rows)] += 0.5 * (g + g.T)
+    return G
 
 
 @dataclass
 class VerifyReport:
-    """Outcome of verify: the max deviation per matrix (m2 ... m6, or gram)
+    """Outcome of verify: the max deviation per matrix (m5 and m6, or gram)
     and every entry not within tolerance as (matrix, j, k, deviation)."""
 
     kind: str
@@ -194,7 +184,7 @@ class VerifyReport:
 
 
 def verify(obj, tolerance: float) -> VerifyReport:
-    """Every entry of m2 ... m6 of tables against oracle_tables, or the
+    """Every entry of m5 and m6 of tables against oracle_tables, or the
     member_gram of a basis against I.  The report flags every entry not
     within tolerance, NaN included.  ValueError for a tolerance that is not
     finite and >= 0, TypeError for anything but tables or a basis."""
@@ -203,7 +193,7 @@ def verify(obj, tolerance: float) -> VerifyReport:
     if isinstance(obj, InnerProductTables):
         reference = oracle_tables(obj.freq, obj.n_max)
         kind, pairs = "tables", [(name, getattr(obj, name), reference[name])
-                                 for name in ("m2", "m3", "m4", "m5", "m6")]
+                                 for name in ("m5", "m6")]
     elif isinstance(obj, OscBasis):
         G = member_gram(obj, obj.freq.omega)
         kind, pairs = "basis", [("gram", G, np.eye(G.shape[0]))]

@@ -7,7 +7,7 @@ import pytest
 
 from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.approx import sample
-from oscbasis.oracle import composite_rule
+from oscbasis.oracle import composite_rule, member_gram, oracle_tables
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,6 +35,20 @@ def quad():
         rule = composite_rule(omega)
         return float(np.sum(rule.weights * sample(F, rule.nodes)))
     return quad
+
+
+@pytest.fixture(scope="session")
+def oracle_reference():
+    """oracle_reference(freq, n_max) is m2 ... m6 by quadrature: m5 and m6
+    from oracle_tables, and m2, m3 and m4 as the blocks of the member Gram
+    of the unit modes P_j cos(wx) and P_j sin(wx)."""
+    def reference(freq, n_max):
+        n = n_max + 1
+        I, Z = np.eye(n), np.zeros((n, n))
+        G = member_gram((np.vstack([I, Z]), np.vstack([Z, I])), freq.omega)
+        return {"m2": G[:n, n:], "m3": G[:n, :n], "m4": G[n:, n:],
+                **oracle_tables(freq, n_max)}
+    return reference
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from oscbasis import (
 )
 from oscbasis.cli import main
 from oscbasis.frequency import TWO_PI
-from oscbasis.oracle import member_gram, oracle_tables
+from oscbasis.oracle import member_gram
 from oscbasis.tables import gram_matrix
 
 
@@ -37,13 +37,13 @@ def _emit(capsys, number, ok, detail):
         print(f"\n[criterion {number:02d}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def test_criterion_01_table_recursion_matches_oracle(capsys):
+def test_criterion_01_table_recursion_matches_oracle(capsys, oracle_reference):
     t0 = time.perf_counter()
     worst = 0.0
     for k, n_max in ((10, 12), (20, 16), (40, 16)):
         freq = Frequency.exact(k)
         tables = build_tables(freq, n_max)
-        ref = oracle_tables(freq, n_max)
+        ref = oracle_reference(freq, n_max)
         for key in ("m2", "m3", "m4", "m5", "m6"):
             worst = max(worst, float(np.max(np.abs(getattr(tables, key) - ref[key]))))
     elapsed = time.perf_counter() - t0

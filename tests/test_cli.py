@@ -227,18 +227,21 @@ def test_verify_fresh_tables_pass(tmp_path, capsys):
 
 
 def test_verify_flags_corruption(tmp_path, capsys):
+    # verify compares only what the tables store, so a moved pair of M5
+    # entries is flagged at those two entries and nowhere else
     t = tmp_path / "t.json"
-    _run("tables", "--omega", "2pi*8", "--n", "6", "--out", t)
+    _run("tables", "--omega", "2pi*20", "--n", "12", "--out", t)
     doc = json.loads(t.read_text())
-    doc["m5"][2][3] += 1e-6
-    doc["m5"][3][2] += 1e-6
+    doc["m5"][3][7] += 1e-6
+    doc["m5"][7][3] += 1e-6
     t.write_text(json.dumps(doc, indent=2) + "\n")
     rc = _run("verify", t, "--out", tmp_path / "report.json")
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "report.json").read_text())
-    flagged = {(f["matrix"], f["j"], f["k"]) for f in report["flagged_entries"]}
-    assert ("m5", 2, 3) in flagged
+    assert list(report["max_deviation_per_matrix"]) == ["m5", "m6"]
+    assert [(f["matrix"], f["j"], f["k"]) for f in report["flagged_entries"]] == \
+        [("m5", 3, 7), ("m5", 7, 3)]
 
 
 def test_verify_zero_tolerance_fails_on_roundoff(tmp_path):
@@ -370,6 +373,14 @@ def _asymmetric_m5(doc):
     doc["m5"][1][2] += 1e-3
 
 
+def _m5_off_parity(doc):
+    doc["m5"][1][2] = doc["m5"][2][1] = 1e-3
+
+
+def _m6_off_parity(doc):
+    doc["m6"][4][4] = 1e-3
+
+
 def _nan_norm(doc):
     doc["norms"][4] = float("nan")
 
@@ -389,6 +400,8 @@ def _string_alpha(doc):
     ("basis", _lengthen_row, "row 2 has 3 coefficients"),
     ("tables", _empty_m6, "m6 is not a numeric array"),
     ("tables", _asymmetric_m5, "m5 is not symmetric"),
+    ("tables", _m5_off_parity, "m5[1][2] = 0.001 is nonzero at odd j + k"),
+    ("tables", _m6_off_parity, "m6[4][4] = 0.001 is nonzero at even j + k"),
     ("basis", _nan_norm, "basis norms has non-finite entries"),
     ("basis", _string_alpha, "rec is not a numeric array"),
 ])
