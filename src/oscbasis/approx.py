@@ -90,6 +90,8 @@ class Expansion:
     _sampled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.basis_hash, str):
+            raise ValueError(f"basis_hash must be a string, got {self.basis_hash!r}")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         expected = 2 * (self.n_max + 1)
         if self.coeffs.shape != (expected,):

@@ -3,10 +3,11 @@
 A document is a JSON object: the header schema_version, omega, k, epsilon,
 n_max, then its kind's payload, floats in repr form for bit-exact round
 trips.  Tables hold m5 and m6; the m1 ... m4 of older documents are
-ignored.  Loading checks the schema version, n_max, each payload array
-(numeric, exact shape, finite), symmetric tables that are zero off their
-parity (M5 at odd j + k, M6 at even) and basis rows no longer than their
-degree; Frequency and OscBasis check the rest.  Faults are ValueErrors.
+ignored.  Loading checks only what needs the JSON: the schema version,
+the kind and its keys, n_max, each payload array (numeric, exact shape,
+finite) and the basis row count, row lengths and step count that building
+the arrays needs; Frequency, InnerProductTables, OscBasis and Expansion
+check the rest.  Faults are ValueErrors.
 There is no operator document: d_orth = B^-1 D B is recomputed from a
 loaded basis faster than it loads.
 """
@@ -135,20 +136,8 @@ def from_doc(doc):
         return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms,
                         rec=_array(flat, "rec", (4 * n_max,)).reshape(n_max, 4))
     if cls is InnerProductTables:
-        mats = {name: _array(doc[name], name, (n_max + 1, n_max + 1))
-                for name in _TABLES}
-        odd = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) % 2 == 1
-        for (name, mat), zero, parity in zip(mats.items(), (odd, ~odd), ("odd", "even")):
-            if not np.array_equal(mat, mat.T):
-                raise ValueError(f"{name} is not symmetric")
-            bad = np.argwhere(zero & (mat != 0.0))
-            if bad.size:
-                j, k = bad[0]
-                raise ValueError(f"{name}[{j}][{k}] = {float(mat[j, k])!r} is nonzero at "
-                                 f"{parity} j + k")
-        return InnerProductTables(freq=freq, n_max=n_max, **mats)
-    if not isinstance(doc["basis_hash"], str):
-        raise ValueError(f"basis_hash must be a string, got {doc['basis_hash']!r}")
+        return InnerProductTables(freq=freq, n_max=n_max, **{
+            name: _array(doc[name], name, (n_max + 1, n_max + 1)) for name in _TABLES})
     return Expansion(freq, n_max, doc["basis_hash"],
                      _array(doc["coeffs"], "coeffs", (size,)))
 

@@ -63,12 +63,13 @@ class Frequency:
         if self.k > self.omega:
             raise ValueError(
                 f"inconsistent decomposition: k={self.k} > omega={self.omega!r}")
-        if abs(self.epsilon) > math.pi:
+        # both checks below fail a NaN epsilon
+        if not abs(self.epsilon) <= math.pi:
             raise ValueError(
                 f"epsilon must satisfy |epsilon| <= pi, got {self.epsilon!r}"
             )
         resid = abs(self.omega - (TWO_PI * self.k + self.epsilon))
-        if resid > _PROMOTION_RTOL * max(1.0, abs(self.omega)):
+        if not resid <= _PROMOTION_RTOL * max(1.0, abs(self.omega)):
             raise ValueError(
                 f"inconsistent decomposition: omega={self.omega!r} vs "
                 f"2*pi*{self.k} + {self.epsilon!r} (residual {resid:.3e})"

@@ -22,11 +22,14 @@ import numpy as np
 from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
-from .tables import NODE_BUDGET, InnerProductTables, _rows
+from .tables import InnerProductTables, _rows
 
 _CHUNK = 1024  # nodes x > 0 per chunk of _half_rule
 MIN_PANELS = 8  # fewest panels of a composite rule, however low omega is
 MAX_POINTS = 64  # most points per panel: a rule costs points^2 steps per Newton pass
+# most nodes of a composite rule; a refined rule (6 panels per period, 32
+# points per panel) at omega/2pi = 2000 has 768,000 nodes
+NODE_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)

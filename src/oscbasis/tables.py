@@ -15,7 +15,8 @@ is a boundary term plus (R[j,k] + R[k,j]) / 2w, where R[j,k] is the sum of
 as the strided prefix sum R[j-2,k] + (2j-1) M[j-1,k], so every diagonal is a
 few whole-slice operations and the fill costs O(N^2).  Whole diagonals keep
 the tables exactly symmetric; M5 is exactly zero where j+k is odd and M6
-where it is even.  oracle.verify checks the tables against quadrature.
+where it is even, and InnerProductTables refuses arrays that are not.
+oracle.verify checks the tables against quadrature.
 
 Over the tables the inner product of Legendre-trig coefficient pairs is the
 bilinear form <(a, b), (c, d)> = a.M2.d + a.M3.c + b.M2.c + b.M4.d, and
@@ -24,7 +25,6 @@ gram_matrix forms it for the rows of a basis or of an (A, B) pair.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,23 +33,48 @@ import numpy as np
 from .frequency import Frequency, StabilityWarning
 from .legendre import require_finite
 
-# most nodes of an oracle composite rule, and most entries of the Gram of
-# the 2(N+1) unit modes P_j cos(wx) and P_j sin(wx), the largest array that
-# a basis on the tables or their oracle check allocates; a refined rule (6
-# panels per period, 32 points per panel) at omega/2pi = 2000 has 768,000 nodes
-NODE_BUDGET = 2 ** 24
-# largest table degree N: its unit-mode Gram holds at most NODE_BUDGET entries
-MAX_DEGREE = math.isqrt(NODE_BUDGET) // 2 - 1
+# largest table degree N, which bounds the arrays that one table build and
+# the basis on its tables allocate: at 2 pi 25000, N = 2047, build_tables
+# peaks at 105 MB and build_basis at N = 2046 at 579 MB more (tracemalloc)
+MAX_DEGREE = 2047
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InnerProductTables:
-    """M5 and M6, (N+1) x (N+1), at one frequency; M1 ... M4 read off them."""
+    """M5 and M6, (N+1) x (N+1), at one frequency; M1 ... M4 read off them.
+
+    m5 and m6 are read-only; an array given writable, or not as float64,
+    is copied first.  Tables that are not (N+1)-square, not finite, not
+    exactly symmetric or nonzero off their parity (M5 at odd j + k, M6 at
+    even) are refused with ValueError, however they are made.
+    """
 
     freq: Frequency
     n_max: int
     m5: np.ndarray
     m6: np.ndarray
+
+    def __post_init__(self):
+        n = self.n_max + 1
+        for name, parity in (("m5", 1), ("m6", 0)):
+            mat = getattr(self, name)
+            if (not isinstance(mat, np.ndarray) or mat.dtype != float
+                    or mat.flags.writeable):
+                mat = np.array(mat, dtype=float)
+            if mat.shape != (n, n):
+                raise ValueError(f"{name} has shape {mat.shape}, expected {(n, n)}")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if not (mat == mat.T).all():
+                raise ValueError(f"{name} is not symmetric")
+            # strided blocks, not an index mask, as this runs on every build
+            if mat[0::2, parity::2].any() or mat[1::2, 1 - parity::2].any():
+                odd = np.add.outer(np.arange(n), np.arange(n)) % 2
+                j, k = np.argwhere((mat != 0.0) & (odd == parity))[0]
+                raise ValueError(f"{name}[{j}][{k}] = {float(mat[j, k])!r} is "
+                                 f"nonzero at {('even', 'odd')[parity]} j + k")
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
 
     @property
     def m1(self) -> np.ndarray:
@@ -131,8 +156,10 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
             f"the table recursion overflows at omega={omega:.6g}, "
             f"n_max={n_max}: M5 or M6 holds a value that is not finite"
         )
-    return InnerProductTables(freq=freq, n_max=n_max,
-                              m5=m5.reshape(n, n), m6=m6.reshape(n, n))
+    # read-only, so the tables take them without a copy
+    m5, m6 = m5.reshape(n, n), m6.reshape(n, n)
+    m5.flags.writeable = m6.flags.writeable = False
+    return InnerProductTables(freq=freq, n_max=n_max, m5=m5, m6=m6)
 
 
 def _rows(rows) -> tuple[np.ndarray, np.ndarray]:

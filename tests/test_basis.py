@@ -393,11 +393,27 @@ def test_build_runs_past_a_collapsed_member_without_warnings(n_max):
         _build_quiet(freq, n_max, huge)
 
 
+class _NanM5Tables(InnerProductTables):
+    """Tables that read as if M5 held NaN at [2, 2], which InnerProductTables
+    refuses: M3 = (M1 + M5)/2 and M4 = (M1 - M5)/2 read NaN there."""
+
+    @property
+    def m3(self):
+        m3 = super().m3
+        m3[2, 2] = np.nan
+        return m3
+
+    @property
+    def m4(self):
+        m4 = super().m4
+        m4[2, 2] = np.nan
+        return m4
+
+
 def test_degeneration_check_refuses_nan_norm(freq20, tables20):
-    m5 = tables20.m5.copy()
-    m5[2, 2] = np.nan
+    tables = _NanM5Tables(freq20, tables20.n_max, tables20.m5, tables20.m6)
     with pytest.raises(BasisDegenerationError, match="norm\\^2 = nan"):
-        build_basis(freq20, 4, replace(tables20, m5=m5))
+        build_basis(freq20, 4, tables)
 
 
 class _NanM4Tables(InnerProductTables):

@@ -381,6 +381,10 @@ def _m6_off_parity(doc):
     doc["m6"][4][4] = 1e-3
 
 
+def _nan_epsilon(doc):
+    doc["epsilon"] = float("nan")
+
+
 def _nan_norm(doc):
     doc["norms"][4] = float("nan")
 
@@ -402,6 +406,8 @@ def _string_alpha(doc):
     ("tables", _asymmetric_m5, "m5 is not symmetric"),
     ("tables", _m5_off_parity, "m5[1][2] = 0.001 is nonzero at odd j + k"),
     ("tables", _m6_off_parity, "m6[4][4] = 0.001 is nonzero at even j + k"),
+    ("tables", _nan_epsilon, "epsilon must satisfy |epsilon| <= pi, got nan"),
+    ("basis", _nan_epsilon, "epsilon must satisfy |epsilon| <= pi, got nan"),
     ("basis", _nan_norm, "basis norms has non-finite entries"),
     ("basis", _string_alpha, "rec is not a numeric array"),
 ])

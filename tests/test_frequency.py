@@ -122,6 +122,13 @@ def test_integer_too_large_for_a_float_is_a_value_error(make):
         make()
 
 
+@pytest.mark.parametrize("omega, k", [(10.0, 2), (TWO_PI * 20, 20)],
+                         ids=["10.0", "2pi*20"])
+def test_nan_remainder_is_refused(omega, k):
+    with pytest.raises(ValueError, match=r"^epsilon must satisfy \|epsilon\| <= pi, got nan$"):
+        Frequency(omega=omega, k=k, epsilon=float("nan"))
+
+
 def test_k_above_omega_is_an_inconsistent_decomposition():
     with pytest.raises(ValueError, match="inconsistent decomposition: k=3 > omega=2.5"):
         Frequency(omega=2.5, k=3, epsilon=0.0)

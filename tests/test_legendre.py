@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscbasis.legendre import gauss_legendre_rule, legendre_rows, legendre_table
+from oscbasis import Frequency
+from oscbasis.legendre import (gauss_legendre_rule, legendre_rows, legendre_table,
+                               legtrig_values)
 
 
 def _p(n, x):
@@ -189,3 +191,22 @@ def test_analysis_rule_sizes(n):
     P = table[:n]
     W = (np.arange(n)[:, None] + 0.5) * P * rule.weights
     assert np.max(np.abs(W @ P.T - np.eye(n))) <= 2e-13
+
+
+def _coeffs(a, b):
+    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+
+def test_evaluate_matches_direct_sum():
+    freq = Frequency.exact(4)
+    f = _coeffs([0.5, -1.0, 0.25], [0.0, 2.0, 0.0])
+    x = np.linspace(-1.0, 1.0, 9)
+    P = legendre_table(2, x)
+    direct = np.zeros_like(x)
+    for j, (aj, bj) in enumerate(zip(*f)):
+        direct += aj * P[j] * np.cos(freq.omega * x)
+        direct += bj * P[j] * np.sin(freq.omega * x)
+    vals = legtrig_values(*f, freq.omega, x)
+    assert np.max(np.abs(vals - direct)) <= 1e-13
+    scalar = legtrig_values(*f, freq.omega, float(x[3]))
+    assert scalar == pytest.approx(direct[3], rel=1e-13, abs=1e-15)

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -6,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbasis import (
+    Expansion,
     Frequency,
+    InnerProductTables,
     StabilityWarning,
     build_tables,
     load_tables,
     verify_tables,
 )
 from oscbasis.documents import SCHEMA_VERSION, from_doc, save, save_csv, to_doc
-from oscbasis.legendre import legendre_table
-from oscbasis.oracle import composite_rule
-from oscbasis.tables import MAX_DEGREE
+from oscbasis.legendre import legendre_table, legtrig_values
+from oscbasis.oracle import composite_rule, member_gram
+from oscbasis.tables import MAX_DEGREE, gram_matrix
 
 
 def _quiet_tables(freq, n_max):
@@ -174,7 +178,8 @@ def test_rejects_negative_size():
 
 
 def test_refuses_degree_over_the_limit():
-    # the unit-mode Gram of degree MAX_DEGREE has 4096^2 = NODE_BUDGET entries
+    # the CLI's messages name 2047; the limit bounds what one table build
+    # and the basis on its tables allocate
     assert MAX_DEGREE == 2047
     with pytest.raises(ValueError, match="n_max=2048 is over the table degree "
                                          "limit of 2047"):
@@ -214,27 +219,69 @@ def test_verify_report_on_fresh_tables(tables20):
 
 
 def test_verify_flags_corrupted_entry(tables20):
-    import dataclasses
-
+    # (3, 7) is an entry that M5's parity allows to be nonzero
     m5 = tables20.m5.copy()
-    m5[2, 3] += 1e-6
-    m5[3, 2] += 1e-6
+    m5[3, 7] += 1e-6
+    m5[7, 3] += 1e-6
     bad = dataclasses.replace(tables20, m5=m5)
     report = verify_tables(bad, 1e-10)
     assert not report.passed
     flagged = {(f["matrix"], f["j"], f["k"]) for f in report.as_dict()["flagged_entries"]}
-    assert ("m5", 2, 3) in flagged
+    assert ("m5", 3, 7) in flagged
 
 
-def test_verify_flags_nan_entry(tables20):
-    import dataclasses
+def _set(tables, name, value, *entries):
+    """{name: a copy of the matrix name of tables, set to value at the entries}."""
+    mat = getattr(tables, name).copy()
+    for entry in entries:
+        mat[entry] = value
+    return {name: mat}
 
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: {"m6": t.m6[:, :-1]}, "m6 has shape (18, 17), expected (18, 18)"),
+    (lambda t: {"m5": t.m5[None]}, "m5 has shape (1, 18, 18), expected (18, 18)"),
+    (lambda t: _set(t, "m5", np.nan, (2, 3)), "m5 has non-finite entries"),
+    (lambda t: _set(t, "m6", np.inf, (0, 1), (1, 0)), "m6 has non-finite entries"),
+    (lambda t: _set(t, "m5", 1e-3, (1, 2)), "m5 is not symmetric"),
+    (lambda t: _set(t, "m6", t.m6[3, 8] + 1e-9, (3, 8)), "m6 is not symmetric"),
+    (lambda t: _set(t, "m5", 1e-3, (1, 2), (2, 1)),
+     "m5[1][2] = 0.001 is nonzero at odd j + k"),
+    (lambda t: _set(t, "m6", 1e-3, (4, 4)), "m6[4][4] = 0.001 is nonzero at even j + k"),
+    (lambda t: _set(t, "m6", -2.5, (3, 5), (5, 3)),
+     "m6[3][5] = -2.5 is nonzero at even j + k"),
+], ids=["shape", "ndim", "nan_entry", "inf_entry", "asymmetric_zero",
+        "asymmetric_value", "m5_off_parity", "m6_off_parity_even",
+        "m6_off_parity_odd"])
+def test_constructor_and_replace_refuse_bad_tables(tables20, change, message):
+    exact = f"^{re.escape(message)}$"
+    arrays = {"m5": tables20.m5, "m6": tables20.m6, **change(tables20)}
+    with pytest.raises(ValueError, match=exact):
+        InnerProductTables(tables20.freq, tables20.n_max, **arrays)
+    with pytest.raises(ValueError, match=exact):
+        dataclasses.replace(tables20, **change(tables20))
+
+
+def test_tables_arrays_are_read_only(tables20):
     m5 = tables20.m5.copy()
-    m5[2, 3] = np.nan
-    report = verify_tables(dataclasses.replace(tables20, m5=m5), 1e-10)
-    assert not report.passed
-    flagged = {(name, j, k) for name, j, k, _ in report.flagged}
-    assert ("m5", 2, 3) in flagged
+    t = InnerProductTables(tables20.freq, tables20.n_max, m5, tables20.m6)
+    m5[3, 7] = 1.0
+    m5[7, 3] = 1.0
+    assert np.array_equal(t.m5, tables20.m5)
+    for mat in (t.m5, t.m6, tables20.m5, tables20.m6):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.m5 = m5
+    assert t != dataclasses.replace(t) and t == t
+
+
+@pytest.mark.parametrize("basis_hash", [None, 0, b"0" * 64, ["0" * 64]],
+                         ids=["none", "int", "bytes", "list"])
+def test_expansion_refuses_hash_that_is_not_a_string(basis20, basis_hash):
+    with pytest.raises(ValueError, match=re.escape(
+            f"basis_hash must be a string, got {basis_hash!r}")):
+        Expansion(basis20.freq, basis20.n_max, basis_hash, np.zeros(26))
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
@@ -297,3 +344,158 @@ def test_csv_export_round_trips(tables20, tmp_path):
         assert header.split(",")[0] == "k0"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, getattr(tables20, key))
+
+
+# the bilinear form over the tables
+def _coeffs(a, b):
+    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+
+def _pair(*rows):
+    """(A, B) with one row per (a, b), shorter rows zero-padded."""
+    A = np.zeros((len(rows), max(len(a) for a, _ in rows)))
+    B = np.zeros_like(A)
+    for i, (a, b) in enumerate(rows):
+        A[i, : len(a)], B[i, : len(b)] = a, b
+    return A, B
+
+
+def _inner(f, g, tables):
+    """<f, g>: the off-diagonal entry of the Gram of the pair (f, g)."""
+    return gram_matrix(_pair(f, g), tables)[0, 1]
+
+
+def test_coeff_validation(tables20, freq20):
+    cases = [
+        ((np.ones((1, 2)), np.ones((1, 1))), "one shape"),
+        ((np.array([[np.nan]]), np.zeros((1, 1))), "finite"),
+        ((np.ones(2), np.ones(2)), "2-D"),
+        ((np.ones((2, 2, 2)), np.ones((2, 2, 2))), "2-D"),
+    ]
+    for pair, why in cases:
+        with pytest.raises(ValueError, match=why):
+            gram_matrix(pair, tables20)
+        with pytest.raises(ValueError, match=why):
+            member_gram(pair, freq20.omega)
+
+
+def test_pure_cosine_norm_squared_at_exact_multiple(tables20):
+    f = _coeffs([1.0], [0.0])
+    assert _inner(f, f, tables20) == 1.0
+
+
+def test_cross_term_is_half_sine_table(tables20):
+    f = _coeffs([1.0], [0.0])
+    g = _coeffs([0.0], [1.0])
+    assert _inner(f, g, tables20) == tables20.m2[0, 0]
+
+
+def test_degree_one_cross_entry_vanishes_at_exact_multiple(tables20):
+    f = _coeffs([0.0, 1.0], [0.0, 0.0])
+    g = _coeffs([1.0], [0.0])
+    assert _inner(f, g, tables20) == 0.0
+
+
+def test_inner_product_on_general_frequency_tables():
+    tables = build_tables(Frequency.from_omega(12.0), 4)
+    f = _coeffs([0.0, 1.0], [0.0, 0.0])
+    g = _coeffs([0.0], [1.0])
+    # <P1 cos, P0 sin> carries the cos(2 omega) weight, nonzero off multiples
+    assert _inner(f, g, tables) == tables.m2[1, 0]
+    assert tables.m2[1, 0] != 0.0
+
+
+def test_symmetry(tables20):
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        f = _coeffs(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))
+        g = _coeffs(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        lhs = _inner(f, g, tables20)
+        rhs = _inner(g, f, tables20)
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-15)
+
+
+# built once at module level to keep the bilinearity property fast
+_BILINEARITY_TABLES = build_tables(Frequency.exact(20), 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=2, max_size=8),
+)
+def test_bilinearity(alpha, beta, values):
+    tables = _BILINEARITY_TABLES
+    n = len(values) // 2
+    f = _coeffs(values[:n], values[n : 2 * n])
+    h = _coeffs(values[n : 2 * n], values[:n])
+    g = _coeffs([0.3, -0.7], [0.1, 0.9])
+    combo = _coeffs(alpha * f[0] + beta * h[0], alpha * f[1] + beta * h[1])
+    lhs = _inner(combo, g, tables)
+    rhs = alpha * _inner(f, g, tables) + beta * _inner(h, g, tables)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_matches_quadrature_oracle(tables20, freq20, quad):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        f = _coeffs(rng.uniform(-1, 1, 13), rng.uniform(-1, 1, 13))
+        g = _coeffs(rng.uniform(-1, 1, 13), rng.uniform(-1, 1, 13))
+        want = quad(
+            lambda x: legtrig_values(*f, freq20.omega, x)
+            * legtrig_values(*g, freq20.omega, x),
+            freq20.omega,
+        )
+        got = _inner(f, g, tables20)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_zero_padding_aligns_lengths(tables20):
+    short = _coeffs([1.0, -0.5], [0.2, 0.0])
+    padded = _coeffs([1.0, -0.5, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0])
+    g = _coeffs(np.arange(1.0, 6.0), np.arange(-2.0, 3.0))
+    assert _inner(short, g, tables20) == _inner(padded, g, tables20)
+
+
+def test_overflowing_degree_names_required_size(tables20):
+    f = _coeffs(np.zeros(19), np.zeros(19))
+    with pytest.raises(ValueError, match="n_max >= 18"):
+        _inner(f, f, tables20)
+
+
+def test_gram_matrix_matches_entrywise_products(tables20):
+    rng = np.random.default_rng(5)
+    rows = [
+        _coeffs(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)) for n in (4, 6, 2)
+    ]
+    G = gram_matrix(_pair(*rows), tables20)
+    assert G.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            assert G[i, j] == pytest.approx(
+                _inner(rows[i], rows[j], tables20), rel=1e-13, abs=1e-15
+            )
+    empty = gram_matrix((np.zeros((0, 0)), np.zeros((0, 0))), tables20)
+    assert empty.shape == (0, 0)
+
+
+def test_gram_matrix_positive_semidefinite(tables20):
+    rng = np.random.default_rng(9)
+    rows = [_coeffs(rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7)) for _ in range(4)]
+    G = gram_matrix(_pair(*rows), tables20)
+    G = 0.5 * (G + G.T)
+    assert np.min(np.linalg.eigvalsh(G)) >= -1e-10
+
+
+def test_norm_basics(tables20):
+    # norms are the square roots of the Gram diagonal
+    k = 3
+    e = np.zeros(k + 1)
+    e[k] = 1.0
+    rows = [_coeffs([1.0], [0.0]), _coeffs([0.0, 0.0], [0.0, 0.0]),
+            _coeffs(e, np.zeros(k + 1))]
+    norms = np.sqrt(np.diag(gram_matrix(_pair(*rows), tables20)))
+    assert norms[0] == 1.0
+    assert norms[1] == 0.0
+    assert norms[2] == pytest.approx(np.sqrt(tables20.m3[k, k]), rel=1e-15)
