@@ -30,8 +30,7 @@ import numpy as np
 
 from .basis import OscBasis
 from .frequency import Frequency
-from .legendre import (gauss_legendre_rule, legendre_table, legtrig_values,
-                       require_finite)
+from .legendre import _gauss_legendre, legtrig_values, require_finite, require_size
 
 logger = logging.getLogger(__name__)
 
@@ -90,15 +89,14 @@ class Expansion:
     _sampled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        require_size(self.n_max)
         if not isinstance(self.basis_hash, str):
             raise ValueError(f"basis_hash must be a string, got {self.basis_hash!r}")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         expected = 2 * (self.n_max + 1)
         if self.coeffs.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} coefficients for n_max={self.n_max}, "
-                f"got {self.coeffs.size}"
-            )
+            raise ValueError(f"expected {expected} coefficients for n_max="
+                             f"{self.n_max}, got {self.coeffs.size}")
         require_finite(self.coeffs)
 
     def __getstate__(self):
@@ -158,10 +156,10 @@ def _analysis(points: int):
     """The Gauss-Legendre analysis rule: nodes, weights, the Legendre table P
     at the nodes, and W, which takes values at the nodes to the Legendre
     coefficients of their interpolant (row l holds (l + 1/2) w_i P_l(x_i))."""
-    rule = gauss_legendre_rule(points)
-    P = legendre_table(points - 1, rule.nodes)
-    W = (np.arange(points)[:, None] + 0.5) * P * rule.weights
-    return rule.nodes, rule.weights, P, W
+    nodes, weights, P = _gauss_legendre(points, True)
+    W = (np.arange(points)[:, None] + 0.5) * P
+    W *= weights
+    return nodes, weights, P, W
 
 
 def _spherical_bessel(kappa: float, sin_k: float, cos_k: float,

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .legendre import legtrig_values, require_finite
+from .legendre import legtrig_values, require_finite, require_size
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in
@@ -53,12 +53,15 @@ class OscBasis:
     x); rows 2k and 2k+1 are p_k and q_k and are zero beyond Legendre degree
     k.  a and b have shape (2(N+1), N+1).  norms[i] is the pre-normalization
     norm of member i.  rec, of shape (N, 4), has rows (alpha, beta, gamma,
-    delta), the projection quotients of x p_k on q_k and p_{k-1} and of x q_k
-    on p_k and q_{k-1} that produced pair k+1 (beta = delta = 0 at k = 0).
-    All of it is read-only, so the content hash is computed once.  A k of
-    2**63 or more, arrays of other shapes, a nonzero or NaN coefficient of
-    the wrong parity or beyond its member's degree, then a NaN or infinity
-    anywhere else, and then a norm not > 0, are refused with ValueError.
+    delta), the quotients of x p_k on q_k and p_{k-1} and of x q_k on p_k
+    and q_{k-1} that the recurrence subtracts for pair k+1 (beta = delta = 0
+    at k = 0); with norms they replay pair k+1 of a plain build bit for bit,
+    but not of a reorthogonalized one, whose Gram-Schmidt pass is not in rec.
+    All of it is read-only, so the content hash is computed once.  An n_max
+    that is not an int >= 0, a k of 2**63 or more, arrays of other shapes, a
+    nonzero or NaN coefficient of the wrong parity or beyond its member's
+    degree, then a NaN or infinity anywhere else, and then a norm not > 0,
+    are refused with ValueError.
     """
 
     freq: Frequency
@@ -69,6 +72,7 @@ class OscBasis:
     rec: np.ndarray
 
     def __post_init__(self):
+        require_size(self.n_max)
         if self.freq.k >= 2 ** 63:
             raise ValueError(f"k={self.freq.k} overflows the int64 of the basis hash")
         n = self.n_max + 1
@@ -158,17 +162,12 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     not exceed n_max.
     """
     if freq.omega != tables.freq.omega:
-        raise ValueError(
-            f"frequency mismatch: basis requested at omega={freq.omega!r} "
-            f"but tables were built at omega={tables.freq.omega!r}"
-        )
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"frequency mismatch: basis requested at omega={freq.omega!r} "
+                         f"but tables were built at omega={tables.freq.omega!r}")
+    require_size(n_max)
     if tables.n_max < n_max + 1:
-        raise ValueError(
-            f"tables.n_max={tables.n_max} too small: multiplication by x "
-            f"raises the degree, need tables with n_max >= {n_max + 1}"
-        )
+        raise ValueError(f"tables.n_max={tables.n_max} too small: multiplication by x "
+                         f"raises the degree, need tables with n_max >= {n_max + 1}")
     # orthogonality holds up while the polynomial degree stays below the
     # number of oscillation periods, so the warning threshold here is
     # omega / 2pi, not the raw omega that the table recursion cares about

@@ -31,6 +31,7 @@ import numpy as np
 
 from .basis import OscBasis, member_slice
 from .frequency import Frequency
+from .legendre import require_size
 
 
 @dataclass
@@ -58,8 +59,7 @@ class DerivativeOperator:
 
 def derivative_matrix_legtrig(freq: Frequency, n_max: int) -> DerivativeOperator:
     """The operator D for degrees 0 ... n_max, without d_orth."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    require_size(n_max)
     return DerivativeOperator(freq=freq, n_max=n_max)
 
 

@@ -4,10 +4,11 @@ A document is a JSON object: the header schema_version, omega, k, epsilon,
 n_max, then its kind's payload, floats in repr form for bit-exact round
 trips.  Tables hold m5 and m6; the m1 ... m4 of older documents are
 ignored.  Loading checks only what needs the JSON: the schema version,
-the kind and its keys, n_max, each payload array (numeric, exact shape,
-finite) and the basis row count, row lengths and step count that building
-the arrays needs; Frequency, InnerProductTables, OscBasis and Expansion
-check the rest.  Faults are ValueErrors.
+the kind and its keys, the payload's structure, each array's element
+type, nesting and finiteness, and that no basis row is longer than its
+member's degree, which padding would hide; arrays are sized from the
+payload.  Frequency, InnerProductTables, OscBasis and Expansion check the
+rest (n_max, sizes, shapes, parity, symmetry).  Faults are ValueErrors.
 There is no operator document: d_orth = B^-1 D B is recomputed from a
 loaded basis faster than it loads.
 """
@@ -61,9 +62,9 @@ def to_doc(obj) -> dict:
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
-def _array(value, name: str, shape: tuple) -> np.ndarray:
+def _array(value, name: str, ndim: int) -> np.ndarray:
     """value as a float array, or ValueError if it is not numeric, not of
-    the given shape (None matches any length) or not finite."""
+    ndim dimensions or not finite."""
     try:
         arr = np.array(value)
     except ValueError:
@@ -71,18 +72,17 @@ def _array(value, name: str, shape: tuple) -> np.ndarray:
         depth, first = 0, value
         while isinstance(first, list) and first:
             depth, first = depth + 1, first[0]
-        if depth > len(shape):
+        if depth > ndim:
             raise ValueError(f"{name} is nested {depth} levels deep, expected "
-                             f"shape {shape}") from None
+                             f"{ndim} dimensions") from None
         raise ValueError(f"{name} is a ragged array") from None
     # numpy reads a JSON true or false among numbers as 1 or 0
     entries = chain.from_iterable(value) if arr.ndim > 1 else value
     if arr.dtype.kind not in "iuf" or (
             isinstance(value, list) and bool in set(map(type, entries))):
         raise ValueError(f"{name} is not a numeric array")
-    if arr.ndim != len(shape) or any(
-            want not in (None, got) for want, got in zip(shape, arr.shape)):
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {ndim} dimensions")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     return arr.astype(float)
@@ -106,40 +106,32 @@ def from_doc(doc):
                if key not in doc]
     if missing:
         raise ValueError(f"document lacks required key(s): {', '.join(missing)}")
-    n_max = doc["n_max"]
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     freq = Frequency(omega=doc["omega"], k=doc["k"], epsilon=doc["epsilon"])
-    size = 2 * (n_max + 1)
     if cls is OscBasis:
-        if not isinstance(doc["rows"], list) or len(doc["rows"]) != size:
-            raise ValueError(f"a basis with n_max={n_max} has {size} rows")
-        a = np.zeros((size, n_max + 1))
-        b = np.zeros((size, n_max + 1))
-        for i, row in enumerate(doc["rows"]):
+        rows, steps = doc["rows"], doc["rec"]
+        if not isinstance(rows, list) or not isinstance(steps, list):
+            raise ValueError("basis rows and rec must be lists")
+        # sized from the payload: row i reaches Legendre degree i // 2
+        a, b = np.zeros((2, len(rows), (len(rows) + 1) // 2))
+        for i, row in enumerate(rows):
             if not isinstance(row, dict) or not {"a", "b"} <= row.keys():
                 raise ValueError(f"basis row {i} is not an object with keys a and b")
-            coeffs = _array([row["a"], row["b"]], f"basis row {i} (a, b)", (2, None))
+            coeffs = _array([row["a"], row["b"]], f"basis row {i} (a, b)", 2)
             length = coeffs.shape[1]
             if length > i // 2 + 1:
-                raise ValueError(
-                    f"basis row {i} has {length} coefficients, but member {i} "
-                    f"reaches only Legendre degree {i // 2}"
-                )
+                raise ValueError(f"basis row {i} has {length} coefficients, but "
+                                 f"member {i} reaches only Legendre degree {i // 2}")
             a[i, :length], b[i, :length] = coeffs
-        norms = _array(doc["norms"], "basis norms", (size,))
-        steps = doc["rec"]
-        if not isinstance(steps, list) or len(steps) != n_max:
-            raise ValueError(f"a basis with n_max={n_max} has {n_max} rec steps")
         flat = [step.get(key) if isinstance(step, dict) else None
                 for step in steps for key in _STEP]
-        return OscBasis(freq=freq, n_max=n_max, a=a, b=b, norms=norms,
-                        rec=_array(flat, "rec", (4 * n_max,)).reshape(n_max, 4))
+        return OscBasis(freq=freq, n_max=doc["n_max"], a=a, b=b,
+                        norms=_array(doc["norms"], "basis norms", 1),
+                        rec=_array(flat, "rec", 1).reshape(len(steps), 4))
     if cls is InnerProductTables:
-        return InnerProductTables(freq=freq, n_max=n_max, **{
-            name: _array(doc[name], name, (n_max + 1, n_max + 1)) for name in _TABLES})
-    return Expansion(freq, n_max, doc["basis_hash"],
-                     _array(doc["coeffs"], "coeffs", (size,)))
+        return InnerProductTables(freq=freq, n_max=doc["n_max"], **{
+            name: _array(doc[name], name, 2) for name in _TABLES})
+    return Expansion(freq, doc["n_max"], doc["basis_hash"],
+                     _array(doc["coeffs"], "coeffs", 1))
 
 
 def write_json(doc: dict, path) -> Path:

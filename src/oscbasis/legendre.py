@@ -71,6 +71,12 @@ def require_finite(*arrays):
             raise ValueError("coefficients must be finite")
 
 
+def require_size(n_max):
+    """Refuse a size N that is not an int >= 0 (a bool, 3.0, "3", None)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+
+
 def legtrig_values(a, b, omega: float, x):
     """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
     at x, of shape a.shape[:-1] + x.shape, from one Legendre table; for one
@@ -103,25 +109,29 @@ def gauss_legendre_rule(n_points: int) -> QuadratureRule:
     Newton step is one recurrence pass; from these guesses a few hundred
     points take three steps.  Exact for polynomials of degree <= 2n - 1.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    n = n_points
+    return QuadratureRule(*_gauss_legendre(n_points, False)[:2])
+
+
+def _gauss_legendre(n: int, table: bool):
+    """Nodes, weights and, if table, P_0 ... P_{n-1} at the nodes (row j
+    holds P_j), else None: up to 100 Newton steps, one pass each, then one
+    pass for the weights from P'_n at |x| < 1, which can keep its rows."""
+    if n < 1:
+        raise ValueError(f"n_points must be >= 1, got {n}")
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
     x *= 1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)
-    for _ in range(100):
-        p, dp = _value_and_derivative(n, x)
+    dx = math.inf
+    for step in range(101):
+        done = step == 100 or np.max(np.abs(dx)) < 1e-15
+        rows = legendre_table(n, x) if done and table else legendre_rows(x)
+        pm1, p = islice(rows, n - 1, n + 1)
+        dp = n * (x * p - pm1) / (x * x - 1.0)
+        if done:
+            break
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    p, dp = _value_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=w[order])
-
-
-def _value_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P'_n(x) for n >= 1 at interior points |x| < 1."""
-    pm1, p = islice(legendre_rows(x), n - 1, n + 1)
-    return p, n * (x * p - pm1) / (x * x - 1.0)
+    # take, not rows[:n, order], whose result is in Fortran order
+    return x[order], w[order], np.take(rows[:n], order, axis=1) if table else None

@@ -21,7 +21,8 @@ import numpy as np
 
 from .basis import OscBasis
 from .frequency import Frequency
-from .legendre import QuadratureRule, gauss_legendre_rule, legendre_table
+from .legendre import (QuadratureRule, gauss_legendre_rule, legendre_table,
+                       require_size)
 from .tables import InnerProductTables, _rows
 
 _CHUNK = 1024  # nodes x > 0 per chunk of _half_rule
@@ -110,8 +111,7 @@ def oracle_tables(freq: Frequency, n_max: int,
     both are exactly symmetric and exactly 0.0 off their parity.  Used by
     verify.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    require_size(n_max)
     two_omega = 2.0 * freq.omega
     even, odd, cross = 0.0, 0.0, 0.0
     for x, w in _half_rule(freq.omega, cfg):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
-from .legendre import require_finite
+from .legendre import require_finite, require_size
 
 # largest table degree N, which bounds the arrays that one table build and
 # the basis on its tables allocate: at 2 pi 25000, N = 2047, build_tables
@@ -44,9 +44,9 @@ class InnerProductTables:
     """M5 and M6, (N+1) x (N+1), at one frequency; M1 ... M4 read off them.
 
     m5 and m6 are read-only; an array given writable, or not as float64,
-    is copied first.  Tables that are not (N+1)-square, not finite, not
-    exactly symmetric or nonzero off their parity (M5 at odd j + k, M6 at
-    even) are refused with ValueError, however they are made.
+    is copied first.  An n_max not an int >= 0, and tables not (N+1)-square,
+    not finite, not exactly symmetric or nonzero off their parity (M5 at odd
+    j + k, M6 at even), are refused with ValueError, however they are made.
     """
 
     freq: Frequency
@@ -55,6 +55,7 @@ class InnerProductTables:
     m6: np.ndarray
 
     def __post_init__(self):
+        require_size(self.n_max)
         n = self.n_max + 1
         for name, parity in (("m5", 1), ("m6", 0)):
             mat = getattr(self, name)
@@ -111,8 +112,7 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
     when M5 or M6 holds a value that is not finite (the recursion overflows
     far outside its stable regime).
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    require_size(n_max)
     if n_max > MAX_DEGREE:
         raise ValueError(f"n_max={n_max} is over the table degree limit of "
                          f"{MAX_DEGREE} (a basis of pair index N takes tables "

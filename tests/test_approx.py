@@ -466,6 +466,20 @@ def test_filon_weights_match_complex_product(freq):
     assert np.max(np.abs(v - ref)) <= 1e-15 * np.max(np.abs(v))
 
 
+@pytest.mark.parametrize("points", [1, 2, 24, 321, 401])
+def test_analysis_table_is_the_rule_pass_kept(points):
+    # the pass that gives the weights keeps its rows as P: the bits of a
+    # second pass at the nodes, in C order, since a product with P in
+    # another layout sums in another order
+    nodes, weights, P, W = _analysis.__wrapped__(points)
+    rule = gauss_legendre_rule(points)
+    assert nodes.tobytes() == rule.nodes.tobytes()
+    assert weights.tobytes() == rule.weights.tobytes()
+    assert P.flags.c_contiguous
+    assert P.tobytes() == legendre_table(points - 1, nodes).tobytes()
+    assert W.tobytes() == ((np.arange(points)[:, None] + 0.5) * P * weights).tobytes()
+
+
 def _spherical_bessel_on_numpy_scalars(kappa, sin_k, cos_k, count):
     """The reference for the bits: both recurrences item by item on a numpy
     array; also says whether the backward one rescaled against overflow."""

@@ -19,7 +19,7 @@ from oscbasis import (
     load_basis,
     save_basis,
 )
-from oscbasis.basis import member_values, representation_matrix
+from oscbasis.basis import _member_order, member_values, representation_matrix
 from oscbasis.documents import from_doc, save, save_csv, to_doc
 from oscbasis.frequency import TWO_PI
 from oscbasis.oracle import member_gram
@@ -157,6 +157,51 @@ def test_recurrence_quotients_are_table_inner_products(basis20, tables20):
                           (gamma, quotient[1, 2]),
                           (delta, quotient[1, 3])):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def _replay(basis):
+    """(a, b) rebuilt from norms and rec alone by build_basis's own array
+    operations, in its layout: rows[c, k] is class c's member of pair k,
+    row 2k + (k + c) % 2, in class-c coordinates."""
+    n_max, n = basis.n_max, basis.n_max + 1
+    pair, side = np.divmod(np.arange(2 * n), 2)
+    norms = np.empty((2, n))
+    norms[(pair + side) % 2, pair] = basis.norms
+    # quot[c, k + 1]: quotients against pairs k - 1 and k; p_{k+1} is in
+    # class (k + 1) % 2 and q_{k+1} in class k % 2
+    quot = np.zeros((2, n, 2))
+    for k, (alpha, beta, gamma, delta) in enumerate(basis.rec):
+        quot[(k + 1) % 2, k + 1], quot[k % 2, k + 1] = (beta, alpha), (delta, gamma)
+    m = np.arange(n + 1)
+    updown = np.stack([(m + 1) / (2.0 * m + 1.0), m / (2.0 * m + 1.0)])
+    rows, (X, scratch) = np.zeros((2, n, n)), np.zeros((2, 2, n + 1))
+    shift = np.zeros((2, 2, n + 2))
+    X[:, 0] = 1.0
+    np.divide(X[:, None, :1], norms[:, 0, None, None], out=rows[:, 0, None, :1])
+    for k in range(n_max):
+        x = X[:, : k + 2]
+        np.multiply(rows[::-1, k, None, : k + 1], updown[:, : k + 1],
+                    out=shift[:, :, 1 : k + 2])
+        np.add(shift[:, 0, :k], shift[:, 1, 2 : k + 2], out=x[:, :k])
+        x[:, k:] = shift[:, 0, k : k + 2]
+        lo = max(k - 1, 0)
+        np.matmul(quot[:, k + 1, None, lo - k + 1 :], rows[:, lo : k + 1, : k + 2],
+                  out=scratch[:, None, : k + 2])
+        np.subtract(x, scratch[:, : k + 2], out=x)
+        np.divide(x[:, None], norms[:, k + 1, None, None],
+                  out=rows[:, k + 1, None, : k + 2])
+    return _member_order(rows)[0]
+
+
+@pytest.mark.parametrize("k, n_max", [(20, 0), (20, 1), (20, 2), (84, 40), (330, 200)])
+def test_norms_and_rec_replay_a_plain_build_bit_for_bit(k, n_max):
+    # the recurrence reaches this far only without reorthogonalization: its
+    # extra Gram-Schmidt pass is not in rec, and those builds do not replay
+    freq = Frequency.exact(k)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    a, b = _replay(basis)
+    assert a.tobytes() == basis.a.tobytes()
+    assert b.tobytes() == basis.b.tobytes()
 
 
 def test_reorthogonalization_tightens_marginal_gram():

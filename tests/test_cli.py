@@ -326,7 +326,7 @@ def test_verify_refuses_nan_tables(tmp_path, capsys):
 
 def test_verify_names_the_nesting_of_a_payload_past_numpy_dimensions(tmp_path, capsys):
     # numpy refuses lists nested past its dimension limit as it refuses a
-    # ragged list; the message names the depth against the expected shape
+    # ragged list; the message names the depth against the expected one
     t = tmp_path / "t.json"
     _run("tables", "--omega", "2pi*8", "--n", "0", "--out", t)
     doc = json.loads(t.read_text())
@@ -336,7 +336,7 @@ def test_verify_names_the_nesting_of_a_payload_past_numpy_dimensions(tmp_path, c
     capsys.readouterr()
     assert _run("verify", t) == 2
     err = capsys.readouterr().err
-    assert "m5 is nested 900 levels deep, expected shape (1, 1)" in err
+    assert "m5 is nested 900 levels deep, expected 2 dimensions" in err
     assert "ragged" not in err
 
 
@@ -400,7 +400,7 @@ def _string_alpha(doc):
     ("basis", _future_schema, "schema_version 99"),
     ("tables", _old_schema, "schema_version 1, expected 2"),
     ("basis", _old_schema, "schema_version 1, expected 2"),
-    ("basis", _drop_row, "18 rows"),
+    ("basis", _drop_row, "basis a has shape (17, 9)"),
     ("basis", _lengthen_row, "row 2 has 3 coefficients"),
     ("tables", _empty_m6, "m6 is not a numeric array"),
     ("tables", _asymmetric_m5, "m5 is not symmetric"),

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbasis import (Expansion, Frequency, InnerProductTables, OscBasis,
-                      build_basis, build_tables)
-from oscbasis.documents import SCHEMA_VERSION, from_doc, save_csv, to_doc
+                      build_basis, build_tables, derivative_matrix_legtrig)
+from oscbasis.documents import SCHEMA_VERSION, from_doc, load, save, save_csv, to_doc
+from oscbasis.oracle import oracle_tables
 
 JUNK = [None, True, False, "junk", "1.5", {}, [], [[1.0], [1.0, 2.0]],
         [[[1.0]]], [1.0, [2.0]], float("nan"), 1e308, -1, 10 ** 400]
@@ -109,8 +112,8 @@ def test_payload_nested_past_numpy_dimensions_names_its_depth():
         for _ in range(depth - 2):
             payload = [payload]
         doc["m5"] = payload
-        message = (r"m5 has shape \(1, 1, .*\), expected \(4, 4\)" if depth == 35
-                   else r"m5 is nested 900 levels deep, expected shape \(4, 4\)$")
+        message = (r"m5 has shape \(1, 1, .*\), expected 2 dimensions" if depth == 35
+                   else r"m5 is nested 900 levels deep, expected 2 dimensions$")
         with pytest.raises(ValueError, match=message):
             from_doc(doc)
 
@@ -188,3 +191,63 @@ def test_save_csv_refuses_an_expansion(tmp_path):
     with pytest.raises(TypeError, match="no CSV form for Expansion"):
         save_csv(exp, tmp_path / "exp")
     assert list(tmp_path.iterdir()) == []
+
+
+def _objects(n_max):
+    """Tables, basis and expansion of size n_max at 2 pi 5."""
+    freq = Frequency.exact(5)
+    basis = build_basis(freq, n_max, build_tables(freq, n_max + 1))
+    return {"tables": build_tables(freq, n_max), "basis": basis,
+            "expansion": Expansion(freq, n_max, basis.content_hash(),
+                                   np.linspace(-1.0, 1.0, 2 * (n_max + 1)))}
+
+
+OBJECTS = [_objects(n_max) for n_max in range(4)]
+FREQ5 = Frequency.exact(5)
+TABLES3 = OBJECTS[3]["tables"]
+BASIS2, EXP2 = OBJECTS[2]["basis"], OBJECTS[2]["expansion"]
+
+# every way in for a size: the constructors, dataclasses.replace, the
+# builders and the codec
+SIZE_ENTRY_POINTS = {
+    "InnerProductTables": lambda n: InnerProductTables(FREQ5, n, TABLES3.m5,
+                                                       TABLES3.m6),
+    "OscBasis": lambda n: OscBasis(FREQ5, n, BASIS2.a, BASIS2.b, BASIS2.norms,
+                                   BASIS2.rec),
+    "Expansion": lambda n: Expansion(FREQ5, n, EXP2.basis_hash, EXP2.coeffs),
+    "replace_tables": lambda n: replace(TABLES3, n_max=n),
+    "replace_basis": lambda n: replace(BASIS2, n_max=n),
+    "replace_expansion": lambda n: replace(EXP2, n_max=n),
+    "build_tables": lambda n: build_tables(FREQ5, n),
+    "build_basis": lambda n: build_basis(FREQ5, n, TABLES3),
+    "derivative_matrix_legtrig": lambda n: derivative_matrix_legtrig(FREQ5, n),
+    "oracle_tables": lambda n: oracle_tables(FREQ5, n),
+    **{f"from_doc_{kind}": lambda n, kind=kind: from_doc(dict(DOCS[kind], n_max=n))
+       for kind in sorted(DOCS)},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRY_POINTS))
+@pytest.mark.parametrize("n_max", [True, False, 3.0, -1, "3", None])
+def test_every_entry_point_refuses_a_size_that_is_not_an_int_from_0(entry, n_max):
+    message = f"n_max must be an integer >= 0, got {n_max!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SIZE_ENTRY_POINTS[entry](n_max)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(DOCS)), size=st.integers(0, 3),
+       n_max=st.one_of(st.integers(-2, 4), st.floats(-1.0, 4.0),
+                       st.sampled_from([True, False, "3", None, np.int64(2)])))
+def test_what_the_constructors_accept_saves_and_loads_back(tmp_path_factory, kind,
+                                                          size, n_max):
+    # shape checks alone take 3.0 for 3, which save would write and load refuse
+    try:
+        obj = replace(OBJECTS[size][kind], n_max=n_max)
+    except ValueError:
+        return
+    path = save(obj, tmp_path_factory.getbasetemp() / "size_round_trip.json")
+    loaded = load(path, type(obj))
+    assert json.dumps(to_doc(loaded)) == json.dumps(to_doc(obj))
+    if kind == "basis":
+        assert loaded.content_hash() == obj.content_hash()

@@ -381,5 +381,5 @@ def test_verify_takes_tables_or_basis_and_nothing_else():
 
 
 def test_oracle_tables_refuses_negative_degree():
-    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="n_max must be an integer >= 0, got -1"):
         oracle_tables(Frequency.exact(3), -1)
