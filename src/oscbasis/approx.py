@@ -13,7 +13,10 @@ the oscillatory factor cos(2 w_b x) + i sin(2 w_b x) their products carry
 is integrated exactly through the moments of the Legendre polynomials, so
 the cost does not depend on w.  The quadrature oracle is left to checking
 only.  Expansions are evaluated through the basis coefficient arrays, one
-Legendre table and two matrix-vector products.
+Legendre table and two matrix-vector products; legtrig_values keeps the
+table of its last point set (up to KEPT_ENTRIES entries, keyed by the
+points' bytes), so expansions evaluated on one grid share one table, and
+sums one point on Python floats in degree order.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
-from .legendre import legtrig_values, require_finite, require_size
+from .legendre import legtrig_values, read_only, require_finite, require_size
 from .tables import InnerProductTables
 
 # below this pre-normalization norm a direction carries no information in
@@ -57,7 +57,8 @@ class OscBasis:
     and q_{k-1} that the recurrence subtracts for pair k+1 (beta = delta = 0
     at k = 0); with norms they replay pair k+1 of a plain build bit for bit,
     but not of a reorthogonalized one, whose Gram-Schmidt pass is not in rec.
-    All of it is read-only, so the content hash is computed once.  An n_max
+    All of it is read-only, so the content hash is computed once; an array
+    given read-only in float64 is kept as it is, any other is copied.  An n_max
     that is not an int >= 0, a k of 2**63 or more, arrays of other shapes, a
     nonzero or NaN coefficient of the wrong parity or beyond its member's
     degree, then a NaN or infinity anywhere else, and then a norm not > 0,
@@ -79,11 +80,10 @@ class OscBasis:
         shapes = {"a": (2 * n, n), "b": (2 * n, n), "norms": (2 * n,),
                   "rec": (n - 1, 4)}
         for name, shape in shapes.items():
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = read_only(getattr(self, name))
             if arr.shape != shape:
                 raise ValueError(f"basis {name} has shape {arr.shape}, but a "
                                  f"basis with n_max={self.n_max} has {shape}")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # a and b may be nonzero (or NaN) only at degree j <= i // 2 of
         # member i, and there only in the part of its parity: the sine part
@@ -275,6 +275,8 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # rows 2k + 2 and 2k + 3 are p_{k+1} and q_{k+1}, whose quotients against
     # pairs k - 1 and k are (beta, alpha) and (delta, gamma)
     rec = quot[2:, ::-1].reshape(n_max, 4)
+    for arr in (a_b, norms, rec):
+        arr.flags.writeable = False
     return OscBasis(freq=freq, n_max=n_max, a=a_b[0], b=a_b[1], norms=norms, rec=rec)
 
 

@@ -124,9 +124,13 @@ def from_doc(doc):
             a[i, :length], b[i, :length] = coeffs
         flat = [step.get(key) if isinstance(step, dict) else None
                 for step in steps for key in _STEP]
-        return OscBasis(freq=freq, n_max=doc["n_max"], a=a, b=b,
-                        norms=_array(doc["norms"], "basis norms", 1),
-                        rec=_array(flat, "rec", 1).reshape(len(steps), 4))
+        norms = _array(doc["norms"], "basis norms", 1)
+        rec = _array(flat, "rec", 1).reshape(len(steps), 4)
+        # read-only, so the basis takes them without a copy
+        for arr in (a, b, norms, rec):
+            arr.flags.writeable = False
+        return OscBasis(freq=freq, n_max=doc["n_max"], a=a, b=b, norms=norms,
+                        rec=rec)
     if cls is InnerProductTables:
         return InnerProductTables(freq=freq, n_max=doc["n_max"], **{
             name: _array(doc[name], name, 2) for name in _TABLES})

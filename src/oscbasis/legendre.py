@@ -6,6 +6,13 @@ analysis rule and the quadrature oracle.  A function in span{P_j(x)
 cos(omega x), P_j(x) sin(omega x)} is a coefficient pair (a, b), several
 are the rows of two arrays (A, B), and legtrig_values evaluates them from
 one Legendre table.  All arithmetic is 64-bit floating point.
+
+legtrig_values keeps the table of its last call at two or more points,
+keyed by the exact bytes of the flattened points, so a point set
+evaluated again (one grid for many expansions) reuses its rows instead of
+running the recurrence again; a table of more than KEPT_ENTRIES entries
+is not kept.  One pair at one point is summed on Python floats, in
+degree order, with no numpy call.
 """
 
 from __future__ import annotations
@@ -15,6 +22,13 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
+
+# largest Legendre table legtrig_values keeps for its next call on the same
+# points: 2**18 float64 entries, 2 MiB
+KEPT_ENTRIES = 2 ** 18
+# (bytes of the flattened points, their read-only table), replaced whole so
+# that a thread never reads a key with another key's table
+_kept = (None, None)
 
 
 def legendre_rows(x, out=None):
@@ -71,6 +85,16 @@ def require_finite(*arrays):
             raise ValueError("coefficients must be finite")
 
 
+def read_only(value) -> np.ndarray:
+    """value as a read-only float64 array: as it is when it already is
+    one, else a copy, so the caller's array cannot change it later."""
+    if (not isinstance(value, np.ndarray) or value.dtype != float
+            or value.flags.writeable):
+        value = np.array(value, dtype=float)
+        value.flags.writeable = False
+    return value
+
+
 def require_size(n_max):
     """Refuse a size N that is not an int >= 0 (a bool, 3.0, "3", None)."""
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
@@ -80,13 +104,54 @@ def require_size(n_max):
 def legtrig_values(a, b, omega: float, x):
     """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
     at x, of shape a.shape[:-1] + x.shape, from one Legendre table; for one
-    pair at a scalar or 0-d x, a Python float with the bits of a 1-point x."""
+    pair at a scalar or 0-d x, a Python float.
+
+    One pair at one point (0-d, or an array of size 1) is summed on Python
+    floats in degree order, so its value does not depend on how it was
+    passed.  At two or more points the table is the kept one when the
+    points have the kept key and it reaches the degree, else it is built
+    and, up to KEPT_ENTRIES entries, kept; its row j does not depend on
+    the top degree, so the values are the same either way."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    P = legendre_table(a.shape[-1] - 1, x if x.ndim == 0 else flat)
+    if a.ndim == 1 and x.size == 1:
+        value = _one_point(a, b, omega, x.item())
+        return value if x.ndim == 0 else np.full(x.shape, value)
+    flat, n_max = x.reshape(-1), a.shape[-1] - 1
+    P = _table(n_max, flat) if flat.size > 1 else legendre_table(
+        n_max, x if x.ndim == 0 else flat)
     values = ((a @ P) * np.cos(omega * flat)
-              + (b @ P) * np.sin(omega * flat)).reshape(a.shape[:-1] + x.shape)
-    return float(values) if values.ndim == 0 else values
+              + (b @ P) * np.sin(omega * flat))
+    return values.reshape(a.shape[:-1] + x.shape)
+
+
+def _one_point(a, b, omega: float, x: float) -> float:
+    """sum_j a[j] P_j(x) cos(omega x) + b[j] P_j(x) sin(omega x) on floats,
+    the sums in degree order."""
+    sa = sb = 0.0
+    for aj, bj, p in zip(a.tolist(), b.tolist(), legendre_rows(x)):
+        sa += aj * p
+        sb += bj * p
+    t = omega * x
+    if math.isfinite(t):
+        return sa * math.cos(t) + sb * math.sin(t)
+    # numpy's NaN, with its RuntimeWarning at +-inf, where math.cos raises
+    t = np.float64(omega) * x
+    return float(sa * np.cos(t) + sb * np.sin(t))
+
+
+def _table(n_max: int, flat: np.ndarray) -> np.ndarray:
+    """legendre_table(n_max, flat), or the first n_max + 1 rows of the kept
+    table when flat has its key; a new table within KEPT_ENTRIES is kept."""
+    global _kept
+    key = flat.tobytes()
+    kept_key, kept = _kept
+    if key == kept_key and kept.shape[0] > n_max:
+        return kept[: n_max + 1]
+    table = legendre_table(n_max, flat)
+    if table.size <= KEPT_ENTRIES:
+        table.flags.writeable = False
+        _kept = key, table
+    return table
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import Frequency, StabilityWarning
-from .legendre import require_finite, require_size
+from .legendre import read_only, require_finite, require_size
 
 # largest table degree N, which bounds the arrays that one table build and
 # the basis on its tables allocate: at 2 pi 25000, N = 2047, build_tables
@@ -58,10 +58,7 @@ class InnerProductTables:
         require_size(self.n_max)
         n = self.n_max + 1
         for name, parity in (("m5", 1), ("m6", 0)):
-            mat = getattr(self, name)
-            if (not isinstance(mat, np.ndarray) or mat.dtype != float
-                    or mat.flags.writeable):
-                mat = np.array(mat, dtype=float)
+            mat = read_only(getattr(self, name))
             if mat.shape != (n, n):
                 raise ValueError(f"{name} has shape {mat.shape}, expected {(n, n)}")
             if not np.isfinite(mat).all():
@@ -74,7 +71,6 @@ class InnerProductTables:
                 j, k = np.argwhere((mat != 0.0) & (odd == parity))[0]
                 raise ValueError(f"{name}[{j}][{k}] = {float(mat[j, k])!r} is "
                                  f"nonzero at {('even', 'odd')[parity]} j + k")
-            mat.flags.writeable = False
             object.__setattr__(self, name, mat)
 
     @property

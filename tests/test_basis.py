@@ -306,6 +306,30 @@ def test_basis_refuses_non_finite_entries(basis20, name, index):
         OscBasis(**_fields(basis20, **{name: arr}))
 
 
+def test_basis_keeps_read_only_float_arrays_and_copies_the_rest(basis20):
+    names = ("a", "b", "norms", "rec")
+    # build_basis and from_doc hand their arrays over read-only, and a basis
+    # made from a basis's own arrays holds the same objects
+    for basis in (basis20, from_doc(to_doc(basis20))):
+        assert not any(getattr(basis, name).flags.writeable for name in names)
+        same = OscBasis(**_fields(basis))
+        assert all(getattr(same, name) is getattr(basis, name) for name in names)
+    # a writable array, or one not in native float64, is copied
+    writable = {name: getattr(basis20, name).copy() for name in names}
+    swapped = {name: getattr(basis20, name).astype(">f8") for name in names}
+    for arr in swapped.values():
+        arr.flags.writeable = False
+    copies = [OscBasis(**_fields(basis20, **given)) for given in (writable, swapped)]
+    for copied, given in zip(copies, (writable, swapped)):
+        for name, arr in given.items():
+            got = getattr(copied, name)
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert not got.flags.writeable and not np.shares_memory(got, arr)
+        assert copied.content_hash() == basis20.content_hash()
+    writable["a"][0, 0] = 5.0
+    assert copies[0].a[0, 0] == basis20.a[0, 0]
+
+
 # a hand-written basis at 2 pi 3, N = 1, every coefficient at a slot its
 # parity and degree allow, and its pinned content hash
 _GOLDEN = {"a": [[1.0, 0.0], [0.0, 0.0], [0.0, 2.5], [-0.75, 0.0]],

@@ -1,13 +1,18 @@
+import math
+import warnings
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscbasis import Frequency
-from oscbasis.legendre import (gauss_legendre_rule, legendre_rows, legendre_table,
-                               legtrig_values)
+from oscbasis import Frequency, evaluate_expansion, project
+from oscbasis import legendre
+from oscbasis.approx import ENVELOPES, OscTarget
+from oscbasis.legendre import (KEPT_ENTRIES, gauss_legendre_rule, legendre_rows,
+                               legendre_table, legtrig_values)
 
 
 def _p(n, x):
@@ -210,3 +215,193 @@ def test_evaluate_matches_direct_sum():
     assert np.max(np.abs(vals - direct)) <= 1e-13
     scalar = legtrig_values(*f, freq.omega, float(x[3]))
     assert scalar == pytest.approx(direct[3], rel=1e-13, abs=1e-15)
+
+
+def _fresh(a, b, omega, x):
+    """legtrig_values at two or more points on a table built for this call
+    alone: the evaluation without a kept table."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    P = legendre_table(a.shape[-1] - 1, flat)
+    return ((a @ P) * np.cos(omega * flat)
+            + (b @ P) * np.sin(omega * flat)).reshape(a.shape[:-1] + x.shape)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class _Builds(list):
+    """The (n_max, points) of every legendre_table call made inside it,
+    starting from no kept table."""
+
+    def __enter__(self):
+        def counting(n_max, x):
+            self.append((n_max, np.size(x)))
+            return legendre_table(n_max, x)
+        self._patches = [mock.patch.object(legendre, "legendre_table", counting),
+                         mock.patch.object(legendre, "_kept", (None, None))]
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in reversed(self._patches):
+            patch.stop()
+
+
+def _pairs(rng, rows, degree):
+    shape = (rows, degree + 1) if rows else (degree + 1,)
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+def test_kept_table_gives_the_bits_of_a_fresh_one():
+    rng = np.random.default_rng(7)
+    omega = Frequency.exact(20).omega
+    grid = np.linspace(-1.0, 1.0, 2001)
+    with _Builds() as builds:
+        for rows in (0, 26, 0, 26):
+            a, b = _pairs(rng, rows, 12)
+            assert _same_bits(legtrig_values(a, b, omega, grid),
+                              _fresh(a, b, omega, grid))
+        assert builds == [(12, 2001)]
+        kept = legendre._kept[1]
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 2.0
+
+
+def test_two_expansions_on_one_grid_build_one_table(freq20, basis20):
+    grid = np.linspace(-1.0, 1.0, 2001)
+    exps = [project(OscTarget(ENVELOPES[f], ENVELOPES[g], freq20.omega), basis20)
+            for f, g in (("exp", "runge"), ("cos1", "x^2"))]
+    with _Builds() as builds:
+        values = [evaluate_expansion(exp, basis20, grid) for exp in exps]
+    assert builds == [(basis20.n_max, grid.size)]
+    for exp, got in zip(exps, values):
+        a, b = exp.coeffs @ basis20.a, exp.coeffs @ basis20.b
+        assert _same_bits(got, _fresh(a, b, freq20.omega, grid))
+
+
+def test_grid_changed_in_place_gets_a_fresh_table():
+    a, b = _pairs(np.random.default_rng(8), 0, 9)
+    omega = Frequency.exact(30).omega
+    grid = np.linspace(-1.0, 1.0, 301)
+    with _Builds() as builds:
+        legtrig_values(a, b, omega, grid)
+        grid[150] = 0.123
+        assert _same_bits(legtrig_values(a, b, omega, grid),
+                          _fresh(a, b, omega, grid))
+    assert builds == [(9, 301), (9, 301)]
+
+
+def test_higher_degree_rebuilds_and_lower_reuses_rows():
+    rng = np.random.default_rng(9)
+    omega = Frequency.exact(20).omega
+    grid = rng.uniform(-1.0, 1.0, 500)
+    with _Builds() as builds:
+        for degree in (5, 3, 0, 8, 5, 8):
+            a, b = _pairs(rng, 3, degree)
+            assert _same_bits(legtrig_values(a, b, omega, grid),
+                              _fresh(a, b, omega, grid))
+    assert builds == [(5, 500), (8, 500)]
+
+
+@pytest.mark.parametrize("over", [False, True], ids=["at_bound", "over_bound"])
+def test_table_over_the_bound_is_not_kept(over):
+    # two rows of KEPT_ENTRIES / 2 points are kept, one point more is not
+    points = KEPT_ENTRIES // 2 + over
+    a, b = np.array([0.5, -1.5]), np.array([2.0, 0.25])
+    grid = np.linspace(-1.0, 1.0, points)
+    with _Builds() as builds:
+        first = legtrig_values(a, b, 3.0, grid)
+        assert _same_bits(legtrig_values(a, b, 3.0, grid), first)
+    assert builds == [(1, points)] * (1 + over)
+
+
+def test_two_grids_in_turn_both_stay_right():
+    rng = np.random.default_rng(10)
+    omega = Frequency.exact(50).omega
+    grids = np.linspace(-1.0, 1.0, 2001), rng.uniform(-1.0, 1.0, 37)
+    with _Builds() as builds:
+        for turn in range(6):
+            grid = grids[turn % 2]
+            a, b = _pairs(rng, turn % 3, 12)
+            assert _same_bits(legtrig_values(a, b, omega, grid),
+                              _fresh(a, b, omega, grid))
+    # one table is kept, so each change of grid builds
+    assert [size for _, size in builds] == [2001, 37] * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2,
+                       max_size=40),
+       degrees=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+       rows=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       change=st.booleans())
+def test_kept_table_matches_fresh_builds(points, degrees, rows, seed, change):
+    # whatever degrees follow each other on one point set, or on a copy of
+    # it changed in one place, every value has the bits of a fresh build,
+    # and a table is built only when the degree passes the largest so far
+    rng = np.random.default_rng(seed)
+    x = np.array(points)
+    with _Builds() as builds:
+        top = -1
+        for i, degree in enumerate(degrees):
+            if change and i == len(degrees) // 2:
+                x = x.copy()
+                x[0] = -x[0] if x[0] != 0.0 else 0.5
+                top = -1
+            a, b = _pairs(rng, rows, degree)
+            assert _same_bits(legtrig_values(a, b, 7.5, x), _fresh(a, b, 7.5, x))
+            if degree > top:
+                assert builds.pop() == (degree, x.size)
+                top = degree
+            assert not builds
+
+
+def _degree_order_sum(a, b, omega, x):
+    """The one-point value as a fixed-order float sum: degree 0 first."""
+    p = legendre_table(len(a) - 1, np.array([x]))[:, 0].tolist()
+    sa = sb = 0.0
+    for j in range(len(a)):
+        sa += a[j] * p[j]
+        sb += b[j] * p[j]
+    return sa * math.cos(omega * x) + sb * math.sin(omega * x)
+
+
+@pytest.mark.parametrize("x", [0.3, -0.77, 0.999, 1.0, -1.0, 0.0, -0.0, 1e-300])
+def test_one_point_is_a_degree_order_float_sum(x):
+    rng = np.random.default_rng(11)
+    omega = Frequency.exact(20).omega
+    for degree in (0, 1, 12, 40):
+        a, b = (v.tolist() for v in _pairs(rng, 0, degree))
+        want = _degree_order_sum(a, b, omega, x)
+        a, b = np.array(a), np.array(b)
+        got = legtrig_values(a, b, omega, x)
+        assert type(got) is float and got == want
+        for shape in ((1,), (1, 1)):
+            arr = legtrig_values(a, b, omega, np.full(shape, x))
+            assert arr.shape == shape and arr.item() == want
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_one_point_at_infinity_warns_as_numpy_does(x):
+    a, b = np.array([1.0, 0.5, 0.25]), np.array([0.0, 2.0, 0.0])
+    for point in (x, np.array([[x]])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = legtrig_values(a, b, 3.0, point)
+        assert {(w.category, str(w.message)) for w in caught} == {
+            (RuntimeWarning, f"invalid value encountered in {name}")
+            for name in ("cos", "sin")}
+        assert np.shape(got) == np.shape(point) and np.isnan(got)
+
+
+def test_one_point_at_nan_gives_nan_without_a_warning():
+    a, b = np.array([1.0, 0.5, 0.25]), np.array([0.0, 2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(legtrig_values(a, b, 3.0, math.nan))
+        got = legtrig_values(a, b, 3.0, np.full((1, 1), math.nan))
+    assert got.shape == (1, 1) and np.isnan(got).all()

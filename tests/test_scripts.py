@@ -146,15 +146,32 @@ def test_approx_cost_prints_every_layer_and_the_residual():
     header, rows = lines[-3].split(), [line.split() for line in lines[-2:]]
     for name in ("analysis", "filon_w", "project", "residual",
                  "residual_fresh", "project_fresh", "content_hash",
-                 "eval_2001", "eval_scalar"):
+                 "eval_2001_first", "eval_2001_again", "eval_scalar"):
         assert name in header
     assert [row[0] for row in rows] == ["20.3", "2000.3"]
     for row in rows:
-        assert len(row) == 11
-        assert all(float(ms) > 0.0 for ms in row[1:10])
+        assert len(row) == 12
+        assert all(float(ms) > 0.0 for ms in row[1:11])
         # exp / runge at N = 12: the residual does not depend on omega
-        assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[10]), row[10]
-        assert 1e-3 < float(row[10]) < 1.0
+        assert re.fullmatch(r"\d\.\d{2}e[-+]\d{2}", row[11]), row[11]
+        assert 1e-3 < float(row[11]) < 1.0
+
+
+def test_approx_cost_against_a_checkout_prints_both_medians_and_ratio():
+    # the checkout this test file is in, imported beside the package under test
+    root = Path(__file__).resolve().parents[1]
+    lines = _run("approx_cost.py", ["--periods", "20.3,2000.3", "--repeats", "2",
+                                    "--against", root])
+    assert lines[0].split()[:5] == ["periods", "layer", "this_ms", "against_ms",
+                                    "ratio"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [
+        [periods, name] for periods in ("20.3", "2000.3")
+        for name in ("project", "residual", "eval_2001_first", "eval_2001_again",
+                     "eval_scalar")]
+    for _, _, this, other, ratio in rows:
+        assert float(this) > 0.0 and float(other) > 0.0
+        assert float(ratio) == pytest.approx(float(this) / float(other), rel=1e-2)
 
 
 def test_hilbert_demo_single_mode(tmp_path):
