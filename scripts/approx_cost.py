@@ -116,13 +116,12 @@ def time_against(periods: float, n: int, repeats: int, trees: tuple):
     alternating call by call, with the order of the trees swapped on every
     run; each tree projects onto and evaluates its own basis."""
     times = [{name: [] for name in AGAINST} for _ in trees]
-    work = []
-    for tree in trees:
-        target = tree.OscTarget(f_env=tree.ENVELOPES["exp"],
-                                g_env=tree.ENVELOPES["runge"],
-                                freq_raw=2 * math.pi * periods)
+    targets = [tree.OscTarget(f_env=tree.ENVELOPES["exp"], g_env=tree.ENVELOPES["runge"],
+                              freq_raw=2 * math.pi * periods) for tree in trees]
+    bases = []
+    for tree, target in zip(trees, targets):
         freq, _ = tree.reduce_frequency(target)
-        work.append((tree, target, tree.build_basis(freq, n, tree.build_tables(freq, n + 1))))
+        bases.append(tree.build_basis(freq, n, tree.build_tables(freq, n + 1)))
 
     def timed(i, name, fn, *args):
         start = time.perf_counter()
@@ -136,14 +135,14 @@ def time_against(periods: float, n: int, repeats: int, trees: tuple):
             for values in (v for t in times for v in t.values()):
                 values.clear()
         order = (1, 0) if rep % 2 else (0, 1)
-        exps = {i: timed(i, "project", work[i][0].project, *work[i][1:]) for i in order}
+        exps = {i: timed(i, "project", trees[i].project, targets[i], bases[i])
+                for i in order}
         for i in order:
-            tree, target, basis = work[i]
-            timed(i, "residual", tree.residual_norm, target, exps[i], basis)
+            timed(i, "residual", trees[i].residual_norm, targets[i], exps[i], bases[i])
         for name, x in (("eval_2001_first", grid), ("eval_2001_again", grid),
                         ("eval_scalar", 0.3)):
             for i in order:
-                timed(i, name, work[i][0].evaluate_expansion, exps[i], work[i][2], x)
+                timed(i, name, trees[i].evaluate_expansion, exps[i], bases[i], x)
     return [{name: 1e3 * float(np.median(v)) for name, v in t.items()} for t in times]
 
 

@@ -116,9 +116,8 @@ def legtrig_values(a, b, omega: float, x):
     if a.ndim == 1 and x.size == 1:
         value = _one_point(a, b, omega, x.item())
         return value if x.ndim == 0 else np.full(x.shape, value)
-    flat, n_max = x.reshape(-1), a.shape[-1] - 1
-    P = _table(n_max, flat) if flat.size > 1 else legendre_table(
-        n_max, x if x.ndim == 0 else flat)
+    flat = x.reshape(-1)
+    P = _table(a.shape[-1] - 1, flat)
     values = ((a @ P) * np.cos(omega * flat)
               + (b @ P) * np.sin(omega * flat))
     return values.reshape(a.shape[:-1] + x.shape)
@@ -141,14 +140,15 @@ def _one_point(a, b, omega: float, x: float) -> float:
 
 def _table(n_max: int, flat: np.ndarray) -> np.ndarray:
     """legendre_table(n_max, flat), or the first n_max + 1 rows of the kept
-    table when flat has its key; a new table within KEPT_ENTRIES is kept."""
+    table when flat has its key; a new table of two or more points and
+    within KEPT_ENTRIES is kept."""
     global _kept
     key = flat.tobytes()
     kept_key, kept = _kept
     if key == kept_key and kept.shape[0] > n_max:
         return kept[: n_max + 1]
     table = legendre_table(n_max, flat)
-    if table.size <= KEPT_ENTRIES:
+    if flat.size > 1 and table.size <= KEPT_ENTRIES:
         table.flags.writeable = False
         _kept = key, table
     return table

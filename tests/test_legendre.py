@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from itertools import islice
 from unittest import mock
@@ -358,6 +360,40 @@ def test_kept_table_matches_fresh_builds(points, degrees, rows, seed, change):
                 assert builds.pop() == (degree, x.size)
                 top = degree
             assert not builds
+
+
+def test_threads_sharing_the_kept_table_each_get_their_own_values():
+    # the kept (key, table) pair is replaced whole, so a thread never reads
+    # one point set's key with another's table, nor too few rows; five
+    # threads on three point sets, two of them at two degrees each
+    rng = np.random.default_rng(12)
+    omega = Frequency.exact(20).omega
+    grids = [rng.uniform(-1.0, 1.0, size) for size in (50, 50, 300)]
+    jobs = []
+    for grid, degree in zip([*grids, grids[0], grids[2]], (12, 12, 20, 4, 8)):
+        a, b = _pairs(rng, 0, degree)
+        jobs.append((a, b, grid, _fresh(a, b, omega, grid)))
+    finished = []
+
+    def work(a, b, grid, want):
+        # a wrong value stops the thread, and so does an exception
+        for _ in range(300):
+            if not _same_bits(legtrig_values(a, b, omega, grid), want):
+                return
+        finished.append(grid.size)
+
+    threads = [threading.Thread(target=work, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == len(jobs)
 
 
 def _degree_order_sum(a, b, omega, x):
