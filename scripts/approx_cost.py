@@ -81,7 +81,7 @@ def time_period(periods: float, n: int, repeats: int):
     target = OscTarget(f_env=ENVELOPES["exp"], g_env=ENVELOPES["runge"],
                        freq_raw=2 * math.pi * periods)
     freq, _ = reduce_frequency(target)
-    basis = build_basis(freq, n, build_tables(freq, n + 1))
+    basis = build_basis(freq, n, build_tables(freq, n))
     points = 2 * max(ENVELOPE_DEGREE, n) + 1
     times = {name: [] for name in LAYERS}
 
@@ -118,6 +118,8 @@ def time_against(periods: float, n: int, repeats: int, trees: tuple):
     times = [{name: [] for name in AGAINST} for _ in trees]
     targets = [tree.OscTarget(f_env=tree.ENVELOPES["exp"], g_env=tree.ENVELOPES["runge"],
                               freq_raw=2 * math.pi * periods) for tree in trees]
+    # tables at N + 1, which an older checkout, whose bases needed them,
+    # also takes
     bases = []
     for tree, target in zip(trees, targets):
         freq, _ = tree.reduce_frequency(target)

@@ -81,7 +81,7 @@ def time_cell(k: int, n: int, repeats: int, path: Path):
         if rep == 1:
             for values in times.values():
                 values.clear()
-        tables = timed("tables", build_tables, freq, n + 1)
+        tables = timed("tables", build_tables, freq, n)
         basis = timed("basis", build_basis, freq, n, tables)
         timed("basis_reorth", build_basis, freq, n, tables,
               reorthogonalize=True)
@@ -143,6 +143,8 @@ def time_against(k: int, n: int, repeats: int, trees: tuple):
                 values.clear()
         order = (1, 0) if rep % 2 else (0, 1)
         freqs = [tree.Frequency.exact(k) for tree in trees]
+        # tables at N + 1, which an older checkout, whose bases needed
+        # them, also takes
         tables = {i: timed(i, "tables", trees[i].build_tables, freqs[i], n + 1)
                   for i in order}
         bases = {i: timed(i, "basis", trees[i].build_basis, freqs[i], n, tables[i])

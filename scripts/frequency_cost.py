@@ -55,7 +55,7 @@ def smallest_osc_degree(freq, target, tol, n_cap=12):
     """Smallest n whose expansion in pairs 0 ... n has residual norm <= tol,
     by `residual_norm` on the projection with its tail zeroed.  The trimmed
     copies keep the projection's samples, so the envelopes are sampled once."""
-    tables = build_tables(freq, n_cap + 1)
+    tables = build_tables(freq, n_cap)
     basis = build_basis(freq, n_cap, tables)
     exp = project(target, basis)
     for n in range(n_cap + 1):

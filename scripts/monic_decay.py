@@ -38,7 +38,7 @@ def main():
     args = ap.parse_args()
 
     freq = parse_omega_spec(args.omega)
-    tables = build_tables(freq, args.n + 1)
+    tables = build_tables(freq, args.n)
     profile = monic_norm_profile(freq, args.n, tables)
 
     print(f"omega = {freq.omega:.6g}  (k={freq.k}, epsilon={freq.epsilon:g})")

@@ -33,7 +33,7 @@ def sweep_cell(k: int, n: int) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         try:
-            tables = build_tables(freq, n + 1)
+            tables = build_tables(freq, n)
         except ValueError:
             return "refused@tables"
         try:

@@ -140,7 +140,7 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     n_max : int
         Largest pair index N; the basis has 2(N+1) rows.
     tables : InnerProductTables
-        Must cover degree n_max + 1 (the x-shift overshoot).
+        Any n_max >= the basis's; only its degrees 0 ... n_max are read.
     reorthogonalize : bool
         When true, each new row gets one extra classical Gram-Schmidt pass
         against all previous rows before normalization.  It costs 1.4-2.9
@@ -165,9 +165,9 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
         raise ValueError(f"frequency mismatch: basis requested at omega={freq.omega!r} "
                          f"but tables were built at omega={tables.freq.omega!r}")
     require_size(n_max)
-    if tables.n_max < n_max + 1:
-        raise ValueError(f"tables.n_max={tables.n_max} too small: multiplication by x "
-                         f"raises the degree, need tables with n_max >= {n_max + 1}")
+    if tables.n_max < n_max:
+        raise ValueError(f"tables.n_max={tables.n_max} too small: a basis at "
+                         f"n_max={n_max} needs tables with n_max >= {n_max}")
     # orthogonality holds up while the polynomial degree stays below the
     # number of oscillation periods, so the warning threshold here is
     # omega / 2pi, not the raw omega that the table recursion cares about
@@ -187,18 +187,18 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # member before normalization, applied[c, k] = G_c x_ck over the k + 3
     # entries that quotients read and ip[c, k] = <rows[c, k], x_ck>, so
     # <f, rows[c, k]> / <rows[c, k], rows[c, k]> = f . applied[c, k] /
-    # ip[c, k].  A zero degree N + 2 in G_c gives each pair's products the
-    # same shapes, and bits, at any N.  A step writes every product into
-    # these arrays, so it allocates nothing.
+    # ip[c, k].  Zero degrees N + 1 and N + 2 in G_c give each pair's
+    # products the same shapes, and bits, at any N; they reach only the
+    # entries past degree N of the last two pairs, which no step reads.  A
+    # step writes every product into these arrays, so it allocates nothing.
     n = n_max + 1
-    # mixed degree parities pair cos with sin (M2), the others cos with cos
-    # (M3) or sin with sin (M4)
+    # G_c = (M1 + M6 + s M5)/2, s = 1 on cosine and -1 on sine coordinates:
+    # M3 or M4 where the degree parities match, M2 where they differ
+    s = (-1.0) ** np.add.outer(np.arange(2), np.arange(n))[:, :, None]
     G = np.zeros((2, n + 2, n + 2))
-    G[:, : n + 1, : n + 1] = tables.m2[: n + 1, : n + 1]
-    m3_m4 = tables.m3, tables.m4
-    for c, i in np.ndindex(2, 2):
-        G[c, i : n + 1 : 2, i : n + 1 : 2] = m3_m4[(c + i) % 2][
-            i : n + 1 : 2, i : n + 1 : 2]
+    g = np.multiply(s, tables.m5[:n, :n], out=G[:, :n, :n])
+    g += tables.m1[:n, :n] + tables.m6[:n, :n]
+    g /= 2
     rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
     ip, norm2, norms = np.empty((3, 2, n))
     # x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1), so degree m of f gives

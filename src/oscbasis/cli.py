@@ -82,7 +82,7 @@ def cmd_tables(args):
 
 def cmd_basis(args):
     freq = _verifiable(args.omega)
-    tables = build_tables(freq, args.n + 1)
+    tables = build_tables(freq, args.n)
     basis = build_basis(freq, args.n, tables)
     # the size of the Gram error that rounding alone can cause
     rho = ROUNDOFF * max(np.abs(basis.a).max(), np.abs(basis.b).max()) ** 2

@@ -40,7 +40,7 @@ def legendre_rows(x, out=None):
     here.  Every consumer draws its values from this generator, so a given
     degree at a given point has the same bits wherever it is computed.  A
     0-d x with no out yields Python floats, a fraction of the cost of numpy
-    scalars for the same bits.
+    scalars for the same bits; legtrig_values sums one point on them.
     """
     x = np.asarray(x, dtype=float)
     if out is None and x.ndim == 0:
@@ -66,12 +66,10 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
 
     Returns an (n_max+1, x.size) array; row j holds P_j at the 1-D sample
     points x, written in place by one recurrence pass.  A 0-d x gives one
-    column, from the recurrence on Python floats, with the same bits as at
+    column, by the same array operations and so with the same bits as at
     that point inside an array.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.fromiter(islice(legendre_rows(x), n_max + 1), float)[:, None]
     table = np.empty((n_max + 1, x.size))
     for _ in legendre_rows(x, out=table):
         pass

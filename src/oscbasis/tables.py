@@ -33,9 +33,9 @@ import numpy as np
 from .frequency import Frequency, StabilityWarning
 from .legendre import read_only, require_finite, require_size
 
-# largest table degree N, which bounds the arrays that one table build and
-# the basis on its tables allocate: at 2 pi 25000, N = 2047, build_tables
-# peaks at 105 MB and build_basis at N = 2046 at 579 MB more (tracemalloc)
+# largest table and basis degree N; it bounds the arrays of one table build
+# and of the basis on its tables: at 2 pi 25000, N = 2047, build_tables peaks
+# at 105 MB, and build_basis at N = 2046 peaked at 579 MB more (tracemalloc)
 MAX_DEGREE = 2047
 
 
@@ -111,8 +111,7 @@ def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
     require_size(n_max)
     if n_max > MAX_DEGREE:
         raise ValueError(f"n_max={n_max} is over the table degree limit of "
-                         f"{MAX_DEGREE} (a basis of pair index N takes tables "
-                         f"of degree N + 1)")
+                         f"{MAX_DEGREE}")
     omega = freq.omega
     if omega <= n_max:
         warnings.warn(

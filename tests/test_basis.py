@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -435,72 +436,55 @@ def test_collapse_refusal_names_the_member_a_per_pair_check_names(
         f"{REFUSALS[check].format(value)} (omega={freq.omega:.6g}, n_max={n_max})")
 
 
-class _HugeM4Tables(InnerProductTables):
-    """Tables whose M4 reads the largest float at [21, 23] and [23, 21]: a
-    product with a member of pair 21 or later overflows, while pairs 0 ... 20
-    never read those entries."""
-
-    @property
-    def m4(self):
-        m4 = super().m4
-        m4[21, 23] = m4[23, 21] = np.finfo(float).max
-        return m4
+def _with_entries(tables, name, value, *entries):
+    """A copy of tables whose m5 or m6 holds value at each entry (j, k) and
+    (k, j), set past the checks of InnerProductTables, which refuses a
+    value that is not finite."""
+    mat = getattr(tables, name).copy()
+    for j, k in entries:
+        mat[j, k] = mat[k, j] = value
+    changed = copy.copy(tables)
+    object.__setattr__(changed, name, mat)
+    return changed
 
 
 @pytest.mark.parametrize("n_max", [31, 60, 150])
 def test_build_runs_past_a_collapsed_member_without_warnings(n_max):
     # 2pi*3 collapses at member 40 (pair 20), and the recurrence runs on to
-    # the last pair; the pairs after it overflow on these tables, and no
-    # RuntimeWarning escapes (pytest turns one into an error)
+    # the last pair; with M5 at minus the largest float at [21, 23], so that
+    # M4 = (M1 - M5)/2 and M3 = (M1 + M5)/2 read +-max/2 there, a product
+    # with a member of pair 21 or later overflows (pairs 0 ... 20 never read
+    # those entries), and no RuntimeWarning escapes (pytest turns one into
+    # an error)
     freq = Frequency.exact(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         tables = build_tables(freq, n_max + 1)
-    huge = _HugeM4Tables(freq, tables.n_max, tables.m5, tables.m6)
+    huge = _with_entries(tables, "m5", -np.finfo(float).max, (21, 23))
     with pytest.raises(BasisDegenerationError,
                        match=r"member 40 \(p_20\): u\*max\|c\|\^2 = 4\.054e\+00 >= 1"):
         _build_quiet(freq, n_max, huge)
 
 
-class _NanM5Tables(InnerProductTables):
-    """Tables that read as if M5 held NaN at [2, 2], which InnerProductTables
-    refuses: M3 = (M1 + M5)/2 and M4 = (M1 - M5)/2 read NaN there."""
-
-    @property
-    def m3(self):
-        m3 = super().m3
-        m3[2, 2] = np.nan
-        return m3
-
-    @property
-    def m4(self):
-        m4 = super().m4
-        m4[2, 2] = np.nan
-        return m4
-
-
 def test_degeneration_check_refuses_nan_norm(freq20, tables20):
-    tables = _NanM5Tables(freq20, tables20.n_max, tables20.m5, tables20.m6)
+    # M5 NaN at [2, 2]: M3 = (M1 + M5)/2 and M4 = (M1 - M5)/2 read NaN there
+    tables = _with_entries(tables20, "m5", np.nan, (2, 2))
     with pytest.raises(BasisDegenerationError, match="norm\\^2 = nan"):
         build_basis(freq20, 4, tables)
 
 
-class _NanM4Tables(InnerProductTables):
-    """Tables whose M4 reads NaN at [1, 1], with M3 and M5 left finite."""
-
-    @property
-    def m4(self):
-        m4 = super().m4
-        m4[1, 1] = np.nan
-        return m4
-
-
 def test_degeneration_check_refuses_nan_in_q_row_only(freq20, tables20):
-    # M4[1, 1] enters only the sine part of q_1; p_1 of the same pair stays
-    # finite, and the pair is still refused
-    tables = _NanM4Tables(freq20, tables20.n_max, tables20.m5, tables20.m6)
-    with pytest.raises(BasisDegenerationError,
-                       match=r"member 3 \(q_1\): pre-normalization norm\^2 = nan"):
+    # with M5 and M6 infinite at [1, 1], G_c = (M1 + M6 + s M5)/2 reads
+    # inf - inf = NaN there where degree 1 is a sine coordinate (M4's entry)
+    # and inf where it is a cosine one (M3's).  The NaN enters only the
+    # sine part of q_1, whose norm^2 turns NaN, while p_1's, infinite,
+    # passes the norm check; the pair is still refused.  No finite tables
+    # meet that inf - inf, so its invalid-value warning is let through here
+    tables = _with_entries(tables20, "m5", np.inf, (1, 1))
+    tables = _with_entries(tables, "m6", np.inf, (1, 1))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            BasisDegenerationError,
+            match=r"member 3 \(q_1\): pre-normalization norm\^2 = nan"):
         build_basis(freq20, 12, tables)
 
 
@@ -522,9 +506,52 @@ def test_build_rejects_bad_inputs(freq20, tables20):
     with pytest.raises(ValueError, match="n_max"):
         build_basis(freq20, -1, tables20)
     with pytest.raises(ValueError, match="n_max >= 18"):
-        build_basis(freq20, 17, tables20)
+        build_basis(freq20, 18, tables20)
     with pytest.raises(ValueError, match="mismatch"):
         build_basis(Frequency.exact(21), 4, tables20)
+
+
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(5), 0), (Frequency.exact(7), 1), (Frequency.exact(9), 2),
+    (Frequency.exact(20), 12), (Frequency.exact(84), 40),
+    (Frequency.exact(137), 100), *((Frequency.exact(k), 200)
+                                   for k in (218, 304, 325, 330)),
+    (Frequency.exact(660), 300)], ids=lambda v: str(getattr(v, "k", v)))
+def test_basis_is_the_same_on_tables_of_any_larger_degree(freq, n_max):
+    # each quotient and norm is an inner product of members of degree at
+    # most N, so the build reads table degrees 0 ... N only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        bases = [build_basis(freq, n_max, build_tables(freq, n_max + extra))
+                 for extra in (0, 1, 5)]
+    for basis in bases[1:]:
+        for name in ("a", "b", "norms", "rec"):
+            assert getattr(basis, name).tobytes() == getattr(bases[0], name).tobytes()
+        assert basis.content_hash() == bases[0].content_hash()
+
+
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(20), 120), (Frequency.exact(60), 200),
+    (Frequency.exact(2), 60), (Frequency.from_omega(3.3), 40)],
+    ids=["2pi*20", "2pi*60", "2pi*2", "3.3"])
+def test_refusal_is_the_same_on_tables_of_any_larger_degree(freq, n_max):
+    messages = []
+    for extra in (0, 1, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            tables = build_tables(freq, n_max + extra)
+        with pytest.raises(BasisDegenerationError) as info:
+            _build_quiet(freq, n_max, tables)
+        messages.append(str(info.value))
+    assert messages[1:] == messages[:1] * 2
+
+
+@pytest.mark.parametrize("n_max", [1, 12])
+def test_tables_below_the_basis_degree_are_refused(freq20, n_max):
+    tables = build_tables(freq20, n_max - 1)
+    with pytest.raises(ValueError, match=rf"tables.n_max={n_max - 1} too small: "
+                                         rf".*needs tables with n_max >= {n_max}$"):
+        build_basis(freq20, n_max, tables)
 
 
 def test_member_evaluation(freq20, basis20):

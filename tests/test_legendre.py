@@ -154,8 +154,8 @@ def test_rule_matches_reference_implementation(n):
 
 @pytest.mark.parametrize("x", [0.3, -0.77, 0.999, -1.0, 1.0, 0.0, 1e-300])
 def test_table_for_0d_point_has_its_bits_inside_an_array(x):
-    # a 0-d point runs the recurrence on floats, an array on arrays; each
-    # degree gets the same bits either way
+    # a 0-d point gets a one-column table from the same array recurrence
+    # as an array of points; each degree gets the same bits either way
     xs = np.array([-0.5, x, 0.25, 0.6])
     table = legendre_table(80, np.array(x))
     assert table.shape == (81, 1)
