@@ -66,12 +66,13 @@ def rows(n: int, omegas: str) -> list[str]:
         dev = float(np.max(np.abs(H - L)))
         cond_m = cond(H)
         tables = build_tables(freq, n)
-        # unit-norm single modes P_j cos(omega x), P_j sin(omega x), interleaved
+        # single modes P_j cos(omega x), P_j sin(omega x), interleaved, then
+        # scaled to unit norm by the diagonal of their Gram
         A = np.zeros((2 * n + 2, n + 1))
         B = np.zeros((2 * n + 2, n + 1))
-        A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
-        B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
-        cond_l = cond(gram_matrix((A, B), tables))
+        A[0::2] = B[1::2] = np.eye(n + 1)
+        scale = 1.0 / np.sqrt(np.diag(gram_matrix((A, B), tables)))
+        cond_l = cond(gram_matrix((A * scale[:, None], B * scale[:, None]), tables))
         lines.append(",".join(
             format(v, ".17g") for v in (freq.omega, dev, cond_m, cond_l)))
         print(f"omega={freq.omega:.6g}: max|H - L|={dev:.3e} "

@@ -30,7 +30,7 @@ import numpy as np
 
 from .frequency import TWO_PI, Frequency, StabilityWarning
 from .legendre import legtrig_values, read_only, require_finite, require_size
-from .tables import InnerProductTables
+from .tables import InnerProductTables, class_grams
 
 # below this pre-normalization norm a direction carries no information in
 # 64-bit arithmetic
@@ -192,13 +192,8 @@ def build_basis(freq: Frequency, n_max: int, tables: InnerProductTables,
     # entries past degree N of the last two pairs, which no step reads.  A
     # step writes every product into these arrays, so it allocates nothing.
     n = n_max + 1
-    # G_c = (M1 + M6 + s M5)/2, s = 1 on cosine and -1 on sine coordinates:
-    # M3 or M4 where the degree parities match, M2 where they differ
-    s = (-1.0) ** np.add.outer(np.arange(2), np.arange(n))[:, :, None]
     G = np.zeros((2, n + 2, n + 2))
-    g = np.multiply(s, tables.m5[:n, :n], out=G[:, :n, :n])
-    g += tables.m1[:n, :n] + tables.m6[:n, :n]
-    g /= 2
+    G[:, :n, :n] = class_grams(tables, n)
     rows, applied = np.zeros((2, n, n)), np.zeros((2, n, n + 2))
     ip, norm2, norms = np.empty((3, 2, n))
     # x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1), so degree m of f gives

@@ -6,7 +6,7 @@ exit code); main then writes the run manifest (parameters and sha256
 content hashes) and prints one "wrote" line per file.  Data files are
 byte-identical across reruns with the same arguments; only the manifest
 duration field varies.  tables and basis write JSON, or CSV when --out
-ends in .csv: tables as <stem>_m1.csv ... <stem>_m6.csv, a basis as its
+ends in .csv: tables as <stem>_m5.csv and <stem>_m6.csv, a basis as its
 representation matrix at --out.  verify writes the report of oracle.verify
 on the tables or basis file it loads.
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("tables", help="build the inner-product tables M1..M6")
+    t = sub.add_parser("tables", help="build the inner-product tables M5 and M6")
     t.add_argument("--omega", required=True,
                    help="frequency: a real number or the exact form '2pi*k'")
     t.add_argument("--n", required=True, type=int, help="largest Legendre degree")

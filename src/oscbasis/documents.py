@@ -170,14 +170,14 @@ def load(path, kind):
 
 def save_csv(obj, stem) -> list[Path]:
     """The matrices of obj as CSVs with 17 significant digits, which parse
-    back to the identical doubles: <stem>_m1.csv ... <stem>_m6.csv for
+    back to the identical doubles: <stem>_m5.csv and <stem>_m6.csv for
     tables, and the representation matrix B at stem itself for a basis."""
     if not isinstance(obj, (OscBasis, InnerProductTables)):
         raise TypeError(f"no CSV form for {type(obj).__name__}")
     stem = Path(stem)
     files = ([(stem, representation_matrix(obj), "c")] if isinstance(obj, OscBasis)
-             else [(stem.with_name(f"{stem.name}_m{i}.csv"), getattr(obj, f"m{i}"), "k")
-                   for i in range(1, 7)])
+             else [(stem.with_name(f"{stem.name}_{name}.csv"), getattr(obj, name), "k")
+                   for name in ("m5", "m6")])
     for path, mat, prefix in files:
         header = ",".join(f"{prefix}{i}" for i in range(mat.shape[1]))
         np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header,

@@ -99,6 +99,13 @@ def require_size(n_max):
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
 
 
+def require_count(value, name: str, low: int):
+    """Refuse a count that is not an integer >= low (a bool, 3.0, "3",
+    None); a numpy integer is one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def legtrig_values(a, b, omega: float, x):
     """sum_j a[..., j] P_j(x) cos(omega x) + b[..., j] P_j(x) sin(omega x)
     at x, of shape a.shape[:-1] + x.shape, from one Legendre table; for one
@@ -171,6 +178,7 @@ def gauss_legendre_rule(n_points: int) -> QuadratureRule:
     1/2)), refined to 1e-15, then weights 2 / ((1 - x^2) P'_n(x)^2).  Each
     Newton step is one recurrence pass; from these guesses a few hundred
     points take three steps.  Exact for polynomials of degree <= 2n - 1.
+    Refuses with ValueError an n_points that is not an integer >= 1.
     """
     return QuadratureRule(*_gauss_legendre(n_points, False)[:2])
 
@@ -179,8 +187,7 @@ def _gauss_legendre(n: int, table: bool):
     """Nodes, weights and, if table, P_0 ... P_{n-1} at the nodes (row j
     holds P_j), else None: up to 100 Newton steps, one pass each, then one
     pass for the weights from P'_n at |x| < 1, which can keep its rows."""
-    if n < 1:
-        raise ValueError(f"n_points must be >= 1, got {n}")
+    require_count(n, "n_points", 1)
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
     x *= 1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)

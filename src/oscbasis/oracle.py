@@ -22,7 +22,7 @@ import numpy as np
 from .basis import OscBasis
 from .frequency import Frequency
 from .legendre import (QuadratureRule, gauss_legendre_rule, legendre_table,
-                       require_size)
+                       require_count, require_size)
 from .tables import InnerProductTables, _rows
 
 _CHUNK = 1024  # nodes x > 0 per chunk of _half_rule
@@ -48,7 +48,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.panels_per_period < 2:
             raise ValueError("panels_per_period must be >= 2")
-        if not 8 <= self.points_per_panel <= MAX_POINTS:
+        require_count(self.points_per_panel, "points_per_panel", 8)
+        if self.points_per_panel > MAX_POINTS:
             raise ValueError(f"points_per_panel must be from 8 to {MAX_POINTS}, "
                              f"got {self.points_per_panel}")
 

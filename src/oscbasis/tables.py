@@ -1,14 +1,9 @@
-"""Inner-product tables M1 ... M6 for the Legendre-trig family; only M5 and
-M6 are computed and stored, and M1 ... M4 are formed from them on each read:
+"""Inner-product tables M5 and M6 for the Legendre-trig family:
 
-M1[j][k] = <P_j, P_k>                    (diagonal, known norms)
-M2[j][k] = <P_j cos(wx), P_k sin(wx)>    = M6/2
-M3[j][k] = <P_j cos(wx), P_k cos(wx)>    = (M1 + M5)/2
-M4[j][k] = <P_j sin(wx), P_k sin(wx)>    = (M1 - M5)/2
 M5[j][k] = <P_j, P_k cos(2wx)>
 M6[j][k] = <P_j, P_k sin(2wx)>
 
-M5 and M6 satisfy a coupled recursion obtained by integrating by parts and
+They satisfy a coupled recursion obtained by integrating by parts and
 re-expanding P' in the Legendre basis: each entry on skew diagonal j+k = s
 is a boundary term plus (R[j,k] + R[k,j]) / 2w, where R[j,k] is the sum of
 (2m+1) M[m,k] over m = j-1, j-3, ... of the opposite table M.  R is carried
@@ -18,9 +13,9 @@ the tables exactly symmetric; M5 is exactly zero where j+k is odd and M6
 where it is even, and InnerProductTables refuses arrays that are not.
 oracle.verify checks the tables against quadrature.
 
-Over the tables the inner product of Legendre-trig coefficient pairs is the
-bilinear form <(a, b), (c, d)> = a.M2.d + a.M3.c + b.M2.c + b.M4.d, and
-gram_matrix forms it for the rows of a basis or of an (A, B) pair.
+Every other inner product of the family follows from M5, M6 and the
+Legendre norms M1 = diag(2/(2j+1)): class_grams forms the Gram of each
+parity class, and build_basis and gram_matrix both read it.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ MAX_DEGREE = 2047
 
 @dataclass(frozen=True, eq=False)
 class InnerProductTables:
-    """M5 and M6, (N+1) x (N+1), at one frequency; M1 ... M4 read off them.
+    """M5 and M6, (N+1) x (N+1), at one frequency.
 
     m5 and m6 are read-only; an array given writable, or not as float64,
     is copied first.  An n_max not an int >= 0, and tables not (N+1)-square,
@@ -72,22 +67,6 @@ class InnerProductTables:
                 raise ValueError(f"{name}[{j}][{k}] = {float(mat[j, k])!r} is "
                                  f"nonzero at {('even', 'odd')[parity]} j + k")
             object.__setattr__(self, name, mat)
-
-    @property
-    def m1(self) -> np.ndarray:
-        return np.diag(2.0 / (2.0 * np.arange(self.n_max + 1) + 1.0))
-
-    @property
-    def m2(self) -> np.ndarray:
-        return self.m6 / 2.0
-
-    @property
-    def m3(self) -> np.ndarray:
-        return (self.m1 + self.m5) / 2.0
-
-    @property
-    def m4(self) -> np.ndarray:
-        return (self.m1 - self.m5) / 2.0
 
 
 def build_tables(freq: Frequency, n_max: int) -> InnerProductTables:
@@ -169,15 +148,28 @@ def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def class_grams(tables: InnerProductTables, n: int) -> np.ndarray:
+    """The (2, n, n) stack of class Grams G_c = (M1 + M6 + s_c M5)/2 over
+    degrees 0 ... n - 1.  Mode j of class c is P_j cos(wx), s_c = +1, where
+    j + c is even and P_j sin(wx), s_c = -1, where it is odd; modes of
+    different classes are orthogonal."""
+    s = (-1.0) ** np.add.outer(np.arange(2), np.arange(n))[:, :, None]
+    G = s * tables.m5[:n, :n]
+    G += np.diag(2.0 / (2.0 * np.arange(n) + 1.0)) + tables.m6[:n, :n]
+    G /= 2
+    return G
+
+
 def gram_matrix(rows, tables: InnerProductTables) -> np.ndarray:
     """G[i][j] = <row i, row j> for the rows of a basis or an (A, B) pair,
-    zero-padded to the table size; a longer row raises with the size needed."""
+    no longer than the tables; a longer row raises with the size needed."""
     A, B = _rows(rows)
-    if A.shape[1] > tables.n_max + 1:
+    n = A.shape[1]
+    if n > tables.n_max + 1:
         raise ValueError(
-            f"coefficient vector of length {A.shape[1]} exceeds tables built "
-            f"for n_max={tables.n_max}; rebuild tables with n_max >= {A.shape[1] - 1}")
-    pad = ((0, 0), (0, tables.n_max + 1 - A.shape[1]))
-    A, B = np.pad(A, pad), np.pad(B, pad)
-    m2 = tables.m2
-    return A @ m2 @ B.T + A @ tables.m3 @ A.T + B @ m2 @ A.T + B @ tables.m4 @ B.T
+            f"coefficient vector of length {n} exceeds tables built "
+            f"for n_max={tables.n_max}; rebuild tables with n_max >= {n - 1}")
+    # E[c] holds each row's coordinates on class c's modes: a where j + c
+    # is even, b where it is odd
+    E = np.where(np.add.outer(np.arange(2), np.arange(n))[:, None] % 2, B, A)
+    return (E @ class_grams(tables, n) @ E.transpose(0, 2, 1)).sum(axis=0)

@@ -37,15 +37,16 @@ def _emit(capsys, number, ok, detail):
         print(f"\n[criterion {number:02d}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def test_criterion_01_table_recursion_matches_oracle(capsys, oracle_reference):
+def test_criterion_01_table_recursion_matches_oracle(capsys, oracle_reference,
+                                                     table_blocks):
     t0 = time.perf_counter()
     worst = 0.0
     for k, n_max in ((10, 12), (20, 16), (40, 16)):
         freq = Frequency.exact(k)
-        tables = build_tables(freq, n_max)
+        got = table_blocks(build_tables(freq, n_max))
         ref = oracle_reference(freq, n_max)
         for key in ("m2", "m3", "m4", "m5", "m6"):
-            worst = max(worst, float(np.max(np.abs(getattr(tables, key) - ref[key]))))
+            worst = max(worst, float(np.max(np.abs(got[key] - ref[key]))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed <= 10.0
     _emit(capsys, 1, ok, f"table deviation {worst:.3e} (tol 1e-10), {elapsed:.2f}s (limit 10s)")
@@ -115,7 +116,7 @@ def test_criterion_04_stability_bracket(capsys):
     assert dev_hi <= 1e-8
 
 
-def test_criterion_05_conditioning_contrast(capsys, cond, script):
+def test_criterion_05_conditioning_contrast(capsys, cond, script, unit_gram):
     monomial_gram = script("hilbert_demo").monomial_gram
 
     # The exact omega -> infinity limit of the monomial-trig Gram, from its
@@ -149,8 +150,8 @@ def test_criterion_05_conditioning_contrast(capsys, cond, script):
     tables = build_tables(freq, 10)
     # unit-norm single modes P_j cos(omega x), P_j sin(omega x), interleaved
     A, B = np.zeros((2, 22, 11))
-    A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
-    B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
+    scale = 1.0 / np.sqrt(np.diag(unit_gram(tables)))
+    A[0::2], B[1::2] = np.diag(scale[:11]), np.diag(scale[11:])
     cond_legtrig = cond(gram_matrix((A, B), tables))
 
     # The finite-omega gap to the limit is O(N / omega^2) (about 4e-3 here);

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -528,6 +529,20 @@ def test_basis_is_the_same_on_tables_of_any_larger_degree(freq, n_max):
         for name in ("a", "b", "norms", "rec"):
             assert getattr(basis, name).tobytes() == getattr(bases[0], name).tobytes()
         assert basis.content_hash() == bases[0].content_hash()
+
+
+def test_build_on_large_tables_allocates_for_its_own_degree():
+    # the class Grams are formed over degrees 0 ... N only: tables at T far
+    # above N cost the build no (T+1)-square array (8 MB at T = 1000)
+    freq = Frequency.exact(1000)
+    tables = build_tables(freq, 1000)
+    tracemalloc.start()
+    try:
+        build_basis(freq, 10, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("freq, n_max", [

@@ -77,9 +77,9 @@ def test_tables_accepts_plain_real_frequency(tmp_path):
 def test_tables_csv_layout(tmp_path):
     out = tmp_path / "t.csv"
     assert _run("tables", "--omega", "2pi*4", "--n", "3", "--out", out) == 0
-    for m in ("m1", "m2", "m3", "m4", "m5", "m6"):
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["t_m5.csv", "t_m6.csv"]
+    for m in ("m5", "m6"):
         path = tmp_path / f"t_{m}.csv"
-        assert path.exists(), m
         assert path.read_text().splitlines()[0] == "k0,k1,k2,k3"
     assert (tmp_path / "t.manifest.json").exists()
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import oscbasis
 from oscbasis import Frequency, build_basis, build_tables
 from oscbasis.approx import sample
 from oscbasis.frequency import TWO_PI
-from oscbasis.legendre import legendre_table, legtrig_values
+from oscbasis.legendre import gauss_legendre_rule, legendre_table, legtrig_values
 from oscbasis.oracle import (
     OracleConfig,
     composite_rule,
@@ -68,6 +69,26 @@ def test_config_refuses_points_per_panel_over_the_limit():
         with pytest.raises(ValueError, match=rf"^points_per_panel must be from "
                                              rf"8 to 64, got {points}$"):
             OracleConfig(points_per_panel=points)
+
+
+@pytest.mark.parametrize("points", [3.0, 8.5, "3", True, None],
+                         ids=["3.0", "8.5", "str", "True", "None"])
+def test_point_counts_that_are_not_integers_are_refused(points):
+    # refused where given, not later inside the Newton loop's islice
+    with pytest.raises(ValueError, match=re.escape(
+            f"n_points must be an integer >= 1, got {points!r}")):
+        gauss_legendre_rule(points)
+    with pytest.raises(ValueError, match=re.escape(
+            f"points_per_panel must be an integer >= 8, got {points!r}")):
+        OracleConfig(points_per_panel=points)
+
+
+def test_point_counts_may_be_numpy_integers():
+    assert np.array_equal(gauss_legendre_rule(np.int64(3)).nodes,
+                          gauss_legendre_rule(3).nodes)
+    cfg = OracleConfig(points_per_panel=np.int64(8))
+    assert np.array_equal(composite_rule(TWO_PI, cfg).nodes,
+                          composite_rule(TWO_PI, OracleConfig(points_per_panel=8)).nodes)
 
 
 def test_composite_rule_refuses_rule_over_node_budget():
@@ -351,7 +372,7 @@ def test_monomial_gram_parity_split_and_limit_conditioning(cond, script):
     assert cond((1.0 + (-1.0) ** s) / (2.0 * (s + 1))) == pytest.approx(ref, rel=1e-6)
 
 
-def test_legtrig_units_stay_well_conditioned(cond):
+def test_legtrig_units_stay_well_conditioned(cond, unit_gram):
     # normalized single-mode rows at a frequency well above the degree
     from oscbasis import build_tables
     from oscbasis.tables import gram_matrix
@@ -359,8 +380,8 @@ def test_legtrig_units_stay_well_conditioned(cond):
     freq = Frequency.exact(50)
     tables = build_tables(freq, 10)
     A, B = np.zeros((2, 22, 11))
-    A[0::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m3)))
-    B[1::2] = np.diag(1.0 / np.sqrt(np.diag(tables.m4)))
+    scale = 1.0 / np.sqrt(np.diag(unit_gram(tables)))
+    A[0::2], B[1::2] = np.diag(scale[:11]), np.diag(scale[11:])
     G = gram_matrix((A, B), tables)
     assert cond(G) <= 10.0
 

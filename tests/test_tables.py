@@ -94,17 +94,19 @@ def test_far_corner_matches_quadrature_at_large_degree():
     assert np.max(np.abs(t.m6[-corner:] - want6)) <= 1e-13
 
 
-def test_diagonal_table_is_legendre_norms(tables20):
+def test_diagonal_table_is_legendre_norms(tables20, unit_gram):
+    # <P_j cos, P_k cos> + <P_j sin, P_k sin> = <P_j, P_k>: M3 + M4 = M1
     expected = np.diag([2.0 / (2 * k + 1) for k in range(18)])
-    assert np.array_equal(tables20.m1, expected)
+    U = unit_gram(tables20)
+    assert np.array_equal(U[:18, :18] + U[18:, 18:], expected)
 
 
-def test_level_zero_tables_at_exact_multiple():
+def test_level_zero_tables_at_exact_multiple(unit_gram):
     tables = build_tables(Frequency.exact(10), 0)
     assert tables.m5[0, 0] == 0.0
     assert tables.m6[0, 0] == 0.0
-    assert tables.m3[0, 0] == 1.0
-    assert tables.m4[0, 0] == 1.0
+    assert unit_gram(tables)[0, 0] == 1.0
+    assert unit_gram(tables)[1, 1] == 1.0
 
 
 def test_first_coupling_entries_at_exact_multiple():
@@ -115,16 +117,35 @@ def test_first_coupling_entries_at_exact_multiple():
     assert tables.m5[1, 1] == pytest.approx(1.0 / omega**2, rel=1e-13)
 
 
-def test_derived_tables_are_exact_combinations(tables20):
-    t = tables20
-    assert np.array_equal(t.m2, t.m6 / 2.0)
-    assert np.array_equal(t.m3, (t.m1 + t.m5) / 2.0)
-    assert np.array_equal(t.m4, (t.m1 - t.m5) / 2.0)
-    assert np.array_equal(t.m3 + t.m4, t.m1)
+def test_derived_tables_are_exact_combinations(tables20, unit_gram):
+    # the unit-mode Gram is [[M3, M2], [M2^T, M4]], M2 = M6/2, M3 and M4 =
+    # (M1 +- M5)/2, bit for bit
+    t, n = tables20, 18
+    m1 = np.diag(2.0 / (2.0 * np.arange(n) + 1.0))
+    U = unit_gram(t)
+    assert np.array_equal(U[:n, n:], t.m6 / 2.0)
+    assert np.array_equal(U[n:, :n], t.m6.T / 2.0)
+    assert np.array_equal(U[:n, :n], (m1 + t.m5) / 2.0)
+    assert np.array_equal(U[n:, n:], (m1 - t.m5) / 2.0)
+    assert np.array_equal(U[:n, :n] + U[n:, n:], m1)
 
 
-def test_all_tables_symmetric(tables20):
-    for m in (tables20.m1, tables20.m2, tables20.m3, tables20.m4, tables20.m5, tables20.m6):
+@pytest.mark.parametrize("freq, n_max", [
+    (Frequency.exact(5), 1), (Frequency.exact(20), 12), (Frequency.exact(137), 100),
+    (Frequency.exact(330), 201), (Frequency.from_omega(200.3), 30)],
+    ids=lambda v: str(getattr(v, "omega", v)))
+def test_unit_mode_gram_is_the_table_blocks(freq, n_max, unit_gram):
+    # gram_matrix reads the class Grams only; on the unit modes it gives
+    # [[M3, M2], [M2^T, M4]] with the bits of the formulas
+    t, n = build_tables(freq, n_max), n_max + 1
+    m1 = np.diag(2.0 / (2.0 * np.arange(n) + 1.0))
+    m2, m3, m4 = t.m6 / 2.0, (m1 + t.m5) / 2.0, (m1 - t.m5) / 2.0
+    assert np.array_equal(unit_gram(t), np.block([[m3, m2], [m2.T, m4]]))
+
+
+def test_all_tables_symmetric(tables20, unit_gram):
+    U, n = unit_gram(tables20), 18
+    for m in (U, U[:n, :n], U[:n, n:], U[n:, n:], tables20.m5, tables20.m6):
         assert np.array_equal(m, m.T)
 
 
@@ -136,22 +157,22 @@ def test_parity_zeros_hold_for_any_frequency():
         assert np.all(t.m6[idx % 2 == 0] == 0.0)
 
 
-def test_recursion_matches_oracle_at_exact_multiples(oracle_reference):
+def test_recursion_matches_oracle_at_exact_multiples(oracle_reference, table_blocks):
     for k, n_max in ((10, 16), (20, 16), (40, 16)):
         freq = Frequency.exact(k)
-        t = build_tables(freq, n_max)
+        got = table_blocks(build_tables(freq, n_max))
         ref = oracle_reference(freq, n_max)
         for key in ("m2", "m3", "m4", "m5", "m6"):
-            dev = np.max(np.abs(getattr(t, key) - ref[key]))
+            dev = np.max(np.abs(got[key] - ref[key]))
             assert dev <= 1e-10, f"{key} at 2pi*{k}: {dev:.3e}"
 
 
-def test_recursion_matches_oracle_at_general_frequency(oracle_reference):
+def test_recursion_matches_oracle_at_general_frequency(oracle_reference, table_blocks):
     freq = Frequency.from_omega(12.0)
-    t = build_tables(freq, 8)
+    got = table_blocks(build_tables(freq, 8))
     ref = oracle_reference(freq, 8)
     for key in ("m2", "m3", "m4", "m5", "m6"):
-        assert np.max(np.abs(getattr(t, key) - ref[key])) <= 1e-10
+        assert np.max(np.abs(got[key] - ref[key])) <= 1e-10
 
 
 def test_coupling_entries_decay_with_frequency():
@@ -194,17 +215,19 @@ def test_refuses_degree_over_the_limit():
     ),
     st.integers(min_value=0, max_value=6),
 )
-def test_structural_identities_hold_everywhere(omega_or_k, n_max):
+def test_structural_identities_hold_everywhere(unit_gram, omega_or_k, n_max):
     if isinstance(omega_or_k, int):
         freq = Frequency.exact(omega_or_k)
     else:
         freq = Frequency.from_omega(omega_or_k)
     t = _quiet_tables(freq, n_max)
-    idx = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+    n = n_max + 1
+    idx = np.add.outer(np.arange(n), np.arange(n))
     assert np.all(t.m5[idx % 2 == 1] == 0.0)
     assert np.all(t.m6[idx % 2 == 0] == 0.0)
-    assert np.array_equal(t.m2, t.m6 / 2.0)
-    assert np.array_equal(t.m3 + t.m4, t.m1)
+    U = unit_gram(t)
+    assert np.array_equal(U[:n, n:], t.m6 / 2.0)
+    assert np.array_equal(U[:n, :n] + U[n:, n:], np.diag(2.0 / (2.0 * np.arange(n) + 1.0)))
     for m in (t.m5, t.m6):
         assert np.array_equal(m, m.T)
         assert np.max(np.abs(m)) <= 2.0
@@ -317,14 +340,15 @@ def test_verify_runs_at_stability_boundary():
     assert isinstance(report.passed, bool)
 
 
-def test_json_round_trip_is_bit_exact(tables20, tmp_path):
+def test_json_round_trip_is_bit_exact(tables20, tmp_path, table_blocks):
     path = tmp_path / "tables.json"
     save(tables20, path)
     loaded = load_tables(path)
     assert loaded.freq == tables20.freq
     assert loaded.n_max == tables20.n_max
-    for key in ("m1", "m2", "m3", "m4", "m5", "m6"):
-        assert np.array_equal(getattr(loaded, key), getattr(tables20, key))
+    got, want = table_blocks(loaded), table_blocks(tables20)
+    for key in ("m2", "m3", "m4", "m5", "m6"):
+        assert np.array_equal(got[key], want[key])
 
 
 def test_doc_round_trip(tables20):
@@ -336,10 +360,11 @@ def test_doc_round_trip(tables20):
 
 
 def test_csv_export_round_trips(tables20, tmp_path):
-    save_csv(tables20, tmp_path / "t")
-    for key in ("m1", "m2", "m3", "m4", "m5", "m6"):
+    written = save_csv(tables20, tmp_path / "t")
+    assert written == [tmp_path / "t_m5.csv", tmp_path / "t_m6.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t_m5.csv", "t_m6.csv"]
+    for key in ("m5", "m6"):
         path = tmp_path / f"t_{key}.csv"
-        assert path.exists()
         header = path.read_text().splitlines()[0]
         assert header.split(",")[0] == "k0"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -384,10 +409,12 @@ def test_pure_cosine_norm_squared_at_exact_multiple(tables20):
     assert _inner(f, f, tables20) == 1.0
 
 
-def test_cross_term_is_half_sine_table(tables20):
+def test_cross_term_is_half_sine_table(tables20, unit_gram):
     f = _coeffs([1.0], [0.0])
     g = _coeffs([0.0], [1.0])
-    assert _inner(f, g, tables20) == tables20.m2[0, 0]
+    # U[0, 18] is <P_0 cos, P_0 sin> = M2[0][0] = M6[0][0] / 2
+    assert _inner(f, g, tables20) == unit_gram(tables20)[0, 18]
+    assert _inner(f, g, tables20) == tables20.m6[0, 0] / 2.0
 
 
 def test_degree_one_cross_entry_vanishes_at_exact_multiple(tables20):
@@ -396,13 +423,15 @@ def test_degree_one_cross_entry_vanishes_at_exact_multiple(tables20):
     assert _inner(f, g, tables20) == 0.0
 
 
-def test_inner_product_on_general_frequency_tables():
+def test_inner_product_on_general_frequency_tables(unit_gram):
     tables = build_tables(Frequency.from_omega(12.0), 4)
     f = _coeffs([0.0, 1.0], [0.0, 0.0])
     g = _coeffs([0.0], [1.0])
-    # <P1 cos, P0 sin> carries the cos(2 omega) weight, nonzero off multiples
-    assert _inner(f, g, tables) == tables.m2[1, 0]
-    assert tables.m2[1, 0] != 0.0
+    # <P1 cos, P0 sin> carries the cos(2 omega) weight, nonzero off multiples;
+    # it is M2[1][0], entry (1, 5) of the unit-mode Gram
+    m2_10 = unit_gram(tables)[1, 5]
+    assert _inner(f, g, tables) == m2_10
+    assert m2_10 != 0.0
 
 
 def test_symmetry(tables20):
@@ -488,7 +517,7 @@ def test_gram_matrix_positive_semidefinite(tables20):
     assert np.min(np.linalg.eigvalsh(G)) >= -1e-10
 
 
-def test_norm_basics(tables20):
+def test_norm_basics(tables20, unit_gram):
     # norms are the square roots of the Gram diagonal
     k = 3
     e = np.zeros(k + 1)
@@ -498,4 +527,4 @@ def test_norm_basics(tables20):
     norms = np.sqrt(np.diag(gram_matrix(_pair(*rows), tables20)))
     assert norms[0] == 1.0
     assert norms[1] == 0.0
-    assert norms[2] == pytest.approx(np.sqrt(tables20.m3[k, k]), rel=1e-15)
+    assert norms[2] == pytest.approx(np.sqrt(unit_gram(tables20)[k, k]), rel=1e-15)
