@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import OscBasis
-from .frequency import Frequency
+from .frequency import Frequency, require_real
 from .legendre import _gauss_legendre, legtrig_values, require_finite, require_size
 
 logger = logging.getLogger(__name__)
@@ -63,11 +62,9 @@ class OscTarget:
     freq_raw: float
 
     def __post_init__(self):
-        freq_raw = self.freq_raw
-        if isinstance(freq_raw, bool) or not isinstance(freq_raw, numbers.Real):
-            raise ValueError(f"freq_raw must be a real number, got {freq_raw!r}")
-        if not 0 < freq_raw <= sys.float_info.max:
-            raise ValueError(f"freq_raw must be positive and finite, got {freq_raw!r}")
+        require_real(self.freq_raw, "freq_raw")
+        if not 0 < self.freq_raw <= sys.float_info.max:
+            raise ValueError(f"freq_raw must be positive and finite, got {self.freq_raw!r}")
 
     def evaluate(self, x):
         xa = np.asarray(x, dtype=float)

@@ -31,6 +31,12 @@ class StabilityWarning(UserWarning):
     """Construction requested outside the omega > N stability regime."""
 
 
+def require_real(value, name: str):
+    """Refuse a value that is not a real number (a bool, "4", None)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Frequency:
     """A frequency omega with its decomposition omega = 2*pi*k + epsilon.
@@ -51,8 +57,7 @@ class Frequency:
 
     def __post_init__(self):
         for name, value in (("omega", self.omega), ("epsilon", self.epsilon)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            require_real(value, name)
         if not 0 < self.omega <= sys.float_info.max:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OscBasis
-from .frequency import Frequency
+from .frequency import Frequency, require_real
 from .legendre import (QuadratureRule, gauss_legendre_rule, legendre_table,
                        require_count, require_size)
 from .tables import InnerProductTables, _rows
@@ -46,8 +46,9 @@ class OracleConfig:
     points_per_panel: int = 24
 
     def __post_init__(self):
-        if self.panels_per_period < 2:
-            raise ValueError("panels_per_period must be >= 2")
+        require_real(self.panels_per_period, "panels_per_period")
+        if not 2 <= self.panels_per_period < math.inf:
+            raise ValueError("panels_per_period must be >= 2 and finite")
         require_count(self.points_per_panel, "points_per_panel", 8)
         if self.points_per_panel > MAX_POINTS:
             raise ValueError(f"points_per_panel must be from 8 to {MAX_POINTS}, "
@@ -191,7 +192,8 @@ def verify(obj, tolerance: float) -> VerifyReport:
     """Every entry of m5 and m6 of tables against oracle_tables, or the
     member_gram of a basis against I.  The report flags every entry not
     within tolerance, NaN included.  ValueError for a tolerance that is not
-    finite and >= 0, TypeError for anything but tables or a basis."""
+    a real number >= 0 and finite, TypeError for anything but tables or a basis."""
+    require_real(tolerance, "tolerance")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if isinstance(obj, InnerProductTables):

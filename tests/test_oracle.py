@@ -55,10 +55,30 @@ def test_config_validation_and_panel_count():
     assert cfg.points_per_panel == 24
     assert cfg.panel_count(TWO_PI * 20) == 160
     assert cfg.panel_count(0.5) == 8
+    # a panel count need not be an integer
+    assert OracleConfig(panels_per_period=2.5).panel_count(TWO_PI * 20) == 100
     with pytest.raises(ValueError):
         OracleConfig(panels_per_period=0)
     with pytest.raises(ValueError):
         OracleConfig(points_per_panel=-1)
+
+
+@pytest.mark.parametrize("value", ["4", None, True, float("nan"), float("inf")],
+                         ids=["str", "none", "bool", "nan", "inf"])
+@pytest.mark.parametrize("name", ["panels_per_period", "tolerance"])
+def test_config_and_verify_refuse_a_value_that_is_not_a_finite_real(tables20, name, value):
+    # refused where the value is given, as ValueError: a bool is not taken as
+    # a number, and a NaN or infinite panel count is not left for the rule
+    if isinstance(value, float):
+        message = {"panels_per_period": "panels_per_period must be >= 2 and finite",
+                   "tolerance": f"tolerance must be finite and >= 0, got {value!r}"}[name]
+    else:
+        message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if name == "tolerance":
+            verify(tables20, value)
+        else:
+            OracleConfig(panels_per_period=value)
 
 
 def test_config_refuses_points_per_panel_over_the_limit():

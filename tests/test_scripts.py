@@ -127,18 +127,33 @@ def test_construct_cost_prints_every_layer_and_rho():
     assert float(refused[9]) > 0.0
 
 
+def _assert_ratio(this, other, ratio, digits):
+    # ratio = this / against, up to the rounding of the three printed figures
+    this, other, ratio = float(this), float(other), float(ratio)
+    half = 0.5 * 10.0 ** -digits
+    assert this > 0.0 and other > half
+    low, high = (this - half) / (other + half), (this + half) / (other - half)
+    assert low - 5e-4 <= ratio <= high + 5e-4
+
+
+CONSTRUCT_LAYERS = ("tables", "basis", "basis_reorth", "to_orth", "save", "load", "hash")
+
+
 def test_construct_cost_against_a_checkout_prints_both_medians_and_ratio():
     # the checkout this test file is in, imported beside the package under test
     root = Path(__file__).resolve().parents[1]
-    lines = _run("construct_cost.py", ["--cells", "20:12", "--repeats", "2",
+    lines = _run("construct_cost.py", ["--cells", "20:12,3:20", "--repeats", "2",
                                        "--against", root])
     assert lines[0].split()[:5] == ["cell", "layer", "this_ms", "against_ms", "ratio"]
     rows = [line.split() for line in lines[1:]]
-    assert [row[:2] for row in rows] == [["2pi*20:12", name]
-                                         for name in ("tables", "basis", "to_orth")]
-    for _, _, this, other, ratio in rows:
-        assert float(this) > 0.0 and float(other) > 0.0
-        assert float(ratio) == pytest.approx(float(this) / float(other), rel=1e-2)
+    # every layer of the single-tree table, in its order, for each cell
+    assert [row[:2] for row in rows] == [[cell, name] for cell in ("2pi*20:12", "2pi*3:20")
+                                         for name in CONSTRUCT_LAYERS]
+    for _, _, this, other, ratio in rows[:10]:
+        _assert_ratio(this, other, ratio, 3)
+    # at 2pi*3, N = 20 the plain build is refused in both trees: its time to
+    # the refusal is printed, and nothing after it is timed
+    assert [row[2:] for row in rows[10:]] == [["-"] * 3] * 4
 
 
 def test_approx_cost_prints_every_layer_and_the_residual():
@@ -165,13 +180,14 @@ def test_approx_cost_against_a_checkout_prints_both_medians_and_ratio():
     assert lines[0].split()[:5] == ["periods", "layer", "this_ms", "against_ms",
                                     "ratio"]
     rows = [line.split() for line in lines[1:]]
+    # every layer of the single-tree table, in its order, for each frequency
     assert [row[:2] for row in rows] == [
         [periods, name] for periods in ("20.3", "2000.3")
-        for name in ("project", "residual", "eval_2001_first", "eval_2001_again",
-                     "eval_scalar")]
+        for name in ("analysis", "filon_w", "project", "residual", "residual_fresh",
+                     "project_fresh", "content_hash", "eval_2001_first",
+                     "eval_2001_again", "eval_scalar")]
     for _, _, this, other, ratio in rows:
-        assert float(this) > 0.0 and float(other) > 0.0
-        assert float(ratio) == pytest.approx(float(this) / float(other), rel=1e-2)
+        _assert_ratio(this, other, ratio, 4)
 
 
 def test_hilbert_demo_single_mode(tmp_path):
